@@ -61,6 +61,9 @@ PAPER_SIGNS_PER_SEC = {
 }
 
 PAPER_CPU_HZ = 2.6e9
+#: Batch width of the spine-identity check: a full batch, the width
+#: the batch rows time and the serving plane's largest round.
+IDENTITY_LANES = 32
 BACKENDS = ("cdt-byte-scan", "cdt-binary", "cdt-linear", "bitsliced")
 
 
@@ -137,8 +140,9 @@ def _measured_rates(sk, signs: int, batch: int) -> dict:
 
 
 def _spine_identity_check(n: int, seed: int = 77) -> bool:
-    """Fresh keys, fixed seed: do both spines emit identical bytes?"""
-    messages = [b"identity-%d" % i for i in range(3)]
+    """Fresh keys, fixed seed: do both spines sign one
+    ``IDENTITY_LANES``-message batch to identical bytes?"""
+    messages = [b"identity-%d" % i for i in range(IDENTITY_LANES)]
     scalar = SecretKey.generate(n=n, seed=seed).sign_many(
         messages, spine="scalar")
     vector = SecretKey.generate(n=n, seed=seed).sign_many(
@@ -209,6 +213,7 @@ def run_sweep(levels: dict[str, int] | None = None,
             else max(levels.values())
         identity = {
             "n": identity_n,
+            "lanes": IDENTITY_LANES,
             "identical_signature_bytes":
                 _spine_identity_check(identity_n),
         }
@@ -254,7 +259,8 @@ def render_report(payload: dict) -> str:
     identity = payload.get("spine_identity")
     if identity:
         lines.append(
-            f"spine identity at N={identity['n']}: scalar and numpy "
+            f"spine identity at N={identity['n']}, one "
+            f"{identity['lanes']}-message batch: scalar and numpy "
             f"sign_many bytes identical = "
             f"{identity['identical_signature_bytes']}")
     for level_name, level in payload["levels"].items():

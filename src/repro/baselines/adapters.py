@@ -118,6 +118,11 @@ class BitslicedIntegerSampler(IntegerSampler):
         reversed; refills happen at the same pool-exhaustion points,
         keeping the PRNG stream identical to per-call draws.
         """
+        buffer = self._buffer
+        if 0 < count <= len(buffer):
+            out = buffer[:-count - 1:-1]
+            del buffer[-count:]
+            return out
         out: list[int] = []
         while count > 0:
             # ct: allow(secret-branch): refill on pool exhaustion — fill state is public (a length, not a value)

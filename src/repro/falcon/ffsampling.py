@@ -23,30 +23,31 @@ Two representations coexist:
 * a **flattened** :class:`FlatLdlTree`, which stores each level's L10
   factors as one contiguous buffer (node ``j``'s children sit at
   ``2j`` / ``2j + 1`` on the next level).  :func:`ff_sampling_batch`
-  walks the flat tree for a whole *batch* of targets at once, with the
-  per-node vector arithmetic carried out by a pluggable lane kernel —
-  NumPy ``(batch, m)`` arrays or plain per-lane Python lists.  Both
-  kernels execute bit-identical IEEE operations and call the leaf
-  sampler in the same order, so scalar and vectorized signing produce
-  identical signatures for a fixed seed (the differential tests pin
-  this).
+  walks the flat tree for a whole *batch* of targets at once, either
+  on NumPy real/imaginary planes (:func:`_walk_planes`) or on plain
+  per-lane Python lists (:func:`_walk_batch`).  Both walks execute
+  bit-identical IEEE operations and call the leaf sampler in the same
+  order, so scalar and vectorized signing produce identical signatures
+  for a fixed seed (the differential tests pin this).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from math import prod
 from typing import Callable, Sequence
 
 from ..ctlint.annotations import secret_params
 from .fft import (
     HAVE_NUMPY,
+    _merge_roots_array,
+    _split_div_tables,
     add_fft,
     adj_fft,
     cdiv,
     cmul,
     div_fft,
     merge_fft,
-    merge_fft_array,
     mul_fft,
     split_fft,
     split_fft_array,
@@ -280,97 +281,272 @@ def build_flat_ldl_tree(g00: Sequence[complex], g01: Sequence[complex],
         m //= 2
 
 
-class _NumpyLanes:
-    """Lane kernel: targets are ``(batch, m)`` complex128 arrays."""
-
-    def __init__(self, tree: FlatLdlTree) -> None:
-        self.levels = tree.levels
-
-    def l10(self, level: int, node: int):
-        return self.levels[level][node]
-
-    def split(self, t):
-        return split_fft_array(t)
-
-    def merge(self, even, odd):
-        return merge_fft_array(even, odd)
-
-    def adjust(self, t0, t1, z1, l10):
-        return t0 + cmul(t1 - z1, l10)
-
-    def column(self, t) -> list[complex]:
-        return t[:, 0].tolist()
-
-    def from_column(self, values: list[complex]):
-        return _np.array(values, dtype=_np.complex128)[:, None]
+#: Rows of at most this many slots get their per-slot tables tiled
+#: across lanes, so their table steps act on flat arrays; longer rows
+#: broadcast the tables, which costs little per slot and no memory.
+_TILE_MAX_SLOTS = 16
 
 
-class _ScalarLanes:
-    """Lane kernel: targets are lists of per-lane coefficient lists."""
+def _run(ops) -> None:
+    """Apply a list of ``(ufunc, in1, in2, out)`` steps in order."""
+    for ufunc, first, second, out in ops:
+        ufunc(first, second, out)
 
-    def __init__(self, tree: FlatLdlTree) -> None:
-        self.levels = tree.scalar_levels()
 
-    def l10(self, level: int, node: int):
-        return self.levels[level][node]
+class _PlaneLevel:
+    """One tree level of :func:`_walk_planes`: buffers and ufunc steps.
 
-    def split(self, t):
-        pairs = [split_fft(lane) for lane in t]
-        return [p[0] for p in pairs], [p[1] for p in pairs]
+    The walk is depth first, so one node per level is live at a time:
+    every node of a level reuses these buffers, and its arithmetic is
+    compiled here, once per walk, into ``(ufunc, in1, in2, out)`` steps
+    over fixed views.  A plane array has shape ``(2, lanes, m)`` (real
+    parts in row 0, imaginary parts in row 1); ``targets`` and
+    ``samples`` stack two of them (``t0, t1`` and ``z0, z1``) and are
+    owned by the parent level.  Intermediates live in ``scratch``, one
+    flat buffer all levels share: no intermediate outlives its step
+    list, and no step list spans a child's walk.
 
-    def merge(self, even, odd):
-        return [merge_fft(e, o) for e, o in zip(even, odd)]
+    Each step is one IEEE operation of the complex kernels, in their
+    operand order:
 
-    def adjust(self, t0, t1, z1, l10):
-        return [add_fft(a, mul_fft(sub_fft(b, z), l10))
-                for a, b, z in zip(t0, t1, z1)]
+    * split (``split_fft_array``): ``hi + lo`` and ``hi - lo``, then a
+      Smith quotient by ``2 + 0j`` (the complex ``/ 2.0``) and by
+      ``2 * roots`` (:func:`~repro.falcon.fft._split_div_tables`), as
+      ``((ar*A + ai*B)/denom, (ai*A - ar*B)/denom)`` with ``(A, B)`` =
+      ``(1, 0)`` for the even half;
+    * merge (``merge_fft_array``): ``twist = roots * odd`` by
+      ``cmul``'s formula, then ``even +/- twist`` into the slots;
+    * adjust: ``t0 + cmul(t1 - z1, l10)``, the L10 row broadcast
+      across lanes.
+    """
 
-    def column(self, t) -> list[complex]:
-        return [lane[0] for lane in t]
+    def __init__(self, l10, targets, samples, scratch, carve) -> None:
+        nodes, m = l10.shape
+        lanes = targets.shape[2]
+        half = m // 2
+        tile = half <= _TILE_MAX_SLOTS
+        add, sub, mul, div = (_np.add, _np.subtract, _np.multiply,
+                              _np.divide)
 
-    def from_column(self, values: list[complex]):
-        return [[v] for v in values]
+        def flat(array):
+            return array.reshape(-1)
+
+        def region(start, *shape):
+            return scratch[start:start + prod(shape)].reshape(shape)
+
+        def table(*rows):
+            """Per-slot rows facing data viewed by :func:`by_rows`."""
+            rows = _np.array(rows)[:, None, :]
+            if tile:
+                return flat(_np.broadcast_to(
+                    rows, (len(rows), 2 * lanes, half)))
+            return rows
+
+        def by_rows(array):
+            return flat(array) if tile else array.reshape(-1, 2 * lanes,
+                                                          half)
+
+        roots = _merge_roots_array(m)
+        coeff_a, coeff_b, denom = _split_div_tables(m)
+        ones = _np.ones(half)
+        smith_a = table(ones, coeff_a)
+        smith_b = table(0.0 * ones, coeff_b)
+        denoms = table(2.0 * ones, denom)
+        roots_re, roots_im = table(roots.real), table(roots.imag)
+
+        #: Children's targets (even, odd) and samples (z0, z1); the
+        #: leaves only write the samples' real rows.
+        self.split = split = carve(2, 2, lanes, half)
+        self.kids = carve(2, 2, lanes, half)
+        self.l10_re, self.l10_im = l10.real, l10.imag
+
+        t0, t1 = flat(targets[0]), flat(targets[1])
+        self.t1, self.z1 = t1, flat(samples[1])
+        # Scratch layout in units of one (2, 2, lanes, half) array:
+        # adjusted | sums | prod_a | prod_b, with adjust's products
+        # over sums and prod_a and merge's twist planes over adjusted.
+        unit = 4 * lanes * half
+        adjusted = region(0, 2, lanes, m)
+        self.adjusted = flat(adjusted)
+        self.adjusted_rows = adjusted.reshape(2 * lanes, m)
+        self.products = region(unit, 2, 2 * lanes, m)
+        prod_re, prod_im = self.products.reshape(2, 2, lanes * m)
+        self.adjust_tail = [
+            (sub, prod_re[0], prod_im[1], flat(adjusted[0])),
+            (add, prod_im[0], prod_re[1], flat(adjusted[1])),
+            (add, t0, self.adjusted, self.adjusted),
+        ]
+
+        sums, prod_a, prod_b = region(unit, 3, 2, 2, lanes * half)
+
+        def split_steps(source):
+            steps = [
+                (add, source[0::2], source[1::2], flat(sums[0])),
+                (sub, source[0::2], source[1::2], flat(sums[1])),
+                (mul, by_rows(sums), smith_a, by_rows(prod_a)),
+                (mul, by_rows(sums), smith_b, by_rows(prod_b)),
+            ]
+            for side in (0, 1):
+                a_re, a_im = prod_a[side]
+                b_re, b_im = prod_b[side]
+                steps += [(add, a_re, b_im, flat(split[side, 0])),
+                          (sub, a_im, b_re, flat(split[side, 1]))]
+            return steps + [(div, by_rows(split), denoms, by_rows(split))]
+
+        self.split_t1 = split_steps(t1)
+        self.split_adjusted = split_steps(self.adjusted)
+
+        odd, even = self.kids[1], flat(self.kids[0])
+        by_re, by_im, twist = region(0, 3, 2, lanes * half)
+
+        def merge_steps(target):
+            slots = flat(target)
+            return [
+                (mul, by_rows(odd), roots_re, by_rows(by_re)),
+                (mul, by_rows(odd), roots_im, by_rows(by_im)),
+                (sub, by_re[0], by_im[1], twist[0]),
+                (add, by_im[0], by_re[1], twist[1]),
+                (add, even, flat(twist), slots[0::2]),
+                (sub, even, flat(twist), slots[1::2]),
+            ]
+
+        self.merge_z0 = merge_steps(samples[0])
+        self.merge_z1 = merge_steps(samples[1])
+
+    def adjust(self, node: int) -> None:
+        """``adjusted`` <- ``t0 + (t1 - z1) * l10[node]``."""
+        rows, products = self.adjusted_rows, self.products
+        _np.subtract(self.t1, self.z1, self.adjusted)
+        _np.multiply(rows, self.l10_re[node], products[0])
+        _np.multiply(rows, self.l10_im[node], products[1])
+        _run(self.adjust_tail)
+
+
+@secret_params("er", "br", "bi")
+def _sample_leaf(tree: FlatLdlTree, node: int, er, br, bi,
+                 sample_one, sample_lanes):
+    """Sample leaf ``node`` for every lane: ``(z0s, z1s)``.
+
+    ``er`` are the lanes' ``t0`` real parts, ``br``/``bi`` their ``t1``
+    real/imaginary parts.  ``z1`` is drawn at center ``t1.real``, then
+    ``z0`` at the real part of ``t0 + (t1 - z1) * l10``, which is
+    ``er + ((br - z1) * l10.real - bi * l10.imag)`` op for op (the
+    complex form's ``bi - 0.0`` is exact).
+    """
+    l10 = tree.leaf_l10[node]
+    lr, li = l10.real, l10.imag
+    sigma0 = tree.leaf_sigma0[node]
+    sigma1 = tree.leaf_sigma1[node]
+    if sample_lanes is not None:
+        z1s = sample_lanes(br, sigma1)
+        centers = [a + ((b - z) * lr - c * li)
+                   for a, b, c, z in zip(er, br, bi, z1s)]
+        return sample_lanes(centers, sigma0), z1s
+    z0s = []
+    z1s = []
+    for a, b, c in zip(er, br, bi):
+        z1 = sample_one(b, sigma1)
+        z0s.append(sample_one(a + ((b - z1) * lr - c * li), sigma0))
+        z1s.append(z1)
+    return z0s, z1s
+
+
+def _walk_nodes(levels: list, index: int, node: int, leaf) -> None:
+    """Depth-first walk of :func:`_walk_planes` below ``node``.
+
+    A module-level function, not a closure in the walk: a recursive
+    closure refers to itself, and that cycle would keep every walk's
+    buffers alive until the cyclic garbage collector ran.
+    """
+    if index == len(levels):
+        leaf(node)
+        return
+    level = levels[index]
+    _run(level.split_t1)
+    _walk_nodes(levels, index + 1, 2 * node + 1, leaf)
+    _run(level.merge_z1)
+    level.adjust(node)
+    _run(level.split_adjusted)
+    _walk_nodes(levels, index + 1, 2 * node, leaf)
+    _run(level.merge_z0)
 
 
 @secret_params("t0", "t1")
-def _walk_batch(ops, tree: FlatLdlTree, level: int, node: int,
+def _walk_planes(tree: FlatLdlTree, t0, t1, sample_one, sample_lanes):
+    """The NumPy walk: ``(lanes, n)`` complex targets in, samples out.
+
+    Targets travel as real/imaginary planes through per-level
+    :class:`_PlaneLevel` buffers, updated with ``out=`` ufuncs; every
+    slot performs the IEEE operations of the complex kernels
+    (:func:`~repro.falcon.fft.split_fft_array`, ``cmul``,
+    :func:`~repro.falcon.fft.merge_fft_array`), so the samples equal
+    the list walk's bit for bit.
+    """
+    lanes, n = len(t0), tree.n
+    # One allocation per walk, carved into every buffer; all of them
+    # live until the walk returns.
+    arena = _np.empty(8 * lanes * (2 * n - 1) + 16 * lanes * (n // 2))
+    offset = 0
+
+    def carve(*shape):
+        nonlocal offset
+        size = prod(shape)
+        offset += size
+        return arena[offset - size:offset].reshape(shape)
+
+    targets = carve(2, 2, lanes, n)
+    targets[0, 0], targets[0, 1] = t0.real, t0.imag
+    targets[1, 0], targets[1, 1] = t1.real, t1.imag
+    samples = carve(2, 2, lanes, n)
+    scratch = carve(16 * lanes * (n // 2))
+    levels = []
+    leaf_targets, leaf_samples = targets, samples
+    for l10 in tree.levels:
+        level = _PlaneLevel(l10, leaf_targets, leaf_samples, scratch, carve)
+        levels.append(level)
+        leaf_targets, leaf_samples = level.split, level.kids
+    leaf_samples[:, 1] = 0.0  # leaves write the real rows only
+    leaf_in = leaf_targets[:, :, :, 0]
+    leaf_out = leaf_samples[:, 0, :, 0]
+
+    def leaf(node: int) -> None:
+        (er, _), (br, bi) = leaf_in.tolist()
+        leaf_out[0], leaf_out[1] = _sample_leaf(
+            tree, node, er, br, bi, sample_one, sample_lanes)
+
+    _walk_nodes(levels, 0, 0, leaf)
+    z0 = _np.empty((lanes, n), dtype=_np.complex128)
+    z1 = _np.empty((lanes, n), dtype=_np.complex128)
+    z0.real, z0.imag = samples[0]
+    z1.real, z1.imag = samples[1]
+    return z0, z1
+
+
+@secret_params("t0", "t1")
+def _walk_batch(levels, tree: FlatLdlTree, level: int, node: int,
                 t0, t1, sample_one, sample_lanes):
+    """The list walk: per-lane coefficient lists in, samples out."""
     if level == tree.depth:
-        t0_col = ops.column(t0)
-        t1_col = ops.column(t1)
-        l10 = tree.leaf_l10[node]
-        sigma0 = tree.leaf_sigma0[node]
-        sigma1 = tree.leaf_sigma1[node]
-        if sample_lanes is not None:
-            z1s = [complex(z) for z in
-                   sample_lanes([b.real for b in t1_col], sigma1)]
-            adjusted = [a + (b - z) * l10
-                        for a, b, z in zip(t0_col, t1_col, z1s)]
-            z0s = [complex(z) for z in
-                   sample_lanes([a.real for a in adjusted], sigma0)]
-        else:
-            z0s = []
-            z1s = []
-            for a, b in zip(t0_col, t1_col):
-                z1 = complex(sample_one(b.real, sigma1))
-                adjusted = a + (b - z1) * l10
-                z0 = complex(sample_one(adjusted.real, sigma0))
-                z0s.append(z0)
-                z1s.append(z1)
-        return ops.from_column(z0s), ops.from_column(z1s)
+        z0s, z1s = _sample_leaf(
+            tree, node, [a[0].real for a in t0], [b[0].real for b in t1],
+            [b[0].imag for b in t1], sample_one, sample_lanes)
+        return ([[complex(z)] for z in z0s], [[complex(z)] for z in z1s])
 
-    t1_even, t1_odd = ops.split(t1)
-    z1_even, z1_odd = _walk_batch(ops, tree, level + 1, 2 * node + 1,
-                                  t1_even, t1_odd, sample_one,
-                                  sample_lanes)
-    z1 = ops.merge(z1_even, z1_odd)
+    halves = [split_fft(lane) for lane in t1]
+    z1_even, z1_odd = _walk_batch(levels, tree, level + 1, 2 * node + 1,
+                                  [h[0] for h in halves],
+                                  [h[1] for h in halves],
+                                  sample_one, sample_lanes)
+    z1 = [merge_fft(e, o) for e, o in zip(z1_even, z1_odd)]
 
-    t0_adjusted = ops.adjust(t0, t1, z1, ops.l10(level, node))
-    t0_even, t0_odd = ops.split(t0_adjusted)
-    z0_even, z0_odd = _walk_batch(ops, tree, level + 1, 2 * node,
-                                  t0_even, t0_odd, sample_one,
-                                  sample_lanes)
-    z0 = ops.merge(z0_even, z0_odd)
+    l10 = levels[level][node]
+    halves = [split_fft(add_fft(a, mul_fft(sub_fft(b, z), l10)))
+              for a, b, z in zip(t0, t1, z1)]
+    z0_even, z0_odd = _walk_batch(levels, tree, level + 1, 2 * node,
+                                  [h[0] for h in halves],
+                                  [h[1] for h in halves],
+                                  sample_one, sample_lanes)
+    z0 = [merge_fft(e, o) for e, o in zip(z0_even, z0_odd)]
     return z0, z1
 
 
@@ -379,7 +555,8 @@ def ff_sampling_batch(t0, t1, tree: FlatLdlTree, sampler_z):
     """Batched ffSampling over a flat tree.
 
     ``t0``/``t1`` are either NumPy ``(batch, n)`` complex arrays (the
-    vectorized spine) or lists of per-lane coefficient lists (the
+    vectorized spine, walked on real/imaginary planes by
+    :func:`_walk_planes`) or lists of per-lane coefficient lists (the
     scalar spine); the result uses the same representation.  The walk
     order is the scalar :func:`ff_sampling` recursion, and at each leaf
     the lanes are sampled in batch order — both spines therefore issue
@@ -397,8 +574,6 @@ def ff_sampling_batch(t0, t1, tree: FlatLdlTree, sampler_z):
     sample_one = (sampler_z.sample if sample_lanes is not None
                   else sampler_z)
     if _np is not None and isinstance(t0, _np.ndarray):
-        ops = _NumpyLanes(tree)
-    else:
-        ops = _ScalarLanes(tree)
-    return _walk_batch(ops, tree, 0, 0, t0, t1, sample_one,
-                       sample_lanes)
+        return _walk_planes(tree, t0, t1, sample_one, sample_lanes)
+    return _walk_batch(tree.scalar_levels(), tree, 0, 0, t0, t1,
+                       sample_one, sample_lanes)

@@ -225,49 +225,52 @@ def _merge_roots_array(n: int):
 
 @lru_cache(maxsize=None)
 def _split_div_tables(n: int):
-    """Precomputed Smith-division tables for the split denominators.
+    """Branch-free Smith-division table for the split denominators.
 
-    The split's divisor ``2 * roots[k]`` is a constant per slot, so the
-    branch choice, ratio and denominator of CPython's ``_Py_c_quot``
-    are computed once here (in Python floats, the exact values the
-    scalar code derives per call) and the per-call work reduces to a
-    few fused array ops in :func:`_div_by_split_tables`.
+    The split divides slot ``k`` by the constant ``b = 2 * roots[k]``.
+    CPython's ``_Py_c_quot`` scales by whichever of ``b.real`` and
+    ``b.imag`` is larger; that choice, the ratio and the denominator
+    are fixed per slot, so they are computed here once (in Python
+    floats, the exact values the scalar code derives per call).  The
+    choice is folded into two coefficient rows: ``(A, B) = (1, ratio)``
+    when scaling by ``b.real``, ``(ratio, 1)`` when scaling by
+    ``b.imag``.  Every slot then evaluates
+
+        real = (ar*A + ai*B) / denom,   imag = (ai*A - ar*B) / denom,
+
+    which is the selected branch's sequence because multiplying by 1.0
+    is exact.  Returns ``(A, B, denom)``.
     """
     _require_numpy()
-    use_real = _np.empty(n // 2, dtype=bool)
-    ratio = _np.empty(n // 2, dtype=_np.float64)
+    coeff_a = _np.empty(n // 2, dtype=_np.float64)
+    coeff_b = _np.empty(n // 2, dtype=_np.float64)
     denom = _np.empty(n // 2, dtype=_np.float64)
     for k, root in enumerate(_merge_roots(n)):
         b = 2 * root
         if abs(b.real) >= abs(b.imag):
-            use_real[k] = True
-            ratio[k] = b.imag / b.real
-            denom[k] = b.real + b.imag * ratio[k]
+            ratio = b.imag / b.real
+            coeff_a[k], coeff_b[k] = 1.0, ratio
+            denom[k] = b.real + b.imag * ratio
         else:
-            use_real[k] = False
-            ratio[k] = b.real / b.imag
-            denom[k] = b.real * ratio[k] + b.imag
-    for table in (use_real, ratio, denom):
+            ratio = b.real / b.imag
+            coeff_a[k], coeff_b[k] = ratio, 1.0
+            denom[k] = b.real * ratio + b.imag
+    for table in (coeff_a, coeff_b, denom):
         table.setflags(write=False)
-    return use_real, ratio, denom
+    return coeff_a, coeff_b, denom
 
 
 def _div_by_split_tables(a, n: int):
-    """``a / (2 * roots)`` with the precomputed tables for size ``n``.
+    """``a / (2 * roots)`` with the Smith table for size ``n``.
 
-    Performs exactly the selected-branch arithmetic of :func:`cdiv`
-    (hence of CPython's ``_Py_c_quot``) per slot; the unselected
-    branch's values are finite garbage discarded by ``where``.
+    Performs exactly :func:`cdiv`'s (hence CPython's ``_Py_c_quot``)
+    arithmetic per slot; see :func:`_split_div_tables`.
     """
-    use_real, ratio, denom = _split_div_tables(n)
+    coeff_a, coeff_b, denom = _split_div_tables(n)
     ar, ai = a.real, a.imag
-    ar_ratio = ar * ratio
-    ai_ratio = ai * ratio
     out = _np.empty(a.shape, dtype=_np.complex128)
-    out.real = _np.where(use_real, (ar + ai_ratio) / denom,
-                         (ar_ratio + ai) / denom)
-    out.imag = _np.where(use_real, (ai - ar_ratio) / denom,
-                         (ai_ratio - ar) / denom)
+    out.real = (ar * coeff_a + ai * coeff_b) / denom
+    out.imag = (ai * coeff_a - ar * coeff_b) / denom
     return out
 
 

@@ -137,9 +137,9 @@ class RejectionSamplerZ:
         # ct: vartime(vartime-div): double division on the secret center's fractional part (reference arithmetic, see above)
         peak = fractional * inv_target / (inv_target - inv_base)
         offset = peak - fractional
-        # Squares are written as explicit products (not ``** 2``) so
-        # the batched :meth:`sample_lanes` — whose NumPy-assisted prep
-        # performs the same IEEE multiplies — matches bit for bit.
+        # Squares are written as explicit products (not ``** 2``), the
+        # form the batched :meth:`sample_lanes` shares, so both decide
+        # bit for bit alike.
         log_m = (-(offset * offset) * inv_target
                  + peak * peak * inv_base)
         base_sample = self.base.sample
@@ -173,8 +173,14 @@ class RejectionSamplerZ:
         identically; only the per-call booking granularity differs
         (the bytes are booked once for the whole take).
         """
-        out: list[float] = []
         queue = self._uniform_queue
+        if 0 < count <= len(queue):
+            out = queue[:-count - 1:-1]
+            del queue[-count:]
+            if self._book_rng is not None:
+                self._book_rng(7 * count)
+            return out
+        out: list[float] = []
         remaining = count
         while remaining > 0:
             if not queue:
@@ -214,39 +220,27 @@ class RejectionSamplerZ:
         # ct: vartime(vartime-div): IEEE double division on the leaf sigma (reference arithmetic, as in sample())
         inv_target = 1.0 / (2.0 * sigma * sigma)
         inv_base = self._inv_base
-        if _np is not None and count >= 8:
-            # Vectorized per-center prep.  Only IEEE +,-,*,/ and
-            # round-half-even are involved, every one of which NumPy
-            # evaluates identically to CPython floats, so this is
-            # bit-identical to the loop below (and to :meth:`sample`).
-            center_arr = _np.asarray(centers, dtype=_np.float64)
-            round_arr = _np.rint(center_arr)
-            fractional = center_arr - round_arr
-            # ct: vartime(vartime-div): double division on the secret centers' fractional parts (vectorized prep, bit-identical to the scalar loop)
-            peak = fractional * inv_target / (inv_target - inv_base)
+        gap = inv_target - inv_base
+        rounds = []
+        log_ms = []
+        for center in centers:
+            center_round = round(center)
+            fractional = center - center_round
+            # ct: vartime(vartime-div): double division on the secret center's fractional part (as in sample())
+            peak = fractional * inv_target / gap
             offset = peak - fractional
-            log_ms = (-(offset * offset) * inv_target
-                      + peak * peak * inv_base).tolist()
-            rounds = [int(r) for r in round_arr.tolist()]
-        else:
-            rounds = []
-            log_ms = []
-            for center in centers:
-                center_round = round(center)
-                fractional = center - center_round
-                # ct: vartime(vartime-div): double division on the secret center's fractional part (scalar prep)
-                peak = fractional * inv_target / (inv_target - inv_base)
-                offset = peak - fractional
-                rounds.append(center_round)
-                log_ms.append(-(offset * offset) * inv_target
-                              + peak * peak * inv_base)
+            rounds.append(center_round)
+            log_ms.append(-(offset * offset) * inv_target
+                          + peak * peak * inv_base)
         results: list[int] = [0] * count
-        attempts = [0] * count
         pending = list(range(count))
         take = getattr(self.base, "take", None)
         exp = math.exp
-        accepted = 0
+        attempts = 0
         while pending:
+            # Every pending lane draws once per round, so a lane
+            # accepted in round ``attempts`` needed that many draws.
+            attempts += 1
             width = len(pending)
             if take is not None:
                 candidates = take(width)
@@ -261,16 +255,15 @@ class RejectionSamplerZ:
                 z = rounds[lane] + x
                 dz = z - centers[lane]
                 log_ratio = -(dz * dz) * inv_target + x * x * inv_base
-                attempts[lane] += 1
                 # ct: vartime(secret-branch, vartime-call): per-lane acceptance test — same reviewed pair as sample(): public rejection count, GALACTICS-exposed exp latency
                 if uniforms[slot] < exp(log_ratio - log_ms[lane]):
                     results[lane] = z
-                    accepted += 1
-                    self.attempts_last = attempts[lane]
                 else:
                     append_still(lane)
             pending = still
-        self.accepted += accepted
+        # The last round accepted every lane still pending.
+        self.attempts_last = attempts
+        self.accepted += count
         return results
 
     @property

@@ -11,6 +11,7 @@ paper levels are exercised under ``REPRO_FULL=1`` (keygen cost).
 """
 
 import importlib
+import math
 import random
 
 import pytest
@@ -32,6 +33,7 @@ from repro.falcon import (  # noqa: E402
     tree_leaf_sigmas,
 )
 from repro.falcon.samplerz import RejectionSamplerZ
+from repro.falcon.scheme import make_base_sampler
 from repro.rng import ChaChaSource
 from repro.rng.keccak import Shake256
 
@@ -188,6 +190,56 @@ def test_batched_walk_lanes_identical_across_kernels():
             assert z_vector[side][lane].tolist() == z_scalar[side][lane]
 
 
+#: The served shape: Falcon-512 rounds of one lane up to a full batch.
+SERVED_N = 512
+SERVED_LANES = (1, 11, 32)
+
+
+@pytest.fixture(scope="module")
+def served_key():
+    return SecretKey.generate(n=SERVED_N, seed=41)
+
+
+def _leaf_sampler(seed):
+    base = make_base_sampler("bitsliced", source=ChaChaSource(seed))
+    return RejectionSamplerZ(base, uniform_source=ChaChaSource(seed))
+
+
+@numpy_only
+@pytest.mark.parametrize("lanes", SERVED_LANES)
+def test_batched_walk_kernels_agree_at_served_shape(served_key, lanes):
+    """The NumPy walk and the list walk, real samplers, n = 512."""
+    f_fft, big_f_fft = served_key._key_target_ffts()
+    t0, t1 = [], []
+    for lane in range(lanes):
+        point = fft_mod.fft_of_int_poly(
+            hash_to_point(b"served-%d" % lane, b"\x17" * 40, SERVED_N))
+        t0.append([-(x * y) / ntt_mod.Q for x, y in zip(point, big_f_fft)])
+        t1.append([(x * y) / ntt_mod.Q for x, y in zip(point, f_fft)])
+    lists, arrays = _leaf_sampler(9), _leaf_sampler(9)
+    z_lists = ff_sampling_batch(t0, t1, served_key.flat_tree, lists)
+    z_arrays = ff_sampling_batch(np.array(t0), np.array(t1),
+                                 served_key.flat_tree, arrays)
+    for side in (0, 1):
+        assert [row.tolist() for row in z_arrays[side]] == z_lists[side]
+    assert (arrays.accepted, arrays.base_draws) \
+        == (lists.accepted, lists.base_draws)
+
+
+@numpy_only
+def test_sign_many_spines_identical_at_served_shape(served_key):
+    """Both spines sign 11- and 32-message rounds to the same bytes."""
+    signed = {}
+    for spine in ("scalar", "numpy"):
+        sk = SecretKey(served_key.keys, source=ChaChaSource(43))
+        signed[spine] = [
+            (s.salt, s.compressed)
+            for batch in (11, 32)
+            for s in sk.sign_many([b"round-%d-%d" % (batch, i)
+                                   for i in range(batch)], spine=spine)]
+    assert signed["numpy"] == signed["scalar"]
+
+
 # -- hash-to-point ---------------------------------------------------------
 
 @pytest.mark.parametrize("n", (8, 64, 512))
@@ -220,6 +272,77 @@ def test_sample_lanes_width_one_matches_sample():
     lanes = sampler(7)
     one_by_one = [lanes.sample_lanes([c], 1.5)[0] for c in centers]
     assert one_by_one == sequential
+
+
+def _round_based_reference(sampler, centers, sigma):
+    """:meth:`RejectionSamplerZ.sample_lanes`' contract as a plain loop.
+
+    Each round draws one base candidate per pending lane, then one
+    uniform per pending lane, lanes in lane order; a lane's decision is
+    :meth:`RejectionSamplerZ.sample`'s arithmetic.  Updates the
+    sampler's counters the way ``sample_lanes`` documents them.
+    """
+    inv_target = 1.0 / (2.0 * sigma * sigma)
+    inv_base = 1.0 / (2.0 * sampler.base_sigma * sampler.base_sigma)
+    prep = []
+    for center in centers:
+        center_round = round(center)
+        fractional = center - center_round
+        peak = fractional * inv_target / (inv_target - inv_base)
+        offset = peak - fractional
+        prep.append((center_round, -(offset * offset) * inv_target
+                     + peak * peak * inv_base))
+    results = [None] * len(centers)
+    pending = list(range(len(centers)))
+    rounds = 0
+    while pending:
+        rounds += 1
+        candidates = [sampler.base.sample() for _ in pending]
+        uniforms = [sampler._uniform01() for _ in pending]
+        sampler.base_draws += len(pending)
+        still = []
+        for lane, x, u in zip(pending, candidates, uniforms):
+            center_round, log_m = prep[lane]
+            z = center_round + x
+            dz = z - centers[lane]
+            log_ratio = -(dz * dz) * inv_target + x * x * inv_base
+            if u < math.exp(log_ratio - log_m):
+                results[lane] = z
+                sampler.accepted += 1
+                sampler.attempts_last = rounds
+            else:
+                still.append(lane)
+        pending = still
+    return results
+
+
+def test_sample_lanes_matches_round_based_reference():
+    """Widths 2-32 against the plain loop, across pool and queue refills.
+
+    The calls run long enough that a 4096-sample base-pool refill and
+    a 64-uniform queue refill each land inside a call that started
+    with a non-empty pool or queue, so the bulk ``take`` paths are
+    pinned across refills as well as on their in-place fast paths.
+    """
+    tested, reference = _leaf_sampler(5), _leaf_sampler(5)
+    rng = random.Random(8)
+    refills_inside = {"pool": 0, "queue": 0}
+    for width in (2, 8, 11, 32) * 80:
+        centers = [rng.uniform(-40.0, 40.0) for _ in range(width)]
+        sigma = rng.uniform(1.2, 1.8)
+        pool = len(tested.base._buffer)
+        queue = len(tested._uniform_queue)
+        draws = tested.base_draws
+        got = tested.sample_lanes(centers, sigma)
+        want = _round_based_reference(reference, centers, sigma)
+        assert got == want
+        assert (tested.accepted, tested.base_draws, tested.attempts_last) \
+            == (reference.accepted, reference.base_draws,
+                reference.attempts_last)
+        drawn = tested.base_draws - draws
+        refills_inside["pool"] += 0 < pool < drawn
+        refills_inside["queue"] += 0 < queue < drawn
+    assert refills_inside["pool"] >= 1 and refills_inside["queue"] >= 1
 
 
 class _StubBase:
