@@ -13,6 +13,9 @@ the coalescing front buys.  Rows per configuration:
   window ``W`` seconds.  Requests/s includes queueing, coalescing and
   the asyncio machinery, so ``direct_sign_many`` bounds it above and
   ``sync_loop`` is the number to beat;
+* **fanout_t64 …** — the coalescing service over 64 tenants (one
+  lane each, about, per round): the rows above with 2 tenants, where
+  sign rounds fill only because lanes merge across tenants;
 * **mp …** — the same service with a :class:`ShardWorkerPool`: each
   shard's rounds run in a dedicated worker process with a warm spine
   (the multi-core path — on a 1-core runner the IPC tax makes these
@@ -85,13 +88,18 @@ CONCURRENCY = (1, 8, 32)
 #: Batch-window sweep, seconds (0 = drain only what is queued).
 WINDOWS = (0.0, 0.002)
 
-#: Tenants sharing the service.  Coalescing is per tenant key, so a
-#: round's batch is roughly ``in-flight / tenants`` — the sweep keeps
-#: tenants low enough that the concurrency axis actually exercises
-#: the batch spine (at 32 clients over 2 tenants, rounds reach ~16).
+#: Tenants sharing the service.  Sign rounds merge lanes across
+#: tenants, so a round's batch is roughly ``in-flight / shards``
+#: whatever the tenant count; the sweep's 2 tenants keep the direct
+#: and synchronous baselines comparable to earlier runs.
 TENANTS = 2
 SHARDS = 2
 MAX_BATCH = 32
+
+#: The fan-out row: many tenants, each bringing about one lane to a
+#: round, so only cross-tenant merging fills rounds (c=32, 2 ms).
+FANOUT_TENANTS = 64
+FANOUT_CONFIG = (32, 0.002)
 
 #: The pinned fault plan the ``--chaos`` rows run under.  Seeded, so
 #: every run of the same build injects the identical fault sequence:
@@ -427,6 +435,18 @@ def run_sweep(n: int = 256, signs: int = 64, tenants: int = TENANTS,
             record(label, _service_rate(store, n, messages, tenants,
                                         concurrency, window))
 
+    # Fan-out row: 64 tenants, so rounds fill only by merging sign
+    # lanes across tenants.  One warm-up sign per tenant first: the
+    # row measures merged rounds, not each key's first-sign set-up.
+    fanout_store = _fresh_store(4, n, FANOUT_TENANTS)
+    for tenant in range(FANOUT_TENANTS):
+        fanout_store.sign_many(f"tenant-{tenant}", n, [b"warmup"])
+    concurrency, window = FANOUT_CONFIG
+    record(f"fanout_t{FANOUT_TENANTS}_c{concurrency}"
+           f"_w{window * 1000:g}ms",
+           _service_rate(fanout_store, n, messages, FANOUT_TENANTS,
+                         concurrency, window))
+
     # Multi-process rows: dedicated worker process per shard.  Each
     # pool gets a fresh derived key universe in its workers, so the
     # rows measure warm serving after a tenant warm-up pass.
@@ -495,9 +515,10 @@ def run_sweep(n: int = 256, signs: int = 64, tenants: int = TENANTS,
     # in-process concurrency >= 8 rows (coalescing needs enough
     # in-flight requests to fill rounds; the per-concurrency rows are
     # all in the JSON for readers who want the full curve).  Chaos
-    # rows measure survival, not throughput, and stay out of the
-    # gates.
-    sign_path_only = ("mp_", "net_", "chaos_", "verify_", "ledger_")
+    # rows measure survival, not throughput, and the fan-out row a
+    # different tenant mix; both stay out of the gates.
+    sign_path_only = ("mp_", "net_", "chaos_", "verify_", "ledger_",
+                      "fanout_")
     best_coalesced = max(
         (rate for label, rate in service_rows.items()
          if not label.startswith(sign_path_only)
@@ -568,7 +589,8 @@ def render_report(payload: dict) -> str:
         title=f"Falcon-{payload['n']} serving throughput "
               f"({payload['signs']} requests, {payload['tenants']} "
               f"tenants, {payload['shards']} shards, c = concurrent "
-              "clients, w = batch window, mp = process shard workers, "
+              "clients, w = batch window, fanout_t64 = 64 tenants, "
+              "mp = process shard workers, "
               "net = loopback wire protocol, chaos = seeded fault "
               "plan, verify = coalesced cross-tenant verify plane, "
               "ledger = signed-record commit pipeline with per-block "

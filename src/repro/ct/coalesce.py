@@ -3,8 +3,8 @@
 The GALACTICS attacks recovered BLISS keys from side channels far
 above the sampler — rejection loops, norm checks, scheduling.  The
 analogous risk in this library's serving layer is the *coalescer*: if
-how requests were grouped into ``sign_many`` rounds depended on
-message bytes or key material, round shapes (observable through
+how requests were grouped into signing rounds depended on message
+bytes or key material, round shapes (observable through
 timing and traffic analysis) would leak secrets the constant-time
 sampler below carefully protects.
 
@@ -56,12 +56,16 @@ def round_shape_trace(arrivals: Sequence[tuple[str, str]],
 
     Runs the actual serving round planner over the arrival metadata
     and returns the measurement dudect compares: one round-size value
-    per planned round, in emission order.  ``coalesce_verify``
-    selects the planner's cross-tenant verify-merging mode (the
-    service's default) — merged round shapes are audited exactly like
-    per-tenant ones.  ``messages`` is accepted — and deliberately
-    unused — to mirror what an adversarial implementation *could*
-    see; the planner's signature guarantees it sees none of it.
+    per planned round, in emission order.  Sign lanes of every tenant
+    merge into shared rounds in both planning modes;
+    ``coalesce_verify`` selects whether verify lanes merge across
+    tenants too (the service's default) or stay per tenant — merged
+    round shapes are audited exactly like per-tenant ones.  A merged
+    sign round's timing also depends on how many lanes each tenant
+    brought, which is the same public arrival metadata.
+    ``messages`` is accepted — and deliberately unused — to mirror
+    what an adversarial implementation *could* see; the planner's
+    signature guarantees it sees none of it.
     """
     from ..falcon.serving import plan_rounds
 
@@ -207,8 +211,9 @@ def audit_coalescing(tenants: int = 3, requests: int = 64,
         for start in range(0, requests, max_batch):
             window = arrivals[start:start + max_batch]
             window_messages = messages[start:start + max_batch]
-            # Audit both planning modes: strict per-tenant rounds and
-            # the service's default cross-tenant verify merging.
+            # Audit both planning modes: merged sign rounds with
+            # per-tenant verify rounds, and the service's default with
+            # verify lanes merged across tenants too.
             trace.extend(round_shape_trace(window, window_messages,
                                            max_batch))
             trace.extend(round_shape_trace(window, window_messages,

@@ -62,8 +62,9 @@ class LintRegistry:
             # Falcon signing spine
             "ff_sampling",
             "ff_sampling_batch",
-            "_attempt_batch_scalar",
-            "_attempt_batch_numpy",
+            "sign_batch",
+            "_attempt_lanes_scalar",
+            "_attempt_lanes_numpy",
             "_key_target_ffts",
             "_key_rows",
             # key material

@@ -59,7 +59,7 @@ from .ntt import (
     ntt_array,
 )
 from .params import falcon_params
-from .scheme import hash_to_point
+from .scheme import _resolve_spine, hash_to_point
 
 if HAVE_NUMPY:
     import numpy as _np
@@ -116,17 +116,6 @@ class BatchVerifyReport:
         for lane in self.lanes:
             counts[lane.reason] = counts.get(lane.reason, 0) + 1
         return counts
-
-
-def _resolve_spine(spine: str) -> str:
-    if spine not in ("auto", "numpy", "scalar"):
-        raise ValueError(f"unknown spine {spine!r}; "
-                         f"choose from ('auto', 'numpy', 'scalar')")
-    if spine == "auto":
-        return "numpy" if HAVE_NUMPY else "scalar"
-    if spine == "numpy" and not HAVE_NUMPY:
-        raise RuntimeError("NumPy is not installed; use spine='scalar'")
-    return spine
 
 
 @dataclass

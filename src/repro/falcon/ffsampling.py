@@ -29,13 +29,20 @@ Two representations coexist:
   bit-identical IEEE operations and call the leaf sampler in the same
   order, so scalar and vectorized signing produce identical signatures
   for a fixed seed (the differential tests pin this).
+
+Every key of one degree has the same tree shape, so one walk can also
+serve the lanes of several keys: each :class:`KeyGroup` names a tree, a
+leaf sampler and the contiguous lanes they serve.  Each lane then uses
+its own key's L10 rows, and at each leaf every group's lanes are drawn
+by that group's sampler, so a key's sampler sees exactly the calls a
+walk over its lanes alone would make.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from math import prod
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 from ..ctlint.annotations import secret_params
 from .fft import (
@@ -316,12 +323,13 @@ class _PlaneLevel:
       ``(1, 0)`` for the even half;
     * merge (``merge_fft_array``): ``twist = roots * odd`` by
       ``cmul``'s formula, then ``even +/- twist`` into the slots;
-    * adjust: ``t0 + cmul(t1 - z1, l10)``, the L10 row broadcast
-      across lanes.
+    * adjust: ``t0 + cmul(t1 - z1, l10)``, with ``l10`` either one
+      ``(nodes, m)`` row per node broadcast across lanes or a
+      ``(nodes, lanes, m)`` stack holding each lane's own row.
     """
 
     def __init__(self, l10, targets, samples, scratch, carve) -> None:
-        nodes, m = l10.shape
+        nodes, m = l10.shape[0], l10.shape[-1]
         lanes = targets.shape[2]
         half = m // 2
         tile = half <= _TILE_MAX_SLOTS
@@ -368,8 +376,11 @@ class _PlaneLevel:
         unit = 4 * lanes * half
         adjusted = region(0, 2, lanes, m)
         self.adjusted = flat(adjusted)
-        self.adjusted_rows = adjusted.reshape(2 * lanes, m)
-        self.products = region(unit, 2, 2 * lanes, m)
+        # One row per node broadcasts over all 2 * lanes plane rows;
+        # per-lane rows over the lane axis of each plane.
+        rows = (2 * lanes, m) if l10.ndim == 2 else (2, lanes, m)
+        self.adjusted_planes = adjusted.reshape(rows)
+        self.products = region(unit, 2, *rows)
         prod_re, prod_im = self.products.reshape(2, 2, lanes * m)
         self.adjust_tail = [
             (sub, prod_re[0], prod_im[1], flat(adjusted[0])),
@@ -415,11 +426,35 @@ class _PlaneLevel:
 
     def adjust(self, node: int) -> None:
         """``adjusted`` <- ``t0 + (t1 - z1) * l10[node]``."""
-        rows, products = self.adjusted_rows, self.products
+        planes, products = self.adjusted_planes, self.products
         _np.subtract(self.t1, self.z1, self.adjusted)
-        _np.multiply(rows, self.l10_re[node], products[0])
-        _np.multiply(rows, self.l10_im[node], products[1])
+        _np.multiply(planes, self.l10_re[node], products[0])
+        _np.multiply(planes, self.l10_im[node], products[1])
         _run(self.adjust_tail)
+
+
+class KeyGroup(NamedTuple):
+    """Lanes ``lanes`` of a batched walk, sampled under one key.
+
+    ``tree`` supplies the lanes' L10 rows and leaf sigmas; ``sampler_z``
+    draws their leaves (a plain ``(center, sigma) -> int`` callable or
+    an object with ``sample``/``sample_lanes``).
+    """
+
+    tree: FlatLdlTree
+    sampler_z: object
+    lanes: slice
+
+
+def _lane_rows(rows: list, counts: list[int], axis: int = 0):
+    """One row per lane from one row per key group, stacked on ``axis``.
+
+    A lone group's row is returned as it is: it broadcasts across the
+    lanes, so a one-key walk copies nothing.
+    """
+    if len(rows) == 1:
+        return rows[0]
+    return _np.repeat(_np.stack(rows, axis=axis), counts, axis=axis)
 
 
 @secret_params("er", "br", "bi")
@@ -451,6 +486,28 @@ def _sample_leaf(tree: FlatLdlTree, node: int, er, br, bi,
     return z0s, z1s
 
 
+@secret_params("er", "br", "bi")
+def _sample_leaves(leaves: list, node: int, er, br, bi):
+    """Sample leaf ``node`` for every lane, key group by key group.
+
+    ``leaves`` holds ``(tree, sample_one, sample_lanes, lanes)`` per
+    group, in lane order; each group's lanes go through its own
+    sampler (z1, then z0), and the results are concatenated.
+    """
+    if len(leaves) == 1:  # one key: its sampler takes the lists as is
+        tree, sample_one, sample_lanes, _ = leaves[0]
+        return _sample_leaf(tree, node, er, br, bi, sample_one,
+                            sample_lanes)
+    z0s: list = []
+    z1s: list = []
+    for tree, sample_one, sample_lanes, lanes in leaves:
+        z0, z1 = _sample_leaf(tree, node, er[lanes], br[lanes],
+                              bi[lanes], sample_one, sample_lanes)
+        z0s += z0
+        z1s += z1
+    return z0s, z1s
+
+
 def _walk_nodes(levels: list, index: int, node: int, leaf) -> None:
     """Depth-first walk of :func:`_walk_planes` below ``node``.
 
@@ -472,7 +529,7 @@ def _walk_nodes(levels: list, index: int, node: int, leaf) -> None:
 
 
 @secret_params("t0", "t1")
-def _walk_planes(tree: FlatLdlTree, t0, t1, sample_one, sample_lanes):
+def _walk_planes(groups: list, leaves: list, t0, t1):
     """The NumPy walk: ``(lanes, n)`` complex targets in, samples out.
 
     Targets travel as real/imaginary planes through per-level
@@ -480,9 +537,12 @@ def _walk_planes(tree: FlatLdlTree, t0, t1, sample_one, sample_lanes):
     slot performs the IEEE operations of the complex kernels
     (:func:`~repro.falcon.fft.split_fft_array`, ``cmul``,
     :func:`~repro.falcon.fft.merge_fft_array`), so the samples equal
-    the list walk's bit for bit.
+    the list walk's bit for bit.  With several key groups each level's
+    L10 rows are gathered once per walk into a ``(nodes, lanes, m)``
+    stack (:func:`_lane_rows`); one group reads its tree in place.
     """
-    lanes, n = len(t0), tree.n
+    lanes, n = len(t0), groups[0].tree.n
+    counts = [group.lanes.stop - group.lanes.start for group in groups]
     # One allocation per walk, carved into every buffer; all of them
     # live until the walk returns.
     arena = _np.empty(8 * lanes * (2 * n - 1) + 16 * lanes * (n // 2))
@@ -501,7 +561,9 @@ def _walk_planes(tree: FlatLdlTree, t0, t1, sample_one, sample_lanes):
     scratch = carve(16 * lanes * (n // 2))
     levels = []
     leaf_targets, leaf_samples = targets, samples
-    for l10 in tree.levels:
+    for depth in range(groups[0].tree.depth):
+        l10 = _lane_rows([group.tree.levels[depth] for group in groups],
+                         counts, axis=1)
         level = _PlaneLevel(l10, leaf_targets, leaf_samples, scratch, carve)
         levels.append(level)
         leaf_targets, leaf_samples = level.split, level.kids
@@ -511,8 +573,7 @@ def _walk_planes(tree: FlatLdlTree, t0, t1, sample_one, sample_lanes):
 
     def leaf(node: int) -> None:
         (er, _), (br, bi) = leaf_in.tolist()
-        leaf_out[0], leaf_out[1] = _sample_leaf(
-            tree, node, er, br, bi, sample_one, sample_lanes)
+        leaf_out[0], leaf_out[1] = _sample_leaves(leaves, node, er, br, bi)
 
     _walk_nodes(levels, 0, 0, leaf)
     z0 = _np.empty((lanes, n), dtype=_np.complex128)
@@ -523,35 +584,38 @@ def _walk_planes(tree: FlatLdlTree, t0, t1, sample_one, sample_lanes):
 
 
 @secret_params("t0", "t1")
-def _walk_batch(levels, tree: FlatLdlTree, level: int, node: int,
-                t0, t1, sample_one, sample_lanes):
-    """The list walk: per-lane coefficient lists in, samples out."""
-    if level == tree.depth:
-        z0s, z1s = _sample_leaf(
-            tree, node, [a[0].real for a in t0], [b[0].real for b in t1],
-            [b[0].imag for b in t1], sample_one, sample_lanes)
+def _walk_batch(leaves: list, lane_levels: list, depth: int, level: int,
+                node: int, t0, t1):
+    """The list walk: per-lane coefficient lists in, samples out.
+
+    ``lane_levels[i]`` is the L10 level list of lane ``i``'s tree.
+    """
+    if level == depth:
+        z0s, z1s = _sample_leaves(
+            leaves, node, [a[0].real for a in t0], [b[0].real for b in t1],
+            [b[0].imag for b in t1])
         return ([[complex(z)] for z in z0s], [[complex(z)] for z in z1s])
 
     halves = [split_fft(lane) for lane in t1]
-    z1_even, z1_odd = _walk_batch(levels, tree, level + 1, 2 * node + 1,
-                                  [h[0] for h in halves],
-                                  [h[1] for h in halves],
-                                  sample_one, sample_lanes)
+    z1_even, z1_odd = _walk_batch(leaves, lane_levels, depth, level + 1,
+                                  2 * node + 1, [h[0] for h in halves],
+                                  [h[1] for h in halves])
     z1 = [merge_fft(e, o) for e, o in zip(z1_even, z1_odd)]
 
-    l10 = levels[level][node]
-    halves = [split_fft(add_fft(a, mul_fft(sub_fft(b, z), l10)))
-              for a, b, z in zip(t0, t1, z1)]
-    z0_even, z0_odd = _walk_batch(levels, tree, level + 1, 2 * node,
-                                  [h[0] for h in halves],
-                                  [h[1] for h in halves],
-                                  sample_one, sample_lanes)
+    halves = [split_fft(add_fft(a, mul_fft(sub_fft(b, z),
+                                           levels[level][node])))
+              for a, b, z, levels in zip(t0, t1, z1, lane_levels)]
+    z0_even, z0_odd = _walk_batch(leaves, lane_levels, depth, level + 1,
+                                  2 * node, [h[0] for h in halves],
+                                  [h[1] for h in halves])
     z0 = [merge_fft(e, o) for e, o in zip(z0_even, z0_odd)]
     return z0, z1
 
 
 @secret_params("t0", "t1")
-def ff_sampling_batch(t0, t1, tree: FlatLdlTree, sampler_z):
+def ff_sampling_batch(t0, t1, tree: FlatLdlTree | None = None,
+                      sampler_z=None, *,
+                      groups: Sequence[KeyGroup] | None = None):
     """Batched ffSampling over a flat tree.
 
     ``t0``/``t1`` are either NumPy ``(batch, n)`` complex arrays (the
@@ -569,11 +633,35 @@ def ff_sampling_batch(t0, t1, tree: FlatLdlTree, sampler_z):
     :class:`~repro.falcon.samplerz.RejectionSamplerZ`), in which case
     each leaf bulk-draws one candidate round per pending lane — the
     fast path the batch signer uses.
+
+    ``tree`` and ``sampler_z`` serve every lane.  To walk the lanes of
+    several keys at once, pass ``groups`` instead: one
+    :class:`KeyGroup` per key, all of one degree, whose lane slices
+    cover the batch in order.  Each group's sampler sees the calls a
+    walk over its lanes alone would make.
     """
-    sample_lanes = getattr(sampler_z, "sample_lanes", None)
-    sample_one = (sampler_z.sample if sample_lanes is not None
-                  else sampler_z)
+    if groups is None:
+        groups = [KeyGroup(tree, sampler_z, slice(0, len(t0)))]
+    n = groups[0].tree.n
+    start = 0
+    leaves = []
+    for group in groups:
+        if group.tree.n != n or group.lanes.start != start:
+            raise ValueError("key groups must share one degree and cover "
+                             "the lanes in order")
+        start = group.lanes.stop
+        sample_lanes = getattr(group.sampler_z, "sample_lanes", None)
+        sample_one = (group.sampler_z.sample if sample_lanes is not None
+                      else group.sampler_z)
+        leaves.append((group.tree, sample_one, sample_lanes, group.lanes))
+    if start != len(t0):
+        raise ValueError("key groups must share one degree and cover "
+                         "the lanes in order")
     if _np is not None and isinstance(t0, _np.ndarray):
-        return _walk_planes(tree, t0, t1, sample_one, sample_lanes)
-    return _walk_batch(tree.scalar_levels(), tree, 0, 0, t0, t1,
-                       sample_one, sample_lanes)
+        return _walk_planes(groups, leaves, t0, t1)
+    lane_levels = []
+    for group in groups:
+        lane_levels += [group.tree.scalar_levels()] * (group.lanes.stop
+                                                       - group.lanes.start)
+    return _walk_batch(leaves, lane_levels, groups[0].tree.depth, 0, 0,
+                       t0, t1)

@@ -10,7 +10,7 @@ bitsliced constant-time sampler — slot into the signing path through
 
 Typical use::
 
-    from repro.falcon import SecretKey, sampler_backend
+    from repro.falcon import SecretKey, sign_batch
 
     sk = SecretKey.generate(n=256, seed=1)
     signature = sk.sign(b"message")
@@ -18,6 +18,10 @@ Typical use::
 
     # Swap the base sampler (the Table 1 experiment):
     sk.use_base_sampler("bitsliced")
+
+    # Sign lanes of several keys in one batched round:
+    other = SecretKey.generate(n=256, seed=2)
+    signatures = sign_batch([(sk, b"a"), (other, b"b"), (sk, b"c")])
 """
 
 from __future__ import annotations
@@ -34,10 +38,13 @@ from ..baselines.linear_scan import LinearScanCdtSampler
 from ..core.gaussian import GaussianParams
 from ..rng.source import RandomSource, default_source, make_source
 from .encoding import CompressError, DecompressError, compress, decompress
+from ..ctlint.annotations import secret_params
 from .ffsampling import (
     FlatLdlTree,
+    KeyGroup,
     LdlLeaf,
     LdlNode,
+    _lane_rows,
     build_flat_ldl_tree,
     build_ldl_tree,
     ff_sampling,
@@ -132,6 +139,18 @@ def make_base_sampler(backend: str, source: RandomSource | None = None,
                             tail_cut=BASE_TAIL_CUT)
     return BASE_SAMPLER_BACKENDS[backend](params, source=source,
                                           **backend_kwargs)
+
+
+def _resolve_spine(spine: str) -> str:
+    if spine not in SPINES:
+        raise ValueError(
+            f"unknown spine {spine!r}; choose from {SPINES}")
+    if spine == "auto":
+        return "numpy" if HAVE_NUMPY else "scalar"
+    if spine == "numpy" and not HAVE_NUMPY:
+        raise RuntimeError("NumPy is not installed; "
+                           "use spine='scalar'")
+    return spine
 
 
 def hash_to_point(message: bytes, salt: bytes, n: int) -> list[int]:
@@ -419,15 +438,7 @@ class SecretKey:
         return self._flat_tree
 
     def _resolve_spine(self, spine: str) -> str:
-        if spine not in SPINES:
-            raise ValueError(
-                f"unknown spine {spine!r}; choose from {SPINES}")
-        if spine == "auto":
-            return "numpy" if HAVE_NUMPY else "scalar"
-        if spine == "numpy" and not HAVE_NUMPY:
-            raise RuntimeError("NumPy is not installed; "
-                               "use spine='scalar'")
-        return spine
+        return _resolve_spine(spine)
 
     def _key_target_ffts(self) -> tuple[list[complex], list[complex]]:
         """FFTs of (f, F) used to build signing targets (cached)."""
@@ -463,60 +474,6 @@ class SecretKey:
         per_signature = self.params.salt_bytes + 80 * self.n
         self.source.prefetch(min(lanes * per_signature, 1 << 22))
 
-    def _attempt_batch_numpy(self, hashed: list[list[int]]):
-        """One signing attempt for a batch of hashed points, array spine.
-
-        Returns per-lane ``s2`` coefficient lists (``None`` where the
-        norm bound failed).
-        """
-        rows = self._key_rows()
-        c_fft = fft_array(_np.asarray(hashed, dtype=_np.float64))
-        t0 = _div_real(-cmul(c_fft, rows["F"]), Q)
-        t1 = _div_real(cmul(c_fft, rows["f"]), Q)
-        z0, z1 = ff_sampling_batch(t0, t1, self.flat_tree,
-                                   self.sampler_z)
-        d0 = t0 - z0
-        d1 = t1 - z1
-        s1 = round_ifft_array(cmul(d0, rows["b00"])
-                              + cmul(d1, rows["b10"]))
-        s2 = round_ifft_array(cmul(d0, rows["b01"])
-                              + cmul(d1, rows["b11"]))
-        norms = (s1 * s1).sum(axis=1) + (s2 * s2).sum(axis=1)
-        bound = self.params.sig_bound
-        # ct: allow(secret-ternary): norm-bound restart selection — the public rejection event, batched
-        return [s2[lane].tolist() if norms[lane] <= bound else None
-                for lane in range(len(hashed))]
-
-    def _attempt_batch_scalar(self, hashed: list[list[int]]):
-        """One signing attempt for a batch of hashed points, pure Python.
-
-        Same structure (and the same leaf-sampler call order) as the
-        array spine, so both produce identical signatures for a fixed
-        seed.
-        """
-        f_fft, big_f_fft = self._key_target_ffts()
-        t0s, t1s = [], []
-        for point in hashed:
-            c_fft = fft_of_int_poly(point)
-            t0s.append([-(x * y) / Q
-                        for x, y in zip(c_fft, big_f_fft)])
-            t1s.append([(x * y) / Q for x, y in zip(c_fft, f_fft)])
-        z0s, z1s = ff_sampling_batch(t0s, t1s, self.flat_tree,
-                                     self.sampler_z)
-        out = []
-        bound = self.params.sig_bound
-        for t0, t1, z0, z1 in zip(t0s, t1s, z0s, z1s):
-            d0 = sub_fft(t0, z0)
-            d1 = sub_fft(t1, z1)
-            s1 = round_ifft(add_fft(mul_fft(d0, self._b00),
-                                    mul_fft(d1, self._b10)))
-            s2 = round_ifft(add_fft(mul_fft(d0, self._b01),
-                                    mul_fft(d1, self._b11)))
-            norm_sq = sum(c * c for c in s1) + sum(c * c for c in s2)
-            # ct: allow(secret-ternary): norm-bound restart selection — the public rejection event, batched
-            out.append(s2 if norm_sq <= bound else None)
-        return out
-
     def sign_many(self, messages: Sequence[bytes],
                   max_attempts: int = 64,
                   spine: str = "auto") -> list[Signature]:
@@ -529,54 +486,182 @@ class SecretKey:
         are the keystream slabs (prefetched for the round's estimated
         demand) and the key/tree transforms (computed once per key).
         Lanes failing the norm or compression check retry in the next
-        round, like :meth:`sign` does.
+        round, like :meth:`sign` does.  This is :func:`sign_batch` with
+        every lane under this key.
 
         ``spine`` selects the numeric backend (``"numpy"``,
         ``"scalar"``, or ``"auto"``); both produce **identical
         signature bytes** for a fixed seed, and a batch of one
         reproduces :meth:`sign` exactly.
         """
-        spine = self._resolve_spine(spine)
-        count = len(messages)
-        if count == 0:
-            return []
-        signatures: list[Signature | None] = [None] * count
-        pending = list(range(count))
-        for _ in range(max_attempts):
-            if not pending:
-                break
-            self.signing_attempts += len(pending)
-            self._prefetch_keystream(len(pending))
-            salts = [self.source.read_bytes(self.params.salt_bytes)
-                     for _ in pending]
-            hashed = [hash_to_point(messages[i], salt, self.n)
-                      for i, salt in zip(pending, salts)]
-            if spine == "numpy":
-                results = self._attempt_batch_numpy(hashed)
-            else:
-                results = self._attempt_batch_scalar(hashed)
-            still_pending = []
-            for lane, (i, salt) in enumerate(zip(pending, salts)):
-                s2 = results[lane]
-                # ct: allow(secret-early-exit): lane retry on the public norm-bound rejection
-                if s2 is None:
-                    still_pending.append(i)
-                    continue
-                try:
-                    compressed = compress(s2,
-                                          self.params.sig_payload_bits)
-                except CompressError:
-                    still_pending.append(i)
-                    continue
-                signatures[i] = Signature(salt=salt,
-                                          compressed=compressed)
-            pending = still_pending
-        if pending:
-            raise RuntimeError(
-                f"batch signing failed for {len(pending)} message(s) "
-                f"after {max_attempts} attempts")
-        return signatures
+        return sign_batch([(self, message) for message in messages],
+                          max_attempts=max_attempts, spine=spine)
 
     def samples_per_signature(self) -> int:
         """Base-sampler leaf calls per ffSampling pass: 2n."""
         return 2 * self.n
+
+
+# -- cross-key batch signing ---------------------------------------------------
+
+#: The per-key NumPy rows (``SecretKey._key_rows``) a signing round uses.
+_ROW_NAMES = ("f", "F", "b00", "b01", "b10", "b11")
+
+
+def _per_lane(items: list, counts: list[int]) -> list:
+    """``items[k]`` repeated ``counts[k]`` times: one entry per lane."""
+    return [items[k] for k, count in enumerate(counts) for _ in range(count)]
+
+
+def _key_groups(keys: list[SecretKey], counts: list[int]) -> list[KeyGroup]:
+    """The walk's key groups: ``keys[k]`` owns the next ``counts[k]``
+    lanes."""
+    groups = []
+    start = 0
+    for key, count in zip(keys, counts):
+        groups.append(KeyGroup(key.flat_tree, key.sampler_z,
+                               slice(start, start + count)))
+        start += count
+    return groups
+
+
+@secret_params("keys")
+def _attempt_lanes_numpy(keys: list[SecretKey], counts: list[int],
+                         hashed: list[list[int]]):
+    """One signing attempt over the round's lanes, array spine.
+
+    ``keys[k]`` owns the next ``counts[k]`` lanes of ``hashed``.
+    Returns per-lane ``s2`` coefficient lists (``None`` where the lane
+    failed its key's norm bound).
+    """
+    tables = [key._key_rows() for key in keys]
+    rows = {name: _lane_rows([table[name] for table in tables], counts)
+            for name in _ROW_NAMES}
+    c_fft = fft_array(_np.asarray(hashed, dtype=_np.float64))
+    t0 = _div_real(-cmul(c_fft, rows["F"]), Q)
+    t1 = _div_real(cmul(c_fft, rows["f"]), Q)
+    z0, z1 = ff_sampling_batch(t0, t1, groups=_key_groups(keys, counts))
+    d0 = t0 - z0
+    d1 = t1 - z1
+    s1 = round_ifft_array(cmul(d0, rows["b00"]) + cmul(d1, rows["b10"]))
+    s2 = round_ifft_array(cmul(d0, rows["b01"]) + cmul(d1, rows["b11"]))
+    norms = ((s1 * s1).sum(axis=1) + (s2 * s2).sum(axis=1)).tolist()
+    bounds = [key.params.sig_bound for key in _per_lane(keys, counts)]
+    # ct: allow(secret-ternary): norm-bound restart selection — the public rejection event, batched
+    return [row if norm <= bound else None
+            for row, norm, bound in zip(s2.tolist(), norms, bounds)]
+
+
+@secret_params("keys")
+def _attempt_lanes_scalar(keys: list[SecretKey], counts: list[int],
+                          hashed: list[list[int]]):
+    """One signing attempt over the round's lanes, pure Python.
+
+    Same structure (and the same leaf-sampler call order) as the array
+    spine, so both produce identical signatures for a fixed seed.
+    """
+    lane_keys = _per_lane(keys, counts)
+    t0s, t1s = [], []
+    for key, point in zip(lane_keys, hashed):
+        f_fft, big_f_fft = key._key_target_ffts()
+        c_fft = fft_of_int_poly(point)
+        t0s.append([-(x * y) / Q
+                    for x, y in zip(c_fft, big_f_fft)])
+        t1s.append([(x * y) / Q for x, y in zip(c_fft, f_fft)])
+    z0s, z1s = ff_sampling_batch(t0s, t1s,
+                                 groups=_key_groups(keys, counts))
+    out = []
+    for key, t0, t1, z0, z1 in zip(lane_keys, t0s, t1s, z0s, z1s):
+        d0 = sub_fft(t0, z0)
+        d1 = sub_fft(t1, z1)
+        s1 = round_ifft(add_fft(mul_fft(d0, key._b00),
+                                mul_fft(d1, key._b10)))
+        s2 = round_ifft(add_fft(mul_fft(d0, key._b01),
+                                mul_fft(d1, key._b11)))
+        norm_sq = sum(c * c for c in s1) + sum(c * c for c in s2)
+        # ct: allow(secret-ternary): norm-bound restart selection — the public rejection event, batched
+        out.append(s2 if norm_sq <= key.params.sig_bound else None)
+    return out
+
+
+@secret_params("lanes")
+def sign_batch(lanes: Sequence[tuple[SecretKey, bytes]],
+               max_attempts: int = 64,
+               spine: str = "auto") -> list[Signature]:
+    """Sign ``(secret_key, message)`` lanes of many keys in shared rounds.
+
+    The sign-side twin of
+    :func:`~repro.falcon.batchverify.verify_batch`.  Lanes are grouped
+    by key (keys in first-arrival order, each key's lanes in arrival
+    order).  Each round draws every pending lane's salt from its key's
+    source, builds targets from per-lane key rows, runs *one*
+    ffSampling walk over all pending lanes — each lane on its key's
+    L10 rows, each key's lanes drawn by that key's own
+    ``RejectionSamplerZ`` — and checks every lane's norm against its
+    own key's basis and bound.  Failed lanes retry in the next round.
+
+    **Per-key streams**: every key consumes its own source in exactly
+    the order its own :meth:`SecretKey.sign_many` would, so each key's
+    signatures equal ``key.sign_many(<its messages in arrival order>)``
+    byte for byte, on both spines, whatever other keys share the round
+    (for keys that do not share one random source, as no generated or
+    served key does).  All keys must have one degree.  Returns the
+    signatures in lane order.
+    """
+    spine = _resolve_spine(spine)
+    # Which lanes share a key is public metadata: group by identity.
+    keys: dict[int, SecretKey] = {}
+    owners = []
+    for key, _message in lanes:
+        keys.setdefault(id(key), key)
+        owners.append(id(key))
+    if len({key.n for key in keys.values()}) > 1:
+        raise ValueError("sign_batch needs keys of one degree")
+    pending = {owner: [] for owner in keys}
+    for index, owner in enumerate(owners):
+        pending[owner].append(index)
+    signatures: list[Signature | None] = [None] * len(owners)
+    for _ in range(max_attempts):
+        active = [owner for owner in keys if pending[owner]]
+        if not active:
+            break
+        salts, hashed = [], []
+        for owner in active:
+            key = keys[owner]
+            key.signing_attempts += len(pending[owner])
+            key._prefetch_keystream(len(pending[owner]))
+            for index in pending[owner]:
+                salt = key.source.read_bytes(key.params.salt_bytes)
+                salts.append(salt)
+                hashed.append(hash_to_point(lanes[index][1], salt, key.n))
+        group_keys = [keys[owner] for owner in active]
+        counts = [len(pending[owner]) for owner in active]
+        if spine == "numpy":
+            results = _attempt_lanes_numpy(group_keys, counts, hashed)
+        else:
+            results = _attempt_lanes_scalar(group_keys, counts, hashed)
+        lane = 0
+        for owner in active:
+            key = keys[owner]
+            still_pending = []
+            for index in pending[owner]:
+                s2, salt = results[lane], salts[lane]
+                lane += 1
+                # ct: allow(secret-early-exit): lane retry on the public norm-bound rejection
+                if s2 is None:
+                    still_pending.append(index)
+                    continue
+                try:
+                    compressed = compress(s2, key.params.sig_payload_bits)
+                except CompressError:
+                    still_pending.append(index)
+                    continue
+                signatures[index] = Signature(salt=salt,
+                                              compressed=compressed)
+            pending[owner] = still_pending
+    failed = sum(len(indices) for indices in pending.values())
+    if failed:
+        raise RuntimeError(
+            f"batch signing failed for {failed} message(s) "
+            f"after {max_attempts} attempts")
+    return signatures

@@ -8,9 +8,9 @@ Four layers above :class:`~repro.falcon.keystore.KeyStore`:
   checkout and an aggregated metrics snapshot;
 * :class:`SigningService` — an asyncio facade that coalesces
   concurrent ``sign(tenant, message)`` / ``verify(tenant, message,
-  signature)`` calls into batched ``sign_many`` / ``verify_many``
-  rounds per shard, with max-batch / max-wait knobs and back-pressure
-  through bounded queues;
+  signature)`` calls into batched cross-tenant ``sign_batch`` /
+  ``verify_batch`` rounds per shard, with max-batch / max-wait knobs
+  and back-pressure through bounded queues;
 * :class:`ShardWorkerPool` — one dedicated worker *process* per shard
   with warm per-tenant spines, so rounds escape the GIL and a
   multi-core host signs truly in parallel (plug into
@@ -51,7 +51,7 @@ from .sharded import ConsistentHashRing, ShardedKeyStore, derive_shard_seed
 from .service import (
     KIND_SIGN,
     KIND_VERIFY,
-    VERIFY_MERGED_TENANT,
+    MERGED_TENANT,
     CircuitBreaker,
     RoundPlan,
     ServiceMetrics,
@@ -71,6 +71,7 @@ __all__ = [
     "InjectedFault",
     "KIND_SIGN",
     "KIND_VERIFY",
+    "MERGED_TENANT",
     "NetClient",
     "NetServer",
     "RetryPolicy",
@@ -82,7 +83,6 @@ __all__ = [
     "ShardedKeyStore",
     "SigningService",
     "TokenBucket",
-    "VERIFY_MERGED_TENANT",
     "derive_shard_seed",
     "encode_request_frame",
     "frame_shape",

@@ -1,9 +1,8 @@
 """The asyncio coalescing front: many awaiters, few batched rounds.
 
-PR 3 made one ``sign_many`` call fast; a serving deployment has the
+One ``sign_many`` call is fast; a serving deployment has the
 inverse shape — thousands of independent ``sign(tenant, message)``
-calls that must *become* ``sign_many`` rounds to ride the batched
-spine.  :class:`SigningService` does that coalescing:
+calls that must *become* rounds to ride the batched spine.  :class:`SigningService` does that coalescing:
 
 * every request enqueues onto its shard's **bounded** asyncio queue
   (a full queue suspends the caller — back-pressure, not unbounded
@@ -12,16 +11,20 @@ spine.  :class:`SigningService` does that coalescing:
   at most ``max_wait`` seconds for stragglers once the first request
   of a round has arrived (the classic batch-window trade: larger
   windows coalesce more, at latency cost);
-* the drained batch is partitioned into per-``(tenant, kind)`` rounds
-  by :func:`plan_rounds` and each round runs ``sign_many`` /
-  ``verify_many`` under the tenant's checked-out signer on a worker
+* the drained batch is partitioned into rounds by :func:`plan_rounds`
+  — sign lanes of every tenant share rounds, verify lanes too by
+  default — and each round runs one cross-key
+  :func:`~repro.falcon.scheme.sign_batch` or
+  :func:`~repro.falcon.batchverify.verify_batch` call on a worker
   thread, so the event loop stays responsive while the CPU-bound
   spine runs.
 
-**Byte identity**: a coalesced round calls the exact
-``SecretKey.sign_many`` the direct API exposes, with messages in
-arrival order — signatures are bit-identical to a direct call with
-the same key and message order (pinned by the serving test suite).
+**Byte identity**: each tenant's key signs from its own stream, so a
+tenant's signatures from a merged round equal a direct
+``SecretKey.sign_many`` over that tenant's messages of the round, in
+arrival order, whoever else shared it (pinned by the serving test
+suite).  A round's *timing* does depend on the other tenants' lane
+counts — public arrival metadata, like the round shape itself.
 
 **Constant-time discipline**: round composition — how many rounds, of
 what sizes, in what order — is computed by :func:`plan_rounds` from
@@ -42,17 +45,16 @@ from typing import Sequence
 from ..batchverify import verify_batch
 from ..scheme import Signature
 from .errors import DeadlineExceeded, ServingUnavailable
-from .sharded import ShardedKeyStore
+from .sharded import ShardedKeyStore, sign_tenant_lanes
 
 #: Request kinds the coalescer schedules.
 KIND_SIGN = "sign"
 KIND_VERIFY = "verify"
 
-#: The ``RoundPlan.tenant`` sentinel for a cross-tenant merged verify
-#: round (verification needs no secret key, so verify lanes from
-#: *different* tenants can share one maximal batch — each lane still
-#: checks against its own tenant's public key).
-VERIFY_MERGED_TENANT = "*"
+#: The ``RoundPlan.tenant`` sentinel for a cross-tenant merged round:
+#: each lane still signs under, or checks against, its own tenant's
+#: key.
+MERGED_TENANT = "*"
 
 
 class CircuitBreaker:
@@ -132,21 +134,19 @@ class RoundPlan:
 def plan_rounds(arrivals: Sequence[tuple[str, str]],
                 max_batch: int, *,
                 coalesce_verify: bool = False) -> list[RoundPlan]:
-    """Partition drained requests into per-``(tenant, kind)`` rounds.
+    """Partition drained requests into rounds.
 
     ``arrivals`` is the drained batch's metadata — ``(tenant, kind)``
-    per request, in arrival order.  Requests sharing a tenant and kind
-    coalesce into one round (chunked at ``max_batch``), rounds are
-    emitted in first-arrival order, and lanes within a round keep
-    arrival order — which is what makes coalesced signatures byte-
-    identical to a direct ``sign_many`` over the same message order.
-
-    ``coalesce_verify=True`` additionally merges **all** verify lanes
-    — any tenant — into shared rounds under the
-    :data:`VERIFY_MERGED_TENANT` sentinel: a verify round needs no
-    secret key, so nothing ties it to one tenant, and the cross-key
-    engine checks every lane against its own tenant's public key in
-    one vectorized pass.  Sign rounds stay strictly per-tenant.
+    per request, in arrival order.  Sign lanes of **every** tenant
+    share rounds under the :data:`MERGED_TENANT` sentinel: the
+    cross-key signer runs each lane under its own tenant's key, and
+    since every key signs from its own stream, a tenant's signatures
+    equal a direct ``sign_many`` over its lanes of the round in
+    arrival order.  Verify lanes form per-tenant rounds, or with
+    ``coalesce_verify=True`` merge the same way (the cross-key engine
+    checks every lane against its own tenant's public key).  Rounds
+    are chunked at ``max_batch``, emitted in first-arrival order, and
+    keep arrival order within.
 
     This function is deliberately *blind*: it receives no message
     bytes, no signatures, no key material.  Round composition —
@@ -157,24 +157,14 @@ def plan_rounds(arrivals: Sequence[tuple[str, str]],
     if max_batch < 1:
         raise ValueError("max_batch must be at least 1")
     groups: dict[tuple[str, str], list[int]] = {}
-    order: list[tuple[str, str]] = []
     for lane, (tenant, kind) in enumerate(arrivals):
-        if coalesce_verify and kind == KIND_VERIFY:
-            key = (VERIFY_MERGED_TENANT, kind)
-        else:
-            key = (tenant, kind)
-        if key not in groups:
-            groups[key] = []
-            order.append(key)
-        groups[key].append(lane)
-    plans: list[RoundPlan] = []
-    for tenant, kind in order:
-        lanes = groups[(tenant, kind)]
-        for start in range(0, len(lanes), max_batch):
-            plans.append(RoundPlan(
-                tenant=tenant, kind=kind,
-                lanes=tuple(lanes[start:start + max_batch])))
-    return plans
+        if kind == KIND_SIGN or coalesce_verify:
+            tenant = MERGED_TENANT
+        groups.setdefault((tenant, kind), []).append(lane)
+    return [RoundPlan(tenant=tenant, kind=kind,
+                      lanes=tuple(lanes[start:start + max_batch]))
+            for (tenant, kind), lanes in groups.items()
+            for start in range(0, len(lanes), max_batch)]
 
 
 @dataclass
@@ -187,7 +177,8 @@ class ServiceMetrics:
     rounds: int = 0
     coalesced_max: int = 0
     queue_high_water: int = 0
-    #: Rounds that raised (their awaiters saw the exception).
+    #: Rounds in which some lanes failed (their awaiters saw the
+    #: exception).
     failed_rounds: int = 0
     #: Requests routed off their home shard by an open breaker.
     shed_requests: int = 0
@@ -263,11 +254,22 @@ class SigningService:
     tenant→shard routing); the service does not own the pool's
     lifecycle — start it before and stop it after the service.
 
-    ``coalesce_verify=True`` (default) merges verify lanes across
-    tenants into maximal rounds: verification needs no secret key, so
-    verify rounds skip signer checkout entirely (each lane checks
-    against its tenant's cached public key through the cross-key
-    batch engine) and nothing ties a round to one tenant.
+    Sign lanes of every tenant on a shard merge into shared rounds
+    (see :func:`plan_rounds`): one ffSampling walk serves them all,
+    each lane on its own tenant's key.  ``coalesce_verify=True``
+    (default) merges verify lanes across tenants the same way:
+    verification needs no secret key, so verify rounds skip signer
+    checkout entirely (each lane checks against its tenant's cached
+    public key through the cross-key batch engine).
+
+    Failure isolation in a merged sign round: each tenant's signer is
+    checked out separately (its home shard, or ``signer_on`` for a
+    tenant shed off its home shard), and a failed checkout fails only
+    that tenant's requests — the circuit breaker books one failure per
+    such tenant and one success per tenant that signed, as separate
+    per-tenant rounds would.  An exception inside the shared walk
+    itself, or a worker process dying under it, fails every request
+    of the round.
     """
 
     def __init__(self, store: ShardedKeyStore, *,
@@ -418,7 +420,7 @@ class SigningService:
     async def sign(self, tenant: str, message: bytes, *,
                    deadline: float | None = None) -> Signature:
         """Sign ``message`` under ``tenant``'s key; coalesced into the
-        shard's next ``sign_many`` round.  ``deadline`` is an absolute
+        shard's next sign round.  ``deadline`` is an absolute
         event-loop instant (``loop.time() + budget``); a request whose
         deadline passes before its round completes raises
         :class:`DeadlineExceeded` — never later than the deadline plus
@@ -432,7 +434,7 @@ class SigningService:
                      signature: Signature, *,
                      deadline: float | None = None) -> bool:
         """Verify against ``tenant``'s public key; coalesced into the
-        shard's next ``verify_many`` round."""
+        shard's next verify round."""
         future = asyncio.get_running_loop().create_future()
         return await self._submit(_Request(
             tenant=tenant, kind=KIND_VERIFY, message=message,
@@ -541,23 +543,27 @@ class SigningService:
         this round: a poison round fails exactly its own awaiters'
         futures and returns, so the rest of the drained batch keeps
         draining and the shard worker keeps serving (regression-tested
-        with one poisoned round among healthy ones).
+        with one poisoned round among healthy ones).  Within a sign
+        round a failed checkout fails only its tenant's lanes: the
+        round returns that exception as those lanes' results.
         """
+        tenants = [r.tenant for r in requests]
         messages = [r.message for r in requests]
+
+        def checkout(tenant):
+            # A shed tenant (routed off its home shard by an open
+            # breaker) checks out of the fallback shard explicitly.
+            if shard == self.store.shard_for(tenant):
+                return self.store.signer(tenant, self.n)
+            return self.store.signer_on(shard, tenant, self.n)
 
         def run_round():
             if self.worker_pool is not None:
                 # One IPC round-trip per round: the shard's dedicated
-                # worker process signs/verifies with its warm spines.
-                # A cross-tenant merged verify round ships its per-
-                # lane tenants so each lane checks against its own
-                # tenant's key.
-                tenant_arg = plan.tenant
-                if (plan.kind == KIND_VERIFY
-                        and plan.tenant == VERIFY_MERGED_TENANT):
-                    tenant_arg = [r.tenant for r in requests]
+                # worker process signs/verifies with its warm spines,
+                # each lane under its own tenant's key.
                 return self.worker_pool.run_round(
-                    shard, tenant_arg, plan.kind, self.n, messages,
+                    shard, tenants, plan.kind, self.n, messages,
                     signatures=([r.signature for r in requests]
                                 if plan.kind == KIND_VERIFY else None))
             if plan.kind == KIND_VERIFY:
@@ -571,18 +577,12 @@ class SigningService:
                     [(self.store.public_key(r.tenant, self.n),
                       r.message, r.signature) for r in requests],
                     spine=self.spine)
-            # One worker-thread hop per round: signer checkout
-            # (cached after first use) plus the batched kernel
-            # call together, so the event loop stays free while
-            # the CPU-bound spine runs.  A shed round (routed off the
-            # tenant's home shard by an open breaker) checks out of
-            # the fallback shard explicitly.
-            if shard == self.store.shard_for(plan.tenant):
-                signer = self.store.signer(plan.tenant, self.n)
-            else:
-                signer = self.store.signer_on(shard, plan.tenant,
-                                              self.n)
-            return signer.sign_many(messages, spine=self.spine)
+            # One worker-thread hop per round: the signer checkouts
+            # (cached after first use) plus the batched kernel call
+            # together, so the event loop stays free while the
+            # CPU-bound spine runs.
+            return sign_tenant_lanes(checkout, tenants, messages,
+                                     spine=self.spine)
 
         breaker = self.breakers[shard] if self.breakers else None
         try:
@@ -594,14 +594,28 @@ class SigningService:
                 raise RuntimeError(
                     f"round returned {len(results)} results for "
                     f"{len(requests)} requests")
+            failed = {tenant for tenant, result in zip(tenants, results)
+                      if isinstance(result, Exception)}
             if breaker is not None:
-                breaker.record_success()
+                for tenant in dict.fromkeys(tenants):
+                    if tenant in failed:
+                        breaker.record_failure()
+                    else:
+                        breaker.record_success()
+            done = len(requests) - sum(
+                isinstance(result, Exception) for result in results)
             if plan.kind == KIND_SIGN:
-                self.metrics.signed += len(requests)
+                self.metrics.signed += done
             else:
-                self.metrics.verified += len(requests)
+                self.metrics.verified += done
+            if failed:
+                self.metrics.failed_rounds += 1
             for request, result in zip(requests, results):
-                if not request.future.done():
+                if request.future.done():
+                    continue
+                if isinstance(result, Exception):
+                    request.future.set_exception(result)
+                else:
                     request.future.set_result(result)
         except Exception as error:  # fail THIS round's awaiters only
             if breaker is not None:

@@ -22,7 +22,7 @@ from pathlib import Path
 from typing import Sequence
 
 from ..keystore import KeyStore, fenced_signer_checkout
-from ..scheme import PublicKey, SecretKey, Signature
+from ..scheme import PublicKey, SecretKey, Signature, sign_batch
 
 
 def derive_shard_seed(master_seed: int | bytes, shard: int) -> bytes:
@@ -37,6 +37,35 @@ def derive_shard_seed(master_seed: int | bytes, shard: int) -> bytes:
     else:
         master = bytes(master_seed)
     return sha256(b"falcon-shard|%b|%d" % (master, shard)).digest()
+
+
+def sign_tenant_lanes(checkout, tenants: Sequence[str],
+                      messages: Sequence[bytes],
+                      spine: str = "auto") -> list:
+    """Sign one merged round: lane ``i`` is ``messages[i]`` under
+    ``tenants[i]``'s key.
+
+    ``checkout(tenant)`` returns a tenant's signer; it runs once per
+    tenant, in first-arrival order, and a checkout that raises fails
+    only that tenant's lanes — their results are the exception.  Every
+    other lane rides one :func:`~repro.falcon.scheme.sign_batch` call,
+    so each tenant's signatures equal its own ``sign_many`` over its
+    lanes in arrival order; an exception there fails the whole round.
+    Returns one ``Signature`` or exception per lane.
+    """
+    signers: dict = {}
+    failed: dict = {}
+    for tenant in dict.fromkeys(tenants):
+        try:
+            signers[tenant] = checkout(tenant)
+        except Exception as error:  # isolate the tenant, not the round
+            failed[tenant] = error
+    signed = iter(sign_batch(
+        [(signers[tenant], message)
+         for tenant, message in zip(tenants, messages)
+         if tenant in signers], spine=spine))
+    return [failed[tenant] if tenant in failed else next(signed)
+            for tenant in tenants]
 
 
 def _tenant_bytes(tenant: str | bytes) -> bytes:

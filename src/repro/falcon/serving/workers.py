@@ -6,8 +6,8 @@ committed benchmark before this layer ran on one core, and offloading
 rounds to *threads* cannot change that.  :class:`ShardWorkerPool`
 fans the shards out over **processes**: each shard gets a dedicated,
 long-lived worker process that owns the shard's key material and runs
-its ``sign_many`` / ``verify_many`` rounds, so a multi-core host runs
-as many rounds truly in parallel as it has shards.
+its sign / verify rounds, so a multi-core host runs as many rounds
+truly in parallel as it has shards.
 
 Design points:
 
@@ -21,16 +21,19 @@ Design points:
   amortization that made one-task-per-key process pools lose to
   single-process keygen.
 * **Batched task submission.**  The unit of IPC is a whole coalesced
-  round — one pickled ``(tenant, kind, messages)`` message per round,
+  round — one pickled ``(tenants, kind, messages)`` message per round,
   one reply with the round's results — never one task per request.
-* **Byte identity.**  A worker signs with the very key the in-process
-  path would have checked out for that tenant (same derived shard
-  seed, same checkout order), through the very same ``sign_many``;
-  signatures travel back as raw ``(salt, compressed)`` bytes.  The
-  loopback test suite pins over-the-wire bytes == direct bytes.
+* **Byte identity.**  A worker signs with the very keys the in-process
+  path would have checked out for those tenants (same derived shard
+  seed, same checkout order), through the very same cross-key
+  ``sign_batch``; signatures travel back as raw ``(salt,
+  compressed)`` bytes.  The loopback test suite pins over-the-wire
+  bytes == direct bytes.
 * **Failure isolation and supervision.**  A raising round travels back
   as an error reply and re-raises in the submitting process for that
-  round only; the worker's loop keeps serving.  A *dead* worker
+  round only; the worker's loop keeps serving.  In a merged sign round
+  each tenant's signer is checked out separately, and a failed
+  checkout fails only that tenant's lanes.  A *dead* worker
   (SIGKILL, crash, pipe EOF) fails only the in-flight round with
   :class:`ShardWorkerError`; the pool then **respawns** the shard's
   worker on the next round — within a bounded restart budget with
@@ -47,6 +50,7 @@ from __future__ import annotations
 
 import multiprocessing as mp
 import os
+import pickle
 import threading
 import time
 from pathlib import Path
@@ -77,6 +81,16 @@ class ShardWorkerError(ServingUnavailable):
     """A shard worker process failed outside a round (died, refused)."""
 
 
+def _portable(error: Exception) -> Exception:
+    """``error`` if it pickles (most do), else a ``RuntimeError``
+    carrying its repr — what a worker can send back."""
+    try:
+        pickle.dumps(error)
+    except Exception:
+        return RuntimeError(repr(error))
+    return error
+
+
 def _worker_main(connection, shard: int, config: dict) -> None:
     """A shard worker process: build the shard store, serve rounds.
 
@@ -86,7 +100,7 @@ def _worker_main(connection, shard: int, config: dict) -> None:
     """
     from ..batchverify import verify_batch
     from ..keystore import KeyStore
-    from .sharded import derive_shard_seed
+    from .sharded import derive_shard_seed, sign_tenant_lanes
 
     directory = config.get("directory")
     store = KeyStore(
@@ -94,7 +108,8 @@ def _worker_main(connection, shard: int, config: dict) -> None:
         master_seed=derive_shard_seed(config["master_seed"], shard),
         prng=config.get("prng", "chacha20"),
         base_backend=config.get("base_backend", "bitsliced"),
-        keygen_spine=config.get("keygen_spine", "auto"))
+        keygen_spine=config.get("keygen_spine", "auto"),
+        fault_plan=config.get("fault_plan"))
     spine = config.get("spine", "auto")
     signers = {}
 
@@ -116,23 +131,25 @@ def _worker_main(connection, shard: int, config: dict) -> None:
             # Simulate SIGKILL: no reply, no cleanup, no atexit — the
             # parent sees pipe EOF with the round still in flight.
             os._exit(FAULT_EXIT_CODE)
+        # ``tenant`` is a per-lane list for cross-tenant merged rounds:
+        # each lane signs under, or verifies against, its own tenant's
+        # key in one cross-key pass.
+        lane_tenants = (list(tenant) if isinstance(tenant, (list, tuple))
+                        else [tenant] * len(messages or ()))
         try:
             if kind == _KIND_WARM:
                 signer(tenant, n)
                 reply = ("ok", None)
             elif kind == _KIND_SIGN:
-                signed = signer(tenant, n).sign_many(messages,
-                                                     spine=spine)
-                reply = ("ok", [(s.salt, s.compressed) for s in signed])
+                signed = sign_tenant_lanes(
+                    lambda lane_tenant: signer(lane_tenant, n),
+                    lane_tenants, messages, spine=spine)
+                reply = ("ok", [_portable(s) if isinstance(s, Exception)
+                                else (s.salt, s.compressed)
+                                for s in signed])
             elif kind == _KIND_VERIFY:
                 rebuilt = [Signature(salt=salt, compressed=compressed)
                            for salt, compressed in signatures]
-                # ``tenant`` is a per-lane list for cross-tenant
-                # merged rounds; each lane verifies against its own
-                # tenant's public key in one cross-key engine pass.
-                lane_tenants = (list(tenant)
-                                if isinstance(tenant, (list, tuple))
-                                else [tenant] * len(messages))
                 verdicts = verify_batch(
                     [(signer(t, n).public_key, message, signature)
                      for t, message, signature
@@ -142,12 +159,7 @@ def _worker_main(connection, shard: int, config: dict) -> None:
             else:
                 raise ValueError(f"unknown round kind {kind!r}")
         except Exception as error:
-            try:  # most exceptions pickle; fall back to their repr
-                import pickle
-                pickle.dumps(error)
-                reply = ("error", error)
-            except Exception:
-                reply = ("error", RuntimeError(repr(error)))
+            reply = ("error", _portable(error))
         try:
             connection.send(reply)
         except (BrokenPipeError, OSError):  # parent went away
@@ -179,6 +191,11 @@ class ShardWorkerPool:
     drain loop) and blocking: the asyncio layer calls it through
     ``asyncio.to_thread``, so N shards run N rounds truly in parallel
     on a multi-core host.
+
+    ``fault_plan`` drives worker kills from this process, and its
+    keystore faults (failed or crashed claims) arm each worker's store.
+    Each worker counts those claims afresh, so a respawned worker's
+    re-warm replays the failures its predecessor saw and raises.
     """
 
     def __init__(self, *, shards: int = 2,
@@ -201,6 +218,9 @@ class ShardWorkerPool:
             "base_backend": base_backend,
             "keygen_spine": keygen_spine,
             "spine": spine,
+            # The plan's keystore faults (failed / crashed claims) arm
+            # each worker's store, as they arm a ShardedKeyStore's.
+            "fault_plan": fault_plan,
         }
         # The PARENT owns the kill schedule: one injector whose
         # counters survive worker respawns, so a plan's max_per_site
@@ -371,14 +391,18 @@ class ShardWorkerPool:
                   signatures: Sequence[Signature] | None = None):
         """Run one coalesced round on ``shard``'s worker process.
 
-        ``tenant`` is one tenant id for sign rounds, or — for a
-        cross-tenant merged verify round — a list of per-lane tenant
-        ids aligned with ``messages``.
+        ``tenant`` is one tenant id, or — for a cross-tenant merged
+        round — a list of per-lane tenant ids aligned with
+        ``messages``.
 
         Blocking (call from a thread); returns what the in-process
         round would have — a ``Signature`` list for sign rounds, a
-        bool list for verify rounds.  A round that raised in the
-        worker re-raises here; a worker that died mid-round raises
+        bool list for verify rounds.  In a sign round under a per-lane
+        list, a tenant whose signer checkout failed in the worker gets
+        that exception as its lanes' results while the other lanes
+        sign; under one tenant id the exception is raised.  A round
+        that raised in the worker re-raises here; a worker that died
+        mid-round raises
         :class:`ShardWorkerError` for **this round only** — the next
         round respawns the worker (warm re-derivation, bounded restart
         budget, exponential backoff).
@@ -412,9 +436,9 @@ class ShardWorkerPool:
                 raise ShardWorkerError(
                     f"shard {shard} worker died mid-round") from error
             # Record first-seen (tenant, n) checkouts in lane order —
-            # merged verify rounds carry a per-lane tenant list, and
-            # the worker checks each lane's tenant out in that order,
-            # so the warm-replay list must match it exactly (checkout
+            # merged rounds carry a per-lane tenant list, and the
+            # worker checks each lane's tenant out in that order, so
+            # the warm-replay list must match it exactly (checkout
             # order determines key bytes for memory-only stores).
             lane_tenants = (list(tenant)
                             if isinstance(tenant, (list, tuple))
@@ -426,7 +450,13 @@ class ShardWorkerPool:
         status, result = reply
         if status == "error":
             raise result
-        if kind == _KIND_SIGN:
-            return [Signature(salt=salt, compressed=compressed)
-                    for salt, compressed in result]
-        return result
+        if kind != _KIND_SIGN:
+            return result
+        signed = [lane if isinstance(lane, Exception)
+                  else Signature(salt=lane[0], compressed=lane[1])
+                  for lane in result]
+        if not isinstance(tenant, (list, tuple)):
+            for lane in signed:
+                if isinstance(lane, Exception):
+                    raise lane
+        return signed

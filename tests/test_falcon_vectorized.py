@@ -10,6 +10,7 @@ The full-sign differentials run at small n by default; the larger
 paper levels are exercised under ``REPRO_FULL=1`` (keygen cost).
 """
 
+import dataclasses
 import importlib
 import math
 import random
@@ -24,12 +25,14 @@ ntt_mod = importlib.import_module("repro.falcon.ntt")
 
 from repro.falcon import (  # noqa: E402
     HAVE_NUMPY,
+    KeyGroup,
     SecretKey,
     build_flat_ldl_tree,
     ff_sampling,
     ff_sampling_batch,
     flatten_ldl_tree,
     hash_to_point,
+    sign_batch,
     tree_leaf_sigmas,
 )
 from repro.falcon.samplerz import RejectionSamplerZ
@@ -425,6 +428,104 @@ def test_sign_many_empty_and_spine_validation():
     if not HAVE_NUMPY:
         with pytest.raises(RuntimeError):
             sk.sign_many([b"x"], spine="numpy")
+
+
+# -- cross-key batch signing -----------------------------------------------
+
+#: Which key each lane of a merged round belongs to: three keys with
+#: interleaved arrivals and uneven lane counts (6, 3 and 1 lanes).
+MERGED_ARRIVALS = (0, 1, 0, 0, 2, 1, 0, 1, 0, 0)
+
+SPINE_PARAMS = ("scalar", pytest.param("numpy", marks=numpy_only))
+
+
+def _counters(key):
+    return (key.signing_attempts, key.sampler_z.accepted,
+            key.sampler_z.base_draws)
+
+
+def _assert_per_key_streams(merged, reference, arrivals, spine):
+    """One ``sign_batch`` round over ``merged`` keys equals, key by
+    key, ``sign_many`` of the twin ``reference`` key over that key's
+    messages in arrival order — bytes and sampler counters."""
+    messages = [b"merged-%d-%d" % (key, lane)
+                for lane, key in enumerate(arrivals)]
+    signed = sign_batch([(merged[key], message)
+                         for key, message in zip(arrivals, messages)],
+                        spine=spine)
+    for index, twin in enumerate(reference):
+        mine = [lane for lane, key in enumerate(arrivals) if key == index]
+        expected = twin.sign_many([messages[lane] for lane in mine],
+                                  spine=spine)
+        assert [(signed[lane].salt, signed[lane].compressed)
+                for lane in mine] \
+            == [(s.salt, s.compressed) for s in expected]
+        assert _counters(merged[index]) == _counters(twin)
+    assert all(key.public_key.verify(message, signature)
+               for key, message, signature in zip(
+                   [merged[key] for key in arrivals], messages, signed))
+
+
+@pytest.mark.parametrize("spine", SPINE_PARAMS)
+def test_sign_batch_matches_per_key_sign_many(spine):
+    seeds = (81, 82, 83)
+    _assert_per_key_streams([_fresh(64, seed) for seed in seeds],
+                            [_fresh(64, seed) for seed in seeds],
+                            MERGED_ARRIVALS, spine)
+
+
+@pytest.fixture(scope="module")
+def served_trio():
+    return [SecretKey.generate(n=SERVED_N, seed=seed).keys
+            for seed in (44, 45, 46)]
+
+
+@numpy_only
+@pytest.mark.parametrize("split, spine", (
+    ((11, 11, 0), "numpy"), ((1, 7, 0), "numpy"), ((16, 5, 1), "numpy"),
+    ((32, 1, 0), "numpy"), ((3, 0, 9), "numpy"), ((16, 5, 1), "scalar")))
+def test_sign_batch_matches_per_key_sign_many_at_served_shape(
+        served_trio, split, spine):
+    """n = 512: lanes per key as in a served shard batch, round-robin
+    arrivals."""
+    arrivals = [key for lane in range(max(split))
+                for key, count in enumerate(split) if lane < count]
+    twins = [[SecretKey(keys, source=ChaChaSource(47 + index))
+              for index, keys in enumerate(served_trio)]
+             for _ in range(2)]
+    _assert_per_key_streams(twins[0], twins[1], arrivals, spine)
+
+
+@pytest.mark.parametrize("spine", SPINE_PARAMS)
+def test_sign_batch_retries_lanes_against_their_own_bound(spine):
+    """Keys 0 and 2 get a bound near the median signature norm, so
+    some of their lanes fail the norm check and retry in later rounds
+    beside key 1's lanes; per-key streams still hold."""
+    seeds = (84, 85, 86)
+
+    def keys():
+        out = [_fresh(64, seed) for seed in seeds]
+        for key in (out[0], out[2]):
+            key.params = dataclasses.replace(key.params,
+                                             sig_bound=3_300_000)
+        return out
+
+    merged, reference = keys(), keys()
+    _assert_per_key_streams(merged, reference, MERGED_ARRIVALS, spine)
+    assert merged[0].signing_attempts > MERGED_ARRIVALS.count(0)
+
+
+def test_sign_batch_rejects_mixed_degrees():
+    small, large = _fresh(8, 87), _fresh(16, 88)
+    with pytest.raises(ValueError, match="one degree"):
+        sign_batch([(small, b"a"), (large, b"b")])
+    assert small.signing_attempts == large.signing_attempts == 0
+    assert sign_batch([]) == []
+    t = [[0j] * 8, [0j] * 8]
+    with pytest.raises(ValueError):
+        ff_sampling_batch(t, t, groups=[
+            KeyGroup(small.flat_tree, small.sampler_z, slice(0, 1)),
+            KeyGroup(large.flat_tree, large.sampler_z, slice(1, 2))])
 
 
 # -- CLI -------------------------------------------------------------------

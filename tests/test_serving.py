@@ -12,7 +12,7 @@ import pytest
 from repro.ct import T_THRESHOLD, audit_coalescing, round_shape_trace
 from repro.falcon import KeyStore
 from repro.falcon.serving import (
-    VERIFY_MERGED_TENANT,
+    MERGED_TENANT,
     ConsistentHashRing,
     ShardedKeyStore,
     SigningService,
@@ -208,41 +208,55 @@ def test_sign_traffic_warms_the_verify_cache():
 # -- round planning ----------------------------------------------------------
 
 def test_plan_rounds_groups_by_tenant_and_kind_in_arrival_order():
+    """Sign lanes of every tenant share one round; by default verify
+    lanes stay per tenant.  Rounds come in first-arrival order and
+    lanes keep arrival order."""
     plans = plan_rounds([("a", "sign"), ("b", "sign"), ("a", "sign"),
-                         ("a", "verify"), ("b", "sign")], 8)
+                         ("a", "verify"), ("b", "sign"),
+                         ("b", "verify")], 8)
     assert [(p.tenant, p.kind, p.lanes) for p in plans] == [
-        ("a", "sign", (0, 2)),
-        ("b", "sign", (1, 4)),
+        (MERGED_TENANT, "sign", (0, 1, 2, 4)),
         ("a", "verify", (3,)),
+        ("b", "verify", (5,)),
     ]
 
 
 def test_plan_rounds_merges_verify_lanes_across_tenants():
     """``coalesce_verify=True``: every verify lane — any tenant —
-    shares one merged round under the sentinel tenant, while sign
-    rounds stay strictly per-tenant."""
+    shares one merged round under the sentinel tenant, as sign lanes
+    always do."""
     arrivals = [("a", "sign"), ("b", "verify"), ("a", "verify"),
                 ("b", "sign"), ("c", "verify")]
     plans = plan_rounds(arrivals, 8, coalesce_verify=True)
     assert [(p.tenant, p.kind, p.lanes) for p in plans] == [
-        ("a", "sign", (0,)),
-        (VERIFY_MERGED_TENANT, "verify", (1, 2, 4)),
-        ("b", "sign", (3,)),
+        (MERGED_TENANT, "sign", (0, 3)),
+        (MERGED_TENANT, "verify", (1, 2, 4)),
     ]
-    # Default planning is unchanged: per-tenant verify rounds.
+    # Default planning keeps per-tenant verify rounds.
     default = plan_rounds(arrivals, 8)
     assert [(p.tenant, p.kind) for p in default] == [
-        ("a", "sign"), ("b", "verify"), ("a", "verify"),
-        ("b", "sign"), ("c", "verify")]
+        (MERGED_TENANT, "sign"), ("b", "verify"), ("a", "verify"),
+        ("c", "verify")]
+
+
+def test_plan_rounds_merged_sign_chunks_at_max_batch():
+    arrivals = [("t%d" % (i % 3), "sign") for i in range(5)]
+    for coalesce_verify in (False, True):
+        plans = plan_rounds(arrivals, 2, coalesce_verify=coalesce_verify)
+        assert [(p.tenant, p.lanes) for p in plans] == [
+            (MERGED_TENANT, (0, 1)),
+            (MERGED_TENANT, (2, 3)),
+            (MERGED_TENANT, (4,)),
+        ]
 
 
 def test_plan_rounds_merged_verify_still_chunks_at_max_batch():
     arrivals = [("t%d" % i, "verify") for i in range(5)]
     plans = plan_rounds(arrivals, 2, coalesce_verify=True)
     assert [(p.tenant, p.lanes) for p in plans] == [
-        (VERIFY_MERGED_TENANT, (0, 1)),
-        (VERIFY_MERGED_TENANT, (2, 3)),
-        (VERIFY_MERGED_TENANT, (4,)),
+        (MERGED_TENANT, (0, 1)),
+        (MERGED_TENANT, (2, 3)),
+        (MERGED_TENANT, (4,)),
     ]
 
 
@@ -353,6 +367,34 @@ def test_multi_round_coalescing_matches_chunked_direct_calls():
         consumed += size
     assert [(s.salt, s.compressed) for s in coalesced] == \
         [(s.salt, s.compressed) for s in direct]
+
+
+def test_merged_sign_round_matches_direct_sign_many_per_tenant():
+    """Sign lanes of three tenants on one shard share one round, and
+    each tenant's signatures equal a direct ``sign_many`` over its own
+    messages in arrival order (signers checked out in the round's
+    first-arrival order)."""
+    tenants = [f"tenant-{i % 3}" for i in range(8)]
+    messages = [b"merged-%d" % i for i in range(8)]
+
+    async def drive():
+        store = ShardedKeyStore(shards=1, master_seed=20)
+        service = SigningService(store, n=8, max_batch=16, max_wait=0.2,
+                                 record_rounds=True)
+        async with service:
+            signatures = await asyncio.gather(
+                *[service.sign(t, m) for t, m in zip(tenants, messages)])
+        return signatures, service.metrics.round_log
+
+    signatures, round_log = asyncio.run(drive())
+    assert round_log == [(0, "sign", 8)]
+    direct_store = ShardedKeyStore(shards=1, master_seed=20)
+    for tenant in dict.fromkeys(tenants):
+        lanes = [i for i, t in enumerate(tenants) if t == tenant]
+        direct = direct_store.signer(tenant, 8).sign_many(
+            [messages[i] for i in lanes])
+        assert [(signatures[i].salt, signatures[i].compressed)
+                for i in lanes] == [(s.salt, s.compressed) for s in direct]
 
 
 def test_back_pressure_bounded_queue():
@@ -530,10 +572,11 @@ def test_stress_concurrent_acquires_threaded_store():
 # -- constant-time batch composition ----------------------------------------
 
 def test_round_shape_trace_ignores_message_bytes():
-    arrivals = [("a", "sign"), ("b", "sign"), ("a", "sign")]
-    zero = round_shape_trace(arrivals, [b"\x00"] * 3, 4)
-    secret = round_shape_trace(arrivals, [b"\xff", b"ab", b"s3"], 4)
-    assert zero == secret == [2.0, 1.0]
+    arrivals = [("a", "sign"), ("b", "verify"), ("b", "sign"),
+                ("a", "sign")]
+    zero = round_shape_trace(arrivals, [b"\x00"] * 4, 4)
+    secret = round_shape_trace(arrivals, [b"\xff", b"ab", b"s3", b""], 4)
+    assert zero == secret == [3.0, 1.0]
 
 
 def test_coalescing_audit_shows_no_leak():

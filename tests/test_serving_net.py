@@ -14,7 +14,9 @@ import struct
 import pytest
 
 from repro.falcon.serving import (
+    FaultPlan,
     FrameError,
+    InjectedFault,
     NetClient,
     NetServer,
     ShardedKeyStore,
@@ -400,6 +402,52 @@ def test_worker_pool_runs_merged_cross_tenant_verify_round():
         outcome = pool.run_round(0, "tenant-a", "sign", 8, [b"ok"])
         assert len(outcome) == 1
         assert pool.running
+
+
+def _bytes(signatures):
+    return [(s.salt, s.compressed) for s in signatures]
+
+
+def test_worker_pool_merged_sign_round_matches_direct_per_key():
+    """A merged sign round crosses the process boundary with its
+    per-lane tenant list: each tenant's lanes equal a direct
+    ``sign_many`` over them on a fresh store, checked out in the
+    round's first-arrival order."""
+    tenants = ["tenant-a", "tenant-b", "tenant-a", "tenant-c",
+               "tenant-b", "tenant-a"]
+    messages = [b"merged-mp-%d" % i for i in range(len(tenants))]
+    with ShardWorkerPool(shards=1, master_seed=36) as pool:
+        signed = pool.run_round(0, tenants, "sign", 8, messages)
+    store = ShardedKeyStore(shards=1, master_seed=36)
+    for tenant in dict.fromkeys(tenants):
+        lanes = [i for i, t in enumerate(tenants) if t == tenant]
+        direct = store.signer(tenant, 8).sign_many(
+            [messages[i] for i in lanes])
+        assert _bytes(signed[i] for i in lanes) == _bytes(direct)
+
+
+def test_worker_pool_poisoned_tenant_fails_only_its_own_lanes():
+    """The worker's first keystore claim fails (the plan arms the
+    worker's store), so the tenant checked out first in a merged round
+    gets the error on exactly its lanes; the other tenant's lanes sign
+    as a direct store under the same plan would sign them, and the
+    worker keeps serving."""
+    plan = FaultPlan(seed=3, fail_claim=1.0, max_per_site=1)
+    tenants = ["tenant-poison", "tenant-a", "tenant-poison", "tenant-a"]
+    messages = [b"poison-mp-%d" % i for i in range(len(tenants))]
+    with ShardWorkerPool(shards=1, master_seed=38,
+                         fault_plan=plan) as pool:
+        results = pool.run_round(0, tenants, "sign", 8, messages)
+        retry = pool.run_round(0, "tenant-poison", "sign", 8, [b"retry"])
+        assert pool.running
+    assert [type(r) for r in results[::2]] == [InjectedFault] * 2
+    store = ShardedKeyStore(shards=1, master_seed=38, fault_plan=plan)
+    with pytest.raises(InjectedFault):
+        store.signer("tenant-poison", 8)
+    direct = store.signer("tenant-a", 8).sign_many(messages[1::2])
+    assert _bytes(results[1::2]) == _bytes(direct)
+    assert _bytes(retry) == _bytes(
+        store.signer("tenant-poison", 8).sign_many([b"retry"]))
 
 
 def test_worker_pool_lifecycle_guards():
