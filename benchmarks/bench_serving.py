@@ -5,7 +5,8 @@ per-request loop over one flat key store; this benchmark measures what
 the coalescing front buys.  Rows per configuration:
 
 * **sync_loop** — the baseline: one ``sk.sign(message)`` per request,
-  sequentially (what a naive per-request server does);
+  sequentially (what a naive per-request server does); each is a
+  one-lane ``sign_many`` round;
 * **direct_sign_many** — the spine ceiling: all messages through one
   ``sign_many`` call (no coalescing overhead, no concurrency);
 * **service c=K / w=W** — the coalescing service: ``K`` concurrent
@@ -131,8 +132,8 @@ def _fresh_store(master_seed: int, n: int, tenants: int,
 
 def _sync_loop_rate(store: ShardedKeyStore, n: int,
                     messages: list[bytes], tenants: int) -> float:
-    """The pre-serving baseline: per-request ``sign()`` calls in a
-    synchronous loop, tenants served round-robin."""
+    """The pre-serving baseline: per-request ``sign()`` calls (one-lane
+    rounds) in a synchronous loop, tenants served round-robin."""
     signers = [store.signer(f"tenant-{t}", n) for t in range(tenants)]
     started = time.perf_counter()
     for i, message in enumerate(messages):

@@ -67,7 +67,7 @@ class BitslicedIntegerSampler(IntegerSampler):
     batch, which is the point).
 
     ``engine`` selects the word backend (``"bigint"``, ``"numpy"``,
-    ``"chunked"``, ``"auto"`` — the default, NumPy when installed):
+    ``"auto"`` — the default, NumPy when installed):
     engines are interchangeable without changing the sample stream.
     Every pool refill fuses ``DEFAULT_MAX_FUSED_BATCHES`` batches into
     one kernel pass (4096 lanes at the default width).  The refill size

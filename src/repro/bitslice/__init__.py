@@ -12,7 +12,6 @@ from .wordengine import (
     AUTO_ENGINE,
     HAVE_NUMPY,
     BigIntEngine,
-    ChunkedEngine,
     NumpyEngine,
     WordEngine,
     available_engines,
@@ -23,7 +22,6 @@ __all__ = [
     "AUTO_ENGINE",
     "BigIntEngine",
     "BitslicedKernel",
-    "ChunkedEngine",
     "HAVE_NUMPY",
     "KernelStats",
     "NumpyEngine",

@@ -11,9 +11,7 @@ as a single Python bigint.  This module abstracts that choice behind a
 * ``numpy``   — a NumPy ``uint64`` array of ``k = ceil(w / 64)`` chunks
   per variable, i.e. ``k x 64`` hardware lanes evaluated by vectorized
   bitwise instructions (the closest Python gets to the paper's AVX2
-  target); and
-* ``chunked`` — ``k`` parallel 64-bit Python integers, the pure-Python
-  stand-in for the NumPy layout when NumPy is absent.
+  target).  Without NumPy the name resolves to ``bigint``.
 
 All engines consume the **same PRNG byte stream** with the same
 byte-to-lane mapping (lane ``j`` of the batch is bit ``j``, LSB-first,
@@ -36,7 +34,7 @@ from .pack import lane_bit_matrix, unpack_lanes, unpack_lanes_array
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from .engine import BitslicedKernel
 
-try:  # NumPy is optional: the chunked engine fills in when it's absent.
+try:  # NumPy is optional: the bigint engine fills in when it's absent.
     import numpy as _np
 except ImportError:  # pragma: no cover - exercised in the no-numpy CI job
     _np = None
@@ -118,30 +116,6 @@ class WordEngine(ABC):
         return samples, discarded
 
 
-def _compact_chunks(chunk_iter, width: int) -> tuple[list[int], int]:
-    """Shared lane-selection loop over 64-bit chunk views.
-
-    ``chunk_iter`` yields ``(magnitude_chunks, valid_chunk, sign_chunk,
-    take)`` per 64-lane slice, all small integers — keeping the bit
-    shifts on machine-word operands makes compaction O(width * m) even
-    when the engine's full word is hundreds of kilobits wide.
-    """
-    samples: list[int] = []
-    discarded = 0
-    for magnitude_chunks, valid_chunk, sign_chunk, take in chunk_iter:
-        for lane in range(take):
-            if not (valid_chunk >> lane) & 1:
-                discarded += 1
-                continue
-            value = 0
-            for t, chunk in enumerate(magnitude_chunks):
-                value |= ((chunk >> lane) & 1) << t
-            if (sign_chunk >> lane) & 1:
-                value = -value
-            samples.append(value)
-    return samples, discarded
-
-
 class BigIntEngine(WordEngine):
     """One arbitrary-width Python integer per word (the original model).
 
@@ -171,91 +145,29 @@ class BigIntEngine(WordEngine):
                 sign_word: int, width: int) -> tuple[list[int], int]:
         # Serialize once, then walk byte-aligned 64-lane slices: lane
         # shifts stay on small ints instead of repeatedly shifting one
-        # width-bit bigint (quadratic for fused super-batches).
+        # width-bit bigint (quadratic for fused super-batches), which
+        # keeps compaction O(width * m) for hundreds-of-kilobit words.
         nbytes = ((width + 63) // 64) * 8
         as_bytes = [word.to_bytes(nbytes, "little")
                     for word in (*magnitude_words, valid_word, sign_word)]
-
-        def chunks():
-            for start in range(0, width, CHUNK_BITS):
-                offset = start // 8
-                view = [int.from_bytes(raw[offset:offset + 8], "little")
-                        for raw in as_bytes]
-                yield (view[:-2], view[-2], view[-1],
-                       min(CHUNK_BITS, width - start))
-
-        return _compact_chunks(chunks(), width)
-
-
-class ChunkedEngine(WordEngine):
-    """``k`` parallel 64-bit Python integers per word.
-
-    The pure-Python stand-in for the NumPy layout: the kernel runs once
-    per 64-lane chunk, exactly the loop a scalar C build of the paper's
-    bitsliced code would execute.  Lane ``64 c + j`` lives in bit ``j``
-    of chunk ``c``, matching :class:`NumpyEngine` bit-for-bit.
-    """
-
-    name = "chunked"
-    vectorized = True
-
-    @staticmethod
-    def _chunk_masks(width: int) -> list[int]:
-        masks = []
-        remaining = width
-        while remaining > 0:
-            take = min(CHUNK_BITS, remaining)
-            masks.append((1 << take) - 1)
-            remaining -= take
-        return masks
-
-    def draw_words(self, source: RandomSource, bits: int,
-                   count: int) -> list[tuple[int, ...]]:
-        nbytes = (bits + 7) // 8
-        raw = self.raw_block(source, bits, count)
-        masks = self._chunk_masks(bits)
-        words = []
-        for i in range(count):
-            value = int.from_bytes(raw[i * nbytes:(i + 1) * nbytes],
-                                   "little")
-            words.append(tuple(
-                (value >> (CHUNK_BITS * c)) & masks[c]
-                for c in range(len(masks))))
-        return words
-
-    def run_kernel(self, kernel: "BitslicedKernel",
-                   inputs: Sequence[tuple[int, ...]],
-                   width: int) -> tuple[tuple[int, ...], ...]:
-        masks = self._chunk_masks(width)
-        per_chunk: list[tuple[int, ...]] = []
-        for c, mask in enumerate(masks):
-            chunk_inputs = [word[c] for word in inputs]
-            per_chunk.append(kernel(chunk_inputs, mask))
-        # Transpose chunk-major results into per-output chunk tuples.
-        return tuple(tuple(chunks[t] for chunks in per_chunk)
-                     for t in range(len(per_chunk[0])))
-
-    def lane_mask(self, word: tuple[int, ...], width: int) -> int:
-        value = 0
-        for c, chunk in enumerate(word):
-            value |= chunk << (CHUNK_BITS * c)
-        return value & ((1 << width) - 1)
-
-    def unpack(self, words: Sequence[tuple[int, ...]],
-               width: int) -> list[int]:
-        return unpack_lanes([self.lane_mask(word, width)
-                             for word in words], width)
-
-    def compact(self, magnitude_words: Sequence[tuple[int, ...]],
-                valid_word: tuple[int, ...], sign_word: tuple[int, ...],
-                width: int) -> tuple[list[int], int]:
-        def chunks():
-            for c in range(len(valid_word)):
-                yield ([word[c] for word in magnitude_words],
-                       valid_word[c], sign_word[c],
-                       min(CHUNK_BITS, width - c * CHUNK_BITS))
-
-        return _compact_chunks(chunks(), width)
+        samples: list[int] = []
+        discarded = 0
+        for start in range(0, width, CHUNK_BITS):
+            offset = start // 8
+            *magnitude_chunks, valid_chunk, sign_chunk = [
+                int.from_bytes(raw[offset:offset + 8], "little")
+                for raw in as_bytes]
+            for lane in range(min(CHUNK_BITS, width - start)):
+                if not (valid_chunk >> lane) & 1:
+                    discarded += 1
+                    continue
+                value = 0
+                for t, chunk in enumerate(magnitude_chunks):
+                    value |= ((chunk >> lane) & 1) << t
+                if (sign_chunk >> lane) & 1:
+                    value = -value
+                samples.append(value)
+        return samples, discarded
 
 
 class NumpyEngine(WordEngine):
@@ -275,7 +187,7 @@ class NumpyEngine(WordEngine):
     def __init__(self) -> None:
         if _np is None:  # pragma: no cover - guarded by get_engine
             raise RuntimeError(
-                "NumPy is not installed; use the 'chunked' engine")
+                "NumPy is not installed; use the 'bigint' engine")
 
     @staticmethod
     def _num_chunks(width: int) -> int:
@@ -336,13 +248,12 @@ class NumpyEngine(WordEngine):
         return kept.tolist(), int(width - int(valid.sum()))
 
 
-#: Engine classes by registry name.  ``numpy`` silently degrades to the
-#: chunked layout when NumPy is unavailable (identical lane semantics,
-#: so sample streams do not change — only throughput does).
+#: Engine classes by registry name.  ``numpy`` silently degrades to
+#: ``bigint`` when NumPy is unavailable (identical lane semantics, so
+#: sample streams do not change — only throughput does).
 _ENGINE_CLASSES: dict[str, type[WordEngine]] = {
     "bigint": BigIntEngine,
-    "chunked": ChunkedEngine,
-    "numpy": NumpyEngine if HAVE_NUMPY else ChunkedEngine,
+    "numpy": NumpyEngine if HAVE_NUMPY else BigIntEngine,
 }
 
 #: Resolution of ``engine="auto"``: vectorized when NumPy is present.

@@ -205,10 +205,7 @@ def _cmd_falcon(args: argparse.Namespace) -> int:
                       if args.backend == "bitsliced" else {})
     sk.use_base_sampler(args.backend, **backend_kwargs)
     message = args.message.encode()
-    if args.spine == "legacy":
-        signature = sk.sign(message)
-    else:
-        signature = sk.sign_many([message], spine=args.spine)[0]
+    signature = sk.sign_many([message], spine=args.spine)[0]
     ok = sk.public_key.verify(message, signature)
     print(f"public key : {len(encode_public_key(sk.public_key))} bytes")
     print(f"signature  : {len(encode_signature(signature, sk.n))} bytes")
@@ -326,11 +323,6 @@ def _cmd_bench_serve(args: argparse.Namespace) -> int:
         label, rate, signatures = measure(
             f"sign_many[{spine}]",
             lambda chunk, s=spine: sk.sign_many(chunk, spine=s))
-        rows.append([label, f"{rate:,.1f}"])
-    if args.legacy_row:
-        label, rate, _ = measure(
-            "sign (one-by-one)",
-            lambda chunk: [sk.sign(m) for m in chunk])
         rows.append([label, f"{rate:,.1f}"])
 
     pk = sk.public_key
@@ -991,11 +983,9 @@ def build_parser() -> argparse.ArgumentParser:
                                    "cdt-bisection"])
     falcon_p.add_argument("--message", default="repro")
     falcon_p.add_argument(
-        "--spine", default="legacy",
-        choices=["legacy", "auto", "numpy", "scalar"],
-        help="numeric spine for signing: 'legacy' = the one-message "
-             "scalar path, others go through sign_many (all spines "
-             "produce identical signatures for a seed)")
+        "--spine", default="auto", choices=["auto", "numpy", "scalar"],
+        help="numeric spine for signing (all spines produce identical "
+             "signatures for a seed)")
     _add_prng_option(falcon_p)
     _add_engine_option(falcon_p)
     falcon_p.set_defaults(func=_cmd_falcon)
@@ -1108,8 +1098,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--spine", default="auto",
         choices=["auto", "numpy", "scalar"],
         help="'auto' benchmarks every available spine")
-    serve_p.add_argument("--legacy-row", action="store_true",
-                         help="also time the one-by-one sign() loop")
     serve_p.add_argument("--async", dest="async_rows",
                          action="store_true",
                          help="also time the asyncio coalescing "

@@ -10,8 +10,8 @@ How those words are represented is pluggable — see
 :mod:`repro.bitslice.wordengine`:
 
 * ``engine="bigint"``  — one Python bigint per word (default);
-* ``engine="numpy"``   — NumPy ``uint64`` chunk arrays, vectorized;
-* ``engine="chunked"`` — pure-Python 64-bit chunks (NumPy-free stand-in);
+* ``engine="numpy"``   — NumPy ``uint64`` chunk arrays, vectorized
+  (``bigint`` when NumPy is not installed);
 * ``engine="auto"``    — ``numpy`` when available, else ``bigint``.
 
 All engines consume the same PRNG byte stream with the same
@@ -69,8 +69,8 @@ MAX_FUSED_LANES = 8192
 #: peaks at moderate widths (wide enough to amortize array-op overhead,
 #: narrow enough that ``sample_many``'s fused passes stay cache-friendly
 #: — PR 1 showed w=1024 *regressing* to 0.90x there), while the
-#: Python-int engines keep gaining from wider words.
-BATCH_WIDTH_CALIBRATION = {"bigint": 512, "chunked": 512, "numpy": 256}
+#: bigint engine keeps gaining from wider words.
+BATCH_WIDTH_CALIBRATION = {"bigint": 512, "numpy": 256}
 
 
 def auto_batch_width(engine: str | WordEngine) -> int:

@@ -9,7 +9,7 @@ module boundaries.  Instead, secrecy enters a function three ways:
   to edit (keyed by bare name or ``Class.method`` qualname);
 * the ``secret_returning`` name set: a call whose callee's terminal
   name appears here returns a tainted value (``sampler.sample(...)``,
-  ``ff_sampling(...)``), which is how secrecy crosses function
+  ``ff_sampling_batch(...)``), which is how secrecy crosses function
   boundaries without whole-program analysis.
 
 ``declassifiers`` go the other way: calls that reduce a secret to a
@@ -60,7 +60,6 @@ class LintRegistry:
             "materialize_all",
             "less_than_bytes",
             # Falcon signing spine
-            "ff_sampling",
             "ff_sampling_batch",
             "sign_batch",
             "_attempt_lanes_scalar",

@@ -8,27 +8,24 @@ level), and sampling walks the tree, calling an integer Gaussian
 sampler ``D_{Z, sigma_leaf, c}`` at each of the ``2n`` leaves — the
 exact place the paper's constant-time base sampler gets exercised.
 
-Tree layout over ``R_n = R[x]/(x^n + 1)``:
+The tree over ``R_n = R[x]/(x^n + 1)`` is a :class:`FlatLdlTree`,
+stored level by level:
 
-* inner node (n >= 2): the LDL factor ``L10`` (FFT vector, length n)
-  plus two child trees over ``R_{n/2}`` built from the split of the
-  diagonal blocks;
-* leaf (n == 1): the two per-slot standard deviations
-  ``sigma / sqrt(d_ii)`` after normalization.
+* inner node (ring size m >= 2): the LDL factor ``L10`` (FFT vector,
+  length m); node ``j``'s children, over ``R_{m/2}`` and built from
+  the split of its diagonal blocks, sit at ``2j`` / ``2j + 1`` on the
+  next level (with NumPy a level's L10 factors are one contiguous
+  array);
+* leaf (m == 1): the per-slot ``L10`` scalar and the two standard
+  deviations ``sigma / sqrt(d_ii)`` handed to SamplerZ.
 
-Two representations coexist:
-
-* the **recursive node objects** above (:class:`LdlNode` /
-  :class:`LdlLeaf`) — the reference structure, and
-* a **flattened** :class:`FlatLdlTree`, which stores each level's L10
-  factors as one contiguous buffer (node ``j``'s children sit at
-  ``2j`` / ``2j + 1`` on the next level).  :func:`ff_sampling_batch`
-  walks the flat tree for a whole *batch* of targets at once, either
-  on NumPy real/imaginary planes (:func:`_walk_planes`) or on plain
-  per-lane Python lists (:func:`_walk_batch`).  Both walks execute
-  bit-identical IEEE operations and call the leaf sampler in the same
-  order, so scalar and vectorized signing produce identical signatures
-  for a fixed seed (the differential tests pin this).
+:func:`build_flat_ldl_tree` builds it, and :func:`ff_sampling_batch`
+walks it for a whole *batch* of targets at once, either on NumPy
+real/imaginary planes (:func:`_walk_planes`) or on plain per-lane
+Python lists (:func:`_walk_batch`).  Both walks execute bit-identical
+IEEE operations and call the leaf sampler in the same order, so scalar
+and vectorized signing produce identical signatures for a fixed seed
+(the differential tests pin this).
 
 Every key of one degree has the same tree shape, so one walk can also
 serve the lanes of several keys: each :class:`KeyGroup` names a tree, a
@@ -42,7 +39,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from math import prod
-from typing import Callable, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 from ..ctlint.annotations import secret_params
 from .fft import (
@@ -66,27 +63,6 @@ if HAVE_NUMPY:
 else:  # pragma: no cover - exercised in the no-numpy CI job
     _np = None
 
-#: Leaf sampler signature: (center, sigma) -> integer.
-SamplerZ = Callable[[float, float], int]
-
-
-@dataclass
-class LdlLeaf:
-    """Bottom of the tower: one complex slot, two sigmas."""
-
-    l10: complex
-    sigma0: float
-    sigma1: float
-
-
-@dataclass
-class LdlNode:
-    """Inner node: L-factor over R_n plus two half-size children."""
-
-    l10: list[complex]
-    child0: "LdlNode | LdlLeaf"
-    child1: "LdlNode | LdlLeaf"
-
 
 def _ldl_2x2(g00, g01, g11):
     """LDL* of a Hermitian 2x2 over the FFT slots.
@@ -102,75 +78,7 @@ def _ldl_2x2(g00, g01, g11):
     return l10, g00, d11
 
 
-def build_ldl_tree(g00: list[complex], g01: list[complex],
-                   g11: list[complex]) -> LdlNode | LdlLeaf:
-    """Recursive ffLDL* of the Gram matrix (given in FFT form).
-
-    Diagonal entries of D are real-positive in every slot (Gram of a
-    full-rank basis); their imaginary parts are numerical noise.
-    """
-    n = len(g00)
-    l10, d00, d11 = _ldl_2x2(g00, g01, g11)
-    if n == 1:
-        return LdlLeaf(l10=l10[0], sigma0=d00[0].real,
-                       sigma1=d11[0].real)
-    d00_even, d00_odd = split_fft(d00)
-    d11_even, d11_odd = split_fft(d11)
-    child0 = build_ldl_tree(d00_even, d00_odd, d00_even)
-    child1 = build_ldl_tree(d11_even, d11_odd, d11_even)
-    return LdlNode(l10=l10, child0=child0, child1=child1)
-
-
-def normalize_tree(tree: LdlNode | LdlLeaf, sigma: float) -> None:
-    """Replace leaf variances ``d`` by sigmas ``sigma / sqrt(d)``.
-
-    After this, every leaf holds the standard deviation handed to
-    SamplerZ (all in ``[sigma_min, SIGMA_MAX]`` for valid keys).
-    """
-    if isinstance(tree, LdlLeaf):
-        tree.sigma0 = sigma / (tree.sigma0 ** 0.5)
-        tree.sigma1 = sigma / (tree.sigma1 ** 0.5)
-        return
-    normalize_tree(tree.child0, sigma)
-    normalize_tree(tree.child1, sigma)
-
-
-def tree_leaf_sigmas(tree: LdlNode | LdlLeaf) -> list[float]:
-    """All leaf sigmas (diagnostics; Table 1 reports their range)."""
-    if isinstance(tree, LdlLeaf):
-        return [tree.sigma0, tree.sigma1]
-    return tree_leaf_sigmas(tree.child0) + tree_leaf_sigmas(tree.child1)
-
-
-@secret_params("t0", "t1")
-def ff_sampling(t0: list[complex], t1: list[complex],
-                tree: LdlNode | LdlLeaf,
-                sampler_z: SamplerZ) -> tuple[list[complex],
-                                              list[complex]]:
-    """Sample ``(z0, z1)`` integer-coefficient pair near ``(t0, t1)``.
-
-    The Ducas–Prest recursion: sample the second half first, adjust the
-    first half's target with the L-factor, recurse.  Returns FFT-domain
-    vectors whose inverse FFTs are (exactly) integer polynomials.
-    """
-    if isinstance(tree, LdlLeaf):
-        z1 = complex(sampler_z(t1[0].real, tree.sigma1))
-        adjusted = t0[0] + (t1[0] - z1) * tree.l10
-        z0 = complex(sampler_z(adjusted.real, tree.sigma0))
-        return [z0], [z1]
-
-    t1_even, t1_odd = split_fft(t1)
-    z1_even, z1_odd = ff_sampling(t1_even, t1_odd, tree.child1, sampler_z)
-    z1 = merge_fft(z1_even, z1_odd)
-
-    t0_adjusted = add_fft(t0, mul_fft(sub_fft(t1, z1), tree.l10))
-    t0_even, t0_odd = split_fft(t0_adjusted)
-    z0_even, z0_odd = ff_sampling(t0_even, t0_odd, tree.child0, sampler_z)
-    z0 = merge_fft(z0_even, z0_odd)
-    return z0, z1
-
-
-# -- flattened tree + batched walk -----------------------------------------
+# -- the flat tree + batched walk -----------------------------------------
 
 @dataclass
 class FlatLdlTree:
@@ -209,53 +117,50 @@ class FlatLdlTree:
         return self._scalar_levels
 
     def leaf_sigmas(self) -> list[float]:
-        """All leaf sigmas in leaf order (:func:`tree_leaf_sigmas`)."""
+        """All leaf sigmas in leaf order (Table 1 reports their range)."""
         out = []
         for s0, s1 in zip(self.leaf_sigma0, self.leaf_sigma1):
             out.extend((s0, s1))
         return out
 
 
-def flatten_ldl_tree(tree: LdlNode | LdlLeaf) -> FlatLdlTree:
-    """Flatten a (normalized) recursive tree into level-major buffers.
-
-    Pure value copying — the flat tree is exactly as precise as the
-    recursive one it came from.  Works without NumPy (levels stay
-    Python lists); with NumPy each level is packed into one array.
-    """
-    levels: list = []
-    frontier: list = [tree]
-    while not isinstance(frontier[0], LdlLeaf):
-        levels.append([node.l10 for node in frontier])
-        frontier = [child for node in frontier
-                    for child in (node.child0, node.child1)]
-    leaf_l10 = [leaf.l10 for leaf in frontier]
-    leaf_sigma0 = [leaf.sigma0 for leaf in frontier]
-    leaf_sigma1 = [leaf.sigma1 for leaf in frontier]
-    if _np is not None:
-        levels = [_np.array(level, dtype=_np.complex128)
-                  for level in levels]
-    return FlatLdlTree(n=len(leaf_l10), levels=levels,
-                       leaf_l10=leaf_l10, leaf_sigma0=leaf_sigma0,
-                       leaf_sigma1=leaf_sigma1)
+def _build_flat_ldl_tree_lists(g00, g01, g11,
+                               sigma: float) -> FlatLdlTree:
+    """:func:`build_flat_ldl_tree` without NumPy, over Python lists."""
+    grams = [(g00, g01, g11)]
+    levels = []
+    while True:
+        factors = [_ldl_2x2(*gram) for gram in grams]
+        if len(grams[0][0]) == 1:
+            break
+        levels.append([l10 for l10, _, _ in factors])
+        grams = [(even, odd, even) for _, d00, d11 in factors
+                 for even, odd in (split_fft(d00), split_fft(d11))]
+    return FlatLdlTree(
+        n=len(g00), levels=levels,
+        leaf_l10=[l10[0] for l10, _, _ in factors],
+        leaf_sigma0=[sigma / (d00[0].real ** 0.5) for _, d00, _ in factors],
+        leaf_sigma1=[sigma / (d11[0].real ** 0.5)
+                     for _, _, d11 in factors])
 
 
 def build_flat_ldl_tree(g00: Sequence[complex], g01: Sequence[complex],
                         g11: Sequence[complex],
                         sigma: float) -> FlatLdlTree:
-    """Vectorized ffLDL* + normalization, straight to flat storage.
+    """ffLDL* of the Gram matrix (FFT form) + normalization, flat.
 
-    Level-synchronous: all ``2^l`` nodes of a level factor in one array
-    pass.  Every elementwise operation matches the scalar
-    :func:`build_ldl_tree` / :func:`normalize_tree` pipeline bit for
-    bit (hand-rolled complex kernels, Python ``** 0.5`` for the leaf
-    sigmas), so the resulting tree is identical to flattening the
-    scalar one.
+    Level-synchronous: every node of a level takes :func:`_ldl_2x2`,
+    and its diagonal blocks ``d00`` / ``d11`` split into the Gram
+    matrices ``(even, odd, even)`` of child0 / child1 on the next
+    level.  At the leaves each variance ``d`` becomes the SamplerZ
+    sigma ``sigma / sqrt(d)`` (all in ``[sigma_min, SIGMA_MAX]`` for
+    valid keys).  With NumPy a level factors in one array pass
+    (hand-rolled complex kernels, Python ``** 0.5`` for the sigmas);
+    without it, node by node over lists.  Both bodies build
+    bit-identical trees (pinned by the tests).
     """
     if _np is None:
-        raise RuntimeError(
-            "NumPy is required for the vectorized tree build; "
-            "use flatten_ldl_tree(build_ldl_tree(...)) instead")
+        return _build_flat_ldl_tree_lists(g00, g01, g11, sigma)
     n = len(g00)
     G00 = _np.asarray(g00, dtype=_np.complex128).reshape(1, n)
     G01 = _np.asarray(g01, dtype=_np.complex128).reshape(1, n)
@@ -622,13 +527,13 @@ def ff_sampling_batch(t0, t1, tree: FlatLdlTree | None = None,
     vectorized spine, walked on real/imaginary planes by
     :func:`_walk_planes`) or lists of per-lane coefficient lists (the
     scalar spine); the result uses the same representation.  The walk
-    order is the scalar :func:`ff_sampling` recursion, and at each leaf
-    the lanes are sampled in batch order — both spines therefore issue
-    identical sampler calls, and a batch of one reproduces the scalar
-    recursion's stream exactly.
+    is the Ducas–Prest recursion, depth first: each node samples its
+    second half (child1) first, adjusts the first half's target with
+    ``L10``, then samples child0.  At each leaf the lanes are sampled
+    in batch order, so both spines issue identical sampler calls.
 
     ``sampler_z`` is either a plain ``(center, sigma) -> int`` callable
-    (lanes are then sampled one by one, the legacy order) or an object
+    (lanes are then sampled one by one, z1 then z0) or an object
     exposing ``sample``/``sample_lanes`` (e.g.
     :class:`~repro.falcon.samplerz.RejectionSamplerZ`), in which case
     each leaf bulk-draws one candidate round per pending lane — the

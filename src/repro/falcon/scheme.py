@@ -42,16 +42,9 @@ from ..ctlint.annotations import secret_params
 from .ffsampling import (
     FlatLdlTree,
     KeyGroup,
-    LdlLeaf,
-    LdlNode,
     _lane_rows,
     build_flat_ldl_tree,
-    build_ldl_tree,
-    ff_sampling,
     ff_sampling_batch,
-    flatten_ldl_tree,
-    normalize_tree,
-    tree_leaf_sigmas,
 )
 from .fft import (
     HAVE_NUMPY,
@@ -283,7 +276,8 @@ class PublicKey:
 
 
 class SecretKey:
-    """Signing key: the NTRU trapdoor plus the precomputed ffLDL tree."""
+    """Signing key: the NTRU trapdoor, its basis and Gram matrix in FFT
+    form, and (built on first use) the ffLDL* tree."""
 
     def __init__(self, keys: NtruKeys,
                  source: RandomSource | None = None,
@@ -299,8 +293,7 @@ class SecretKey:
         self._b10 = fft_of_int_poly(keys.G)
         self._b11 = neg_fft(fft_of_int_poly(keys.F))
 
-        # Gram = B B^dagger, then ffLDL* tree normalized to the
-        # signing sigma.
+        # Gram = B B^dagger, the input of the ffLDL* tree.
         g00 = add_fft(mul_fft(self._b00, adj_fft(self._b00)),
                       mul_fft(self._b01, adj_fft(self._b01)))
         g01 = add_fft(mul_fft(self._b00, adj_fft(self._b10)),
@@ -308,11 +301,9 @@ class SecretKey:
         g11 = add_fft(mul_fft(self._b10, adj_fft(self._b10)),
                       mul_fft(self._b11, adj_fft(self._b11)))
         self._gram = (g00, g01, g11)
-        self.tree: LdlNode | LdlLeaf = build_ldl_tree(g00, g01, g11)
-        normalize_tree(self.tree, self.params.sigma)
 
-        # Batch-signing caches, all derived deterministically from the
-        # key: built on first use.
+        # Signing caches, all derived deterministically from the key:
+        # built on first use.
         self._flat_tree: FlatLdlTree | None = None
         self._target_ffts: tuple[list[complex], list[complex]] | None \
             = None
@@ -377,64 +368,28 @@ class SecretKey:
                                            base_sigma=base_sigma)
 
     def leaf_sigma_range(self) -> tuple[float, float]:
-        sigmas = tree_leaf_sigmas(self.tree)
+        sigmas = self.flat_tree.leaf_sigmas()
         return min(sigmas), max(sigmas)
 
     # -- signing -----------------------------------------------------------
 
     def sign(self, message: bytes, max_attempts: int = 64) -> Signature:
-        """Sign ``message``: hash to a point, sample a close lattice
-        vector with ffSampling, compress s2; retry on the (rare) norm or
-        compression failures, as the reference implementation does."""
-        for _ in range(max_attempts):
-            self.signing_attempts += 1
-            salt = self.source.read_bytes(self.params.salt_bytes)
-            hashed = hash_to_point(message, salt, self.n)
+        """Sign ``message``: a one-lane :meth:`sign_many` round.
 
-            # Target t = (c, 0) B^{-1} = (-c F / q, c f / q) in FFT form.
-            c_fft = fft_of_int_poly(hashed)
-            t0 = [-(x * y) / Q for x, y in
-                  zip(c_fft, fft_of_int_poly(self.keys.F))]
-            t1 = [(x * y) / Q for x, y in
-                  zip(c_fft, fft_of_int_poly(self.keys.f))]
-
-            z0, z1 = ff_sampling(t0, t1, self.tree, self.sampler_z.sample)
-
-            # s = (t - z) B: short and congruent to (c, 0).
-            d0 = sub_fft(t0, z0)
-            d1 = sub_fft(t1, z1)
-            s1 = round_ifft(add_fft(mul_fft(d0, self._b00),
-                                    mul_fft(d1, self._b10)))
-            s2 = round_ifft(add_fft(mul_fft(d0, self._b01),
-                                    mul_fft(d1, self._b11)))
-
-            norm_sq = sum(c * c for c in s1) + sum(c * c for c in s2)
-            # ct: allow(secret-early-exit): norm-bound restart — signature rejection is a public event with a by-design public rate (the spec's retry loop)
-            if norm_sq > self.params.sig_bound:
-                continue
-            try:
-                compressed = compress(s2, self.params.sig_payload_bits)
-            except CompressError:
-                continue
-            return Signature(salt=salt, compressed=compressed)
-        raise RuntimeError(f"signing failed after {max_attempts} attempts")
-
-    # -- batch signing -----------------------------------------------------
+        Hash to a point, sample a close lattice vector with ffSampling,
+        compress s2; retry on the (rare) norm or compression failures,
+        as the reference implementation does.  Raises ``RuntimeError``
+        when ``max_attempts`` attempts all fail.
+        """
+        return self.sign_many([message], max_attempts=max_attempts)[0]
 
     @property
     def flat_tree(self) -> FlatLdlTree:
-        """The ffLDL* tree in flattened level-major storage (cached).
-
-        Built vectorized straight from the Gram matrix when NumPy is
-        present, else by flattening the recursive tree; both routes
-        yield bit-identical values (pinned by the tests).
-        """
+        """The ffLDL* tree normalized to the signing sigma, in flat
+        level-major storage (built on first use, then cached)."""
         if self._flat_tree is None:
-            if HAVE_NUMPY:
-                self._flat_tree = build_flat_ldl_tree(
-                    *self._gram, self.params.sigma)
-            else:
-                self._flat_tree = flatten_ldl_tree(self.tree)
+            self._flat_tree = build_flat_ldl_tree(*self._gram,
+                                                  self.params.sigma)
         return self._flat_tree
 
     def _resolve_spine(self, spine: str) -> str:
@@ -486,13 +441,12 @@ class SecretKey:
         are the keystream slabs (prefetched for the round's estimated
         demand) and the key/tree transforms (computed once per key).
         Lanes failing the norm or compression check retry in the next
-        round, like :meth:`sign` does.  This is :func:`sign_batch` with
-        every lane under this key.
+        round.  This is :func:`sign_batch` with every lane under this
+        key, and :meth:`sign` is its one-lane case.
 
         ``spine`` selects the numeric backend (``"numpy"``,
         ``"scalar"``, or ``"auto"``); both produce **identical
-        signature bytes** for a fixed seed, and a batch of one
-        reproduces :meth:`sign` exactly.
+        signature bytes** for a fixed seed.
         """
         return sign_batch([(self, message) for message in messages],
                           max_attempts=max_attempts, spine=spine)

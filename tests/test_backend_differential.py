@@ -2,13 +2,13 @@
 
 The word engines (:mod:`repro.bitslice.wordengine`) promise that
 switching backends changes throughput, never output: for the same PRNG
-seed, the bigint, chunked and NumPy engines must produce **identical**
+seed, the bigint and NumPy engines must produce **identical**
 samples, byte counts and lane masks.  These tests pin that contract
 across a sweep of sigma / precision / batch widths, including widths
 that are not multiples of 64 (partial chunks) nor of 8 (partial bytes).
 
-When NumPy is missing, ``engine="numpy"`` degrades to the chunked
-layout; the suite still runs and still demands bit-identity.
+When NumPy is missing, ``engine="numpy"`` degrades to the bigint
+engine; the suite still runs and still demands bit-identity.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from repro.core.sampler import BitslicedSampler
 from repro.rng import ChaChaSource, CounterSource
 
 #: Engines differentially compared against the bigint reference.
-OTHER_ENGINES = ["chunked", "numpy"]
+OTHER_ENGINES = ["numpy"]
 
 #: Widths covering whole chunks, partial chunks and partial bytes.
 WIDTHS = [8, 13, 33, 64, 100, 128, 256]
@@ -43,9 +43,10 @@ def _pair(sigma, precision, width, seed, engine, **kwargs):
 
 
 def test_engine_registry_roundtrip():
-    assert set(available_engines()) == {"bigint", "chunked", "numpy"}
-    for name in ("bigint", "chunked"):
-        assert get_engine(name).name == name
+    assert available_engines() == ["bigint", "numpy"]
+    assert get_engine("bigint").name == "bigint"
+    assert get_engine("numpy").name == ("numpy" if HAVE_NUMPY
+                                        else "bigint")
     auto = get_engine("auto")
     assert auto.name == ("numpy" if HAVE_NUMPY else "bigint")
     with pytest.raises(ValueError):
@@ -138,7 +139,7 @@ def test_read_words_matches_sequential_reads():
         assert bulk.read_words(bits, 10) == expected
 
 
-@pytest.mark.parametrize("engine", ["bigint", "chunked", "numpy"])
+@pytest.mark.parametrize("engine", ["bigint", "numpy"])
 def test_buffered_source_is_sample_transparent(engine):
     """Keystream buffering and PRNG vectorization never change the
     sample stream: every engine fed a buffered source reproduces the
@@ -163,8 +164,8 @@ def test_auto_batch_width_resolves_per_engine():
         sampler = BitslicedSampler(circuit, batch_width="auto",
                                    engine=engine)
         if engine == "numpy" and not HAVE_NUMPY:
-            # numpy degrades to the chunked layout; auto follows it.
-            expected = BATCH_WIDTH_CALIBRATION["chunked"]
+            # numpy degrades to bigint; auto follows it.
+            expected = BATCH_WIDTH_CALIBRATION["bigint"]
         assert sampler.batch_width == expected
         assert len(sampler.sample_many(2 * expected + 5)) == \
             2 * expected + 5

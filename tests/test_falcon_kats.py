@@ -23,6 +23,9 @@ FULL = REPRO_FULL
 
 KAT_FILES = sorted(KAT_DIR.glob("falcon_*.json"))
 
+#: The numeric spines installed here: both produce the pinned bytes.
+SPINES = ["scalar"] + (["numpy"] if HAVE_NUMPY else [])
+
 
 def _load(path):
     with open(path, encoding="utf-8") as handle:
@@ -55,16 +58,22 @@ def test_kat_key_generation(kat):
 
 @pytest.mark.parametrize("kat", _kats())
 def test_kat_sequential_sign(kat):
-    sk = _regenerate(kat)
-    for message_hex, expected in zip(kat["messages"],
-                                     kat["sign_sequential"]):
-        signature = sk.sign(bytes.fromhex(message_hex))
-        assert signature.salt.hex() == expected["salt"]
-        assert signature.compressed.hex() == expected["compressed"]
+    """One message at a time: ``sign`` (the auto spine) and a one-lane
+    ``sign_many`` round on each installed spine."""
+    signers = [SecretKey.sign] + [
+        lambda sk, message, spine=spine: sk.sign_many([message],
+                                                      spine=spine)[0]
+        for spine in SPINES]
+    for sign in signers:
+        sk = _regenerate(kat)
+        for message_hex, expected in zip(kat["messages"],
+                                         kat["sign_sequential"]):
+            signature = sign(sk, bytes.fromhex(message_hex))
+            assert signature.salt.hex() == expected["salt"]
+            assert signature.compressed.hex() == expected["compressed"]
 
 
-@pytest.mark.parametrize("spine", ["scalar"]
-                         + (["numpy"] if HAVE_NUMPY else []))
+@pytest.mark.parametrize("spine", SPINES)
 @pytest.mark.parametrize("kat", _kats())
 def test_kat_batch_sign(kat, spine):
     sk = _regenerate(kat)

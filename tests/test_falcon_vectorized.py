@@ -17,6 +17,12 @@ import random
 
 import pytest
 from _env_gate import REPRO_FULL
+from _ffldl_reference import (
+    ff_sampling,
+    flatten_ldl_tree,
+    reference_tree,
+    tree_leaf_sigmas,
+)
 
 # ``from .fft import fft`` rebinds the package attributes to the
 # functions, so the submodules are fetched through importlib.
@@ -28,13 +34,11 @@ from repro.falcon import (  # noqa: E402
     KeyGroup,
     SecretKey,
     build_flat_ldl_tree,
-    ff_sampling,
     ff_sampling_batch,
-    flatten_ldl_tree,
     hash_to_point,
     sign_batch,
-    tree_leaf_sigmas,
 )
+from repro.falcon.ffsampling import _build_flat_ldl_tree_lists  # noqa: E402
 from repro.falcon.samplerz import RejectionSamplerZ
 from repro.falcon.scheme import make_base_sampler
 from repro.rng import ChaChaSource
@@ -134,26 +138,32 @@ def _stub_sampler():
     return sample
 
 
+def _assert_trees_identical(tree, reference):
+    assert tree.n == reference.n and tree.depth == reference.depth
+    assert tree.scalar_levels() == reference.scalar_levels()
+    assert tree.leaf_l10 == reference.leaf_l10
+    assert tree.leaf_sigma0 == reference.leaf_sigma0
+    assert tree.leaf_sigma1 == reference.leaf_sigma1
+
+
 def test_flat_tree_matches_recursive():
+    """The key's tree, from whichever builder body this platform runs,
+    equals the flattened recursive reference bit for bit."""
     sk = SecretKey.generate(n=64, seed=21)
-    flat = flatten_ldl_tree(sk.tree)
-    assert flat.leaf_sigmas() == tree_leaf_sigmas(sk.tree)
-    assert sk.flat_tree.leaf_sigma0 == flat.leaf_sigma0
-    assert sk.flat_tree.leaf_sigma1 == flat.leaf_sigma1
-    assert sk.flat_tree.leaf_l10 == flat.leaf_l10
+    tree = reference_tree(sk)
+    flat = flatten_ldl_tree(tree)
+    assert flat.leaf_sigmas() == tree_leaf_sigmas(tree)
+    _assert_trees_identical(sk.flat_tree, flat)
 
 
 @numpy_only
-def test_vectorized_tree_build_bit_identical():
-    sk = SecretKey.generate(n=64, seed=22)
-    flat_scalar = flatten_ldl_tree(sk.tree)
-    flat_vector = build_flat_ldl_tree(*sk._gram, sk.params.sigma)
-    assert flat_vector.depth == flat_scalar.depth
-    for level_v, level_s in zip(flat_vector.levels, flat_scalar.levels):
-        assert np.array_equal(level_v, level_s)
-    assert flat_vector.leaf_l10 == flat_scalar.leaf_l10
-    assert flat_vector.leaf_sigma0 == flat_scalar.leaf_sigma0
-    assert flat_vector.leaf_sigma1 == flat_scalar.leaf_sigma1
+def test_vectorized_tree_build_bit_identical(served_key):
+    """The builder's NumPy body equals its pure-Python body."""
+    for sk in (SecretKey.generate(n=8, seed=22),
+               SecretKey.generate(n=64, seed=22), served_key):
+        _assert_trees_identical(
+            build_flat_ldl_tree(*sk._gram, sk.params.sigma),
+            _build_flat_ldl_tree_lists(*sk._gram, sk.params.sigma))
 
 
 def test_batched_walk_matches_legacy_recursion():
@@ -163,7 +173,7 @@ def test_batched_walk_matches_legacy_recursion():
           for _ in range(64)]
     t1 = [complex(rng.uniform(-2, 2), rng.uniform(-2, 2))
           for _ in range(64)]
-    z0_ref, z1_ref = ff_sampling(list(t0), list(t1), sk.tree,
+    z0_ref, z1_ref = ff_sampling(list(t0), list(t1), reference_tree(sk),
                                  _stub_sampler())
     z0, z1 = ff_sampling_batch([list(t0)], [list(t1)], sk.flat_tree,
                                _stub_sampler())
@@ -365,24 +375,6 @@ def _fresh(n, seed):
     return SecretKey.generate(n=n, seed=seed)
 
 
-@pytest.mark.parametrize("n", SIGN_SIZES)
-def test_sign_many_batch_of_one_reproduces_sign(n):
-    messages = [b"diff-%d" % i for i in range(3)]
-    legacy = _fresh(n, 31)
-    reference = [legacy.sign(m) for m in messages]
-    scalar = _fresh(n, 31)
-    via_batch = [scalar.sign_many([m], spine="scalar")[0]
-                 for m in messages]
-    assert [(s.salt, s.compressed) for s in via_batch] \
-        == [(s.salt, s.compressed) for s in reference]
-    if HAVE_NUMPY:
-        vector = _fresh(n, 31)
-        via_numpy = [vector.sign_many([m], spine="numpy")[0]
-                     for m in messages]
-        assert [(s.salt, s.compressed) for s in via_numpy] \
-            == [(s.salt, s.compressed) for s in reference]
-
-
 @numpy_only
 @pytest.mark.parametrize("n", SIGN_SIZES)
 def test_sign_many_spines_identical(n):
@@ -534,7 +526,7 @@ def test_cli_bench_serve_smoke(capsys):
     from repro.cli import main
 
     assert main(["bench-serve", "--n", "16", "--signs", "4",
-                 "--batch", "2", "--legacy-row"]) == 0
+                 "--batch", "2"]) == 0
     out = capsys.readouterr().out
     assert "serving throughput" in out
     assert "verify_many" in out

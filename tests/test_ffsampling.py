@@ -1,18 +1,15 @@
-"""Tests for ffLDL trees and fast Fourier sampling."""
+"""Tests for the ffLDL* tree and fast Fourier sampling."""
 
 import math
 import random
 
 from repro.falcon import (
     SIGMA_MAX,
-    build_ldl_tree,
+    build_flat_ldl_tree,
     falcon_params,
-    ff_sampling,
+    ff_sampling_batch,
     ifft,
-    normalize_tree,
-    tree_leaf_sigmas,
 )
-from repro.falcon.ffsampling import LdlLeaf, LdlNode
 from repro.falcon.fft import add_fft, adj_fft, fft, mul_fft, neg_fft
 from repro.falcon.ntrugen import generate_keys
 from repro.rng import ChaChaSource
@@ -29,47 +26,42 @@ def _gram_from_keys(keys):
     return g00, g01, g11
 
 
+def _tree(n, seed):
+    keys = generate_keys(n, source=ChaChaSource(seed))
+    return keys, build_flat_ldl_tree(*_gram_from_keys(keys),
+                                     falcon_params(n).sigma)
+
+
 def test_tree_shape_and_leaf_count():
-    keys = generate_keys(32, source=ChaChaSource(1))
-    tree = build_ldl_tree(*_gram_from_keys(keys))
-
-    def depth_and_leaves(node):
-        if isinstance(node, LdlLeaf):
-            return 1, 2
-        d0, l0 = depth_and_leaves(node.child0)
-        d1, l1 = depth_and_leaves(node.child1)
-        assert d0 == d1
-        return d0 + 1, l0 + l1
-
-    depth, leaves = depth_and_leaves(tree)
-    assert depth == 6  # log2(32) + 1
-    assert leaves == 2 * 32  # one SamplerZ call per leaf sigma
+    _, tree = _tree(32, 1)
+    assert tree.n == 32
+    assert tree.depth == 5  # log2(32) levels of inner nodes
+    for level, rows in enumerate(tree.scalar_levels()):
+        assert len(rows) == 2 ** level  # node j's children: 2j, 2j + 1
+        assert all(len(row) == 32 >> level for row in rows)
+    assert len(tree.leaf_l10) == 32
+    assert len(tree.leaf_sigmas()) == 2 * 32  # one SamplerZ call each
 
 
 def test_leaf_variances_positive():
-    keys = generate_keys(32, source=ChaChaSource(2))
-    tree = build_ldl_tree(*_gram_from_keys(keys))
-    for variance in tree_leaf_sigmas(tree):
-        assert variance > 0
+    """A negative leaf variance would make its sigma complex."""
+    _, tree = _tree(32, 2)
+    for sigma in tree.leaf_sigmas():
+        assert isinstance(sigma, float) and sigma > 0
 
 
 def test_normalized_leaf_sigmas_in_falcon_range():
     n = 64
-    keys = generate_keys(n, source=ChaChaSource(3))
     params = falcon_params(n)
-    tree = build_ldl_tree(*_gram_from_keys(keys))
-    normalize_tree(tree, params.sigma)
-    sigmas = tree_leaf_sigmas(tree)
+    _, tree = _tree(n, 3)
+    sigmas = tree.leaf_sigmas()
     assert all(0.8 * params.sigma_min < s <= SIGMA_MAX * 1.01
                for s in sigmas), (min(sigmas), max(sigmas))
 
 
 def test_ffsampling_outputs_integer_vectors():
     n = 32
-    keys = generate_keys(n, source=ChaChaSource(4))
-    params = falcon_params(n)
-    tree = build_ldl_tree(*_gram_from_keys(keys))
-    normalize_tree(tree, params.sigma)
+    _, tree = _tree(n, 4)
 
     rng = random.Random(5)
     t0 = fft([rng.uniform(-50, 50) for _ in range(n)])
@@ -81,8 +73,9 @@ def test_ffsampling_outputs_integer_vectors():
         calls.append((center, sigma))
         return round(center)  # deterministic Babai rounding
 
-    z0, z1 = ff_sampling(t0, t1, tree, sampler_z)
+    (z0,), (z1,) = ff_sampling_batch([t0], [t1], tree, sampler_z)
     assert len(calls) == 2 * n
+    assert sorted(sigma for _, sigma in calls) == sorted(tree.leaf_sigmas())
     for vector in (z0, z1):
         coeffs = ifft(vector)
         for c in coeffs:
@@ -93,11 +86,8 @@ def test_ffsampling_result_is_close_to_target():
     """With a Gaussian leaf sampler, (t - z) B must be short: its norm
     concentrates around sigma * sqrt(2n)."""
     n = 64
-    keys = generate_keys(n, source=ChaChaSource(6))
     params = falcon_params(n)
-    g00, g01, g11 = _gram_from_keys(keys)
-    tree = build_ldl_tree(g00, g01, g11)
-    normalize_tree(tree, params.sigma)
+    keys, tree = _tree(n, 6)
 
     from repro.falcon import RejectionSamplerZ
     from repro.falcon.scheme import make_base_sampler
@@ -108,7 +98,7 @@ def test_ffsampling_result_is_close_to_target():
     rng = random.Random(9)
     t0 = fft([rng.uniform(-100, 100) for _ in range(n)])
     t1 = fft([rng.uniform(-100, 100) for _ in range(n)])
-    z0, z1 = ff_sampling(t0, t1, tree, samp.sample)
+    (z0,), (z1,) = ff_sampling_batch([t0], [t1], tree, samp)
 
     b00 = fft([float(c) for c in keys.g])
     b01 = neg_fft(fft([float(c) for c in keys.f]))
@@ -124,7 +114,10 @@ def test_ffsampling_result_is_close_to_target():
 
 
 def test_tree_nodes_have_expected_types():
-    keys = generate_keys(16, source=ChaChaSource(10))
-    tree = build_ldl_tree(*_gram_from_keys(keys))
-    assert isinstance(tree, LdlNode)
-    assert len(tree.l10) == 16
+    _, tree = _tree(16, 10)
+    (root,) = tree.scalar_levels()[0]
+    assert len(root) == 16
+    assert all(isinstance(x, complex) for x in root)
+    assert all(isinstance(x, complex) for x in tree.leaf_l10)
+    assert all(isinstance(s, float) for s in tree.leaf_sigma0
+               + tree.leaf_sigma1)

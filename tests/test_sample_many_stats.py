@@ -21,9 +21,8 @@ from repro.rng import ChaChaSource
 
 DRAWS = 200_000
 
-#: Both ends of the engine spectrum.  When NumPy is absent AUTO_ENGINE
-#: is "bigint"; the chunked engine then covers the vector layout.
-ENGINES = sorted({"bigint", AUTO_ENGINE} | {"chunked"})
+#: Both engines.  When NumPy is absent AUTO_ENGINE is "bigint" too.
+ENGINES = sorted({"bigint", AUTO_ENGINE})
 
 PARAMS = GaussianParams.from_sigma(2, 32)
 

@@ -129,7 +129,7 @@ def test_invalid_prefetch_and_fusion_rejected():
 
 # -- constant-time regression: engines must share one operation trace ----
 
-ENGINES = ("bigint", "chunked", "numpy")
+ENGINES = ("bigint", "numpy")
 
 
 def test_word_ops_identical_across_engines():
