@@ -1,13 +1,12 @@
-"""Backend scaling — word engines x batch widths x batch API.
+"""Backend scaling — batch widths x PRNGs x batch API.
 
-The tentpole claim of the word-engine refactor: evaluating the same
-straight-line kernel over wider words (bigint) or vectorized ``uint64``
-lanes (NumPy), and fusing batches into super-batches via
-``sample_many``, multiplies throughput without touching the circuit —
-the software analogue of the paper's "as fast as the hardware allows"
-SIMD argument (Sec. 3.2, Table 2).
+Evaluating the same straight-line kernel over wider Python-int words,
+and fusing batches into super-batches via ``sample_many``, multiplies
+throughput without touching the circuit — the software analogue of the
+paper's "as fast as the hardware allows" SIMD argument (Sec. 3.2,
+Table 2).
 
-For every engine and batch width this sweep measures
+For every PRNG and batch width this sweep measures
 
 * ``sample_batch``-loop throughput (the per-batch demo the repo used
   to be), and
@@ -32,7 +31,7 @@ import sys
 import time
 
 from repro.analysis import format_table
-from repro.bitslice import AUTO_ENGINE, HAVE_NUMPY, available_engines
+from repro.bitslice import HAVE_NUMPY
 from repro.core import GaussianParams, compile_sampler_circuit
 from repro.core.sampler import BitslicedSampler
 from repro.rng import ChaChaSource, CounterSource
@@ -43,7 +42,7 @@ from _report import REPORT_DIR, drain_buffer, full_or, \
 JSON_NAME = "BENCH_backend_scaling.json"
 
 DEFAULT_SAMPLES = 65_536
-DEFAULT_WIDTHS = (64, 256, 1024, "auto")
+DEFAULT_WIDTHS = (64, 256, 1024)
 SIGMA = 2
 
 #: The PRNG axis: ChaCha20 is the paper's production choice but costs
@@ -54,10 +53,10 @@ SIGMA = 2
 PRNGS = {"chacha20": ChaChaSource, "counter": CounterSource}
 
 
-def _throughput_batch_loop(circuit, engine: str, prng, width,
+def _throughput_batch_loop(circuit, prng, width: int,
                            samples: int) -> float:
     sampler = BitslicedSampler(circuit, source=prng(31),
-                               batch_width=width, engine=engine)
+                               batch_width=width)
     sampler.sample_batch()  # warm-up (compiled kernel caches, PRNG)
     drain_buffer(sampler.source.inner)
     produced = 0
@@ -68,11 +67,11 @@ def _throughput_batch_loop(circuit, engine: str, prng, width,
     return produced / elapsed
 
 
-def _throughput_sample_many(circuit, engine: str, prng, width,
-                            samples: int) -> tuple[float, int, float]:
-    """Returns (samples/s, resolved width, PRNG share of wall time)."""
+def _throughput_sample_many(circuit, prng, width: int,
+                            samples: int) -> tuple[float, float]:
+    """Returns (samples/s, PRNG share of wall time)."""
     sampler = BitslicedSampler(circuit, source=prng(31),
-                               batch_width=width, engine=engine)
+                               batch_width=width)
     sampler.sample_many(sampler.batch_width)  # warm-up
     drain_buffer(sampler.source.inner)  # measure steady-state PRNG cost
     sampler.source.reset_count()
@@ -81,7 +80,7 @@ def _throughput_sample_many(circuit, engine: str, prng, width,
     elapsed = time.perf_counter() - started
     share = prng_share_percent(lambda: prng(31),
                                sampler.source.bytes_read, elapsed)
-    return samples / elapsed, sampler.batch_width, share
+    return samples / elapsed, share
 
 
 def run_sweep(samples: int = DEFAULT_SAMPLES,
@@ -90,34 +89,27 @@ def run_sweep(samples: int = DEFAULT_SAMPLES,
     precision = precision if precision is not None else full_or(32, 64)
     params = GaussianParams.from_sigma(SIGMA, precision)
     circuit = compile_sampler_circuit(params)
-    engines = [name for name in available_engines()
-               if not (name == "numpy" and not HAVE_NUMPY)]
     results = []
     for prng_name, prng in PRNGS.items():
-        for engine in engines:
-            for width in widths:
-                batch_sps = _throughput_batch_loop(
-                    circuit, engine, prng, width, samples)
-                many_sps, resolved, prng_share = _throughput_sample_many(
-                    circuit, engine, prng, width, samples)
-                results.append({
-                    "prng": prng_name,
-                    "engine": engine,
-                    "batch_width": resolved,
-                    "auto_width": width == "auto",
-                    "samples": samples,
-                    "sample_batch_sps": round(batch_sps, 1),
-                    "sample_many_sps": round(many_sps, 1),
-                    "sample_many_speedup": round(many_sps / batch_sps,
-                                                 3),
-                    "prng_share_percent": round(prng_share, 1),
-                })
+        for width in widths:
+            batch_sps = _throughput_batch_loop(circuit, prng, width,
+                                               samples)
+            many_sps, prng_share = _throughput_sample_many(
+                circuit, prng, width, samples)
+            results.append({
+                "prng": prng_name,
+                "batch_width": width,
+                "samples": samples,
+                "sample_batch_sps": round(batch_sps, 1),
+                "sample_many_sps": round(many_sps, 1),
+                "sample_many_speedup": round(many_sps / batch_sps, 3),
+                "prng_share_percent": round(prng_share, 1),
+            })
     return {
         "benchmark": "backend_scaling",
         "sigma": SIGMA,
         "precision": precision,
         "word_ops_per_batch": circuit.gate_count()["total"],
-        "auto_engine": AUTO_ENGINE,
         "python": platform.python_version(),
         "have_numpy": HAVE_NUMPY,
         "results": results,
@@ -127,22 +119,20 @@ def run_sweep(samples: int = DEFAULT_SAMPLES,
 def render_report(payload: dict) -> str:
     rows = []
     for row in payload["results"]:
-        width = (f"auto({row['batch_width']})" if row["auto_width"]
-                 else row["batch_width"])
-        rows.append([row["prng"], row["engine"], width,
+        rows.append([row["prng"], row["batch_width"],
                      f"{row['sample_batch_sps']:,.0f}",
                      f"{row['sample_many_sps']:,.0f}",
                      f"{row['sample_many_speedup']:.2f}x",
                      f"{row['prng_share_percent']:.0f}%"])
     return format_table(
-        ["prng", "engine", "batch width w", "sample_batch loop (s/s)",
+        ["prng", "batch width w", "sample_batch loop (s/s)",
          "sample_many (s/s)", "bulk speedup", "prng share"],
         rows,
         title=f"Backend scaling, sigma = {payload['sigma']}, "
               f"n = {payload['precision']}, "
               f"{payload['results'][0]['samples']:,} samples "
-              f"(auto engine: {payload['auto_engine']}; counter rows "
-              f"isolate kernel scaling from PRNG cost)")
+              f"(NumPy lane transpose: {payload['have_numpy']}; "
+              f"counter rows isolate kernel scaling from PRNG cost)")
 
 
 def write_json(payload: dict) -> None:
@@ -159,21 +149,17 @@ def test_backend_scaling_report(benchmark):
     write_json(payload)
     report("backend_scaling", render_report(payload))
     # Acceptance: with PRNG cost out of the way, the bulk path beats
-    # the per-batch loop on every engine at the paper's width.
+    # the per-batch loop at the paper's width.
     at_64 = [row for row in payload["results"]
              if row["batch_width"] == 64 and row["prng"] == "counter"]
     assert at_64 and all(row["sample_many_speedup"] > 1.0
                          for row in at_64)
 
 
-def _width_arg(text: str):
-    return text if text == "auto" else int(text)
-
-
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--samples", type=int, default=DEFAULT_SAMPLES)
-    parser.add_argument("--widths", type=_width_arg, nargs="+",
+    parser.add_argument("--widths", type=int, nargs="+",
                         default=list(DEFAULT_WIDTHS))
     parser.add_argument("--precision", type=int, default=None)
     parser.add_argument("--no-json", action="store_true",

@@ -5,7 +5,7 @@ pseudorandom number generation with Keccak, dropping to ~60% with
 ChaCha, and suggests AES-NI as a further improvement.  PR 1's
 measurements made the same point brutally for the reproduction: the
 pure-Python ChaCha block function ate >90% of ``sample_many`` wall
-time, capping the NumPy word engine 15x below its counter-PRNG
+time, capping the vectorized sampler 15x below its counter-PRNG
 ceiling.  This bench reproduces the breakdown three ways:
 
 * **modeled**: sampler logic cycles (gate count) vs PRNG cycles
@@ -13,8 +13,8 @@ ceiling.  This bench reproduces the breakdown three ways:
 * **keystream**: raw bulk throughput of every PRNG configuration —
   scalar vs vectorized ChaCha20/12/8, SHAKE128/256, the SplitMix64
   counter — which is what the buffered sources amortize against; and
-* **end-to-end**: ``sample_many`` throughput on the auto engine per
-  PRNG, with the measured share of wall time spent generating
+* **end-to-end**: ``sample_many`` throughput at the paper's batch width
+  per PRNG, with the measured share of wall time spent generating
   randomness (regenerating the consumed byte count source-side).
 
 Results go to the text report and to
@@ -34,9 +34,9 @@ import time
 import pytest
 
 from repro.analysis import format_table
-from repro.bitslice import AUTO_ENGINE
 from repro.core import BitslicedSampler, GaussianParams, \
     compile_sampler_circuit
+from repro.core.sampler import DEFAULT_BATCH_WIDTH
 from repro.ct import PRNG_CYCLES_PER_BYTE
 from repro.rng import HAVE_VECTOR_CHACHA, ChaChaSource, CounterSource, \
     ShakeSource
@@ -99,9 +99,10 @@ def _keystream_mbps(factory, seconds: float, chunk: int = 16384) -> float:
 
 
 def _end_to_end(circuit, factory, samples: int) -> dict:
-    """sample_many wall time + the PRNG share of it, auto engine."""
+    """sample_many wall time + the PRNG share of it, at the paper's
+    batch width (the one every Falcon signer's base sampler runs)."""
     sampler = BitslicedSampler(circuit, source=factory(),
-                               batch_width="auto", engine=AUTO_ENGINE)
+                               batch_width=DEFAULT_BATCH_WIDTH)
     sampler.sample_many(sampler.batch_width)  # warm
     drain_buffer(sampler.source.inner)  # steady-state timing
     sampler.source.reset_count()
@@ -151,7 +152,6 @@ def run_sweep(samples: int | None = None,
         "sigma": 2,
         "precision": precision,
         "samples": samples,
-        "engine": AUTO_ENGINE,
         "have_vector_chacha": HAVE_VECTOR_CHACHA,
         "python": platform.python_version(),
         "keystream_mbps": keystream,
@@ -182,10 +182,10 @@ def render_report(payload: dict) -> str:
                      row["batch_width"],
                      f"{row['prng_share_percent']:.0f}%"])
     end_to_end = format_table(
-        ["PRNG", "sample_many (s/s)", "auto width w", "prng share"],
+        ["PRNG", "sample_many (s/s)", "batch width w", "prng share"],
         rows,
-        title=f"End-to-end sampling, engine={payload['engine']}, "
-              f"{payload['samples']:,} samples (share = wall time to "
+        title=f"End-to-end sampling, {payload['samples']:,} samples "
+              "(share = wall time to "
               "regenerate the consumed bytes)")
 
     rows = []

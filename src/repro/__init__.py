@@ -8,9 +8,9 @@ Quick start::
     import repro
 
     # The paper's sampler: sigma, n -> bitsliced constant-time sampler.
-    # engine="auto" vectorizes over NumPy uint64 lanes when available;
-    # every engine produces the same samples for the same seed.
-    sampler = repro.compile_sampler(sigma=2, precision=64, engine="auto")
+    # Words are Python ints; a seed gives the same samples with or
+    # without NumPy (which only speeds up the lane transpose).
+    sampler = repro.compile_sampler(sigma=2, precision=64)
     values = sampler.sample_many(1000)   # super-batched kernel passes
 
     # The Falcon case study (Table 1):
@@ -23,7 +23,7 @@ Subpackages
 -----------
 ``repro.core``       Knuth-Yao machinery, the Fig. 4 compiler, samplers.
 ``repro.boolfunc``   Cube algebra, QMC/espresso minimizers, DAGs, Eqn 2.
-``repro.bitslice``   Compiled kernels, lane packing, word engines.
+``repro.bitslice``   Compiled kernels, lane packing, Python-int words.
 ``repro.baselines``  CDT samplers (Table 1) and convolution extension.
 ``repro.falcon``     The complete Falcon signature scheme.
 ``repro.ct``         Op-count cycle model and the dudect leakage test.

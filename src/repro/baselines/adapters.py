@@ -9,7 +9,6 @@ dudect leakage experiment and the benchmark tables.
 
 from __future__ import annotations
 
-from ..bitslice.wordengine import WordEngine
 from ..core.gaussian import GaussianParams
 from ..core.knuth_yao import knuth_yao_walk
 from ..core.sampler import DEFAULT_MAX_FUSED_BATCHES, BitslicedSampler
@@ -66,15 +65,12 @@ class BitslicedIntegerSampler(IntegerSampler):
     amortization is left to the consumer (the traces are constant per
     batch, which is the point).
 
-    ``engine`` selects the word backend (``"bigint"``, ``"numpy"``,
-    ``"auto"`` — the default, NumPy when installed):
-    engines are interchangeable without changing the sample stream.
     Every pool refill fuses ``DEFAULT_MAX_FUSED_BATCHES`` batches into
     one kernel pass (4096 lanes at the default width).  The refill size
     sets how the PRNG stream is carved into lanes, so it is a constant
-    of the signing byte contract: it never varies with the engine, and
-    a seed yields the same samples with or without NumPy.  This is the
-    pool Falcon's ``RejectionSamplerZ`` draws from when signing.
+    of the signing byte contract: a seed yields the same samples with
+    or without NumPy.  This is the pool Falcon's ``RejectionSamplerZ``
+    draws from when signing.
     """
 
     name = "bitsliced"
@@ -83,13 +79,11 @@ class BitslicedIntegerSampler(IntegerSampler):
     def __init__(self, params: GaussianParams,
                  source: RandomSource | None = None,
                  batch_width: int = 64,
-                 engine: str | WordEngine = "auto",
                  **compile_kwargs) -> None:
         super().__init__(source)
         self.inner = BitslicedSampler.compile(
             params, source=self.source, batch_width=batch_width,
-            engine=engine, prefetch_batches=DEFAULT_MAX_FUSED_BATCHES,
-            **compile_kwargs)
+            prefetch_batches=DEFAULT_MAX_FUSED_BATCHES, **compile_kwargs)
         self._buffer: list[int] = []
 
     def _refill(self) -> list[int]:

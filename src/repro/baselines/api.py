@@ -51,8 +51,8 @@ def make_sampler(name: str, params, source: RandomSource | None = None,
     """Instantiate a registered backend.
 
     ``kwargs`` are forwarded to the backend constructor — e.g.
-    ``make_sampler("bitsliced", params, engine="numpy")`` selects the
-    vectorized word engine.
+    ``make_sampler("bitsliced", params, batch_width=128)`` sets the
+    bitsliced sampler's lanes per batch.
     """
     try:
         cls = SAMPLER_BACKENDS[name]

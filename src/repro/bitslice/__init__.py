@@ -1,4 +1,4 @@
-"""Bitsliced evaluation: compiled kernels, lane packing, word engines."""
+"""Bitsliced evaluation: compiled kernels, lane packing, Python-int words."""
 
 from .engine import BitslicedKernel, KernelStats
 from .pack import (
@@ -6,31 +6,23 @@ from .pack import (
     lanes_where,
     pack_lane_bits,
     unpack_lanes,
-    unpack_lanes_array,
 )
 from .wordengine import (
-    AUTO_ENGINE,
     HAVE_NUMPY,
     BigIntEngine,
-    NumpyEngine,
-    WordEngine,
-    available_engines,
-    get_engine,
+    compact_numpy,
+    compact_python,
 )
 
 __all__ = [
-    "AUTO_ENGINE",
     "BigIntEngine",
     "BitslicedKernel",
     "HAVE_NUMPY",
     "KernelStats",
-    "NumpyEngine",
-    "WordEngine",
-    "available_engines",
-    "get_engine",
+    "compact_numpy",
+    "compact_python",
     "lane_bit_matrix",
     "lanes_where",
     "pack_lane_bits",
     "unpack_lanes",
-    "unpack_lanes_array",
 ]

@@ -80,10 +80,9 @@ class BitslicedKernel:
         construction.
 
         The generated source uses only ``& | ^ ~``, so any word type
-        with those operators works: Python bigints with a bigint mask
-        (the classic backend) or NumPy ``uint64`` arrays with a
-        ``uint64`` all-ones mask (the vectorized backend).  The word
-        engines in :mod:`repro.bitslice.wordengine` pick the pairing.
+        with those operators works; the sampler passes Python ints
+        with the all-ones ``width``-bit mask
+        (:mod:`repro.bitslice.wordengine`).
         """
         if len(inputs) < self._num_inputs:
             raise ValueError(

@@ -59,38 +59,23 @@ def unpack_lanes(words: Sequence[int], width: int) -> list[int]:
     return values
 
 
-def lane_bit_matrix(words, width: int):
-    """Array transpose: ``(len(words), width)`` 0/1 matrix of lane bits.
+def lane_bit_matrix(words: Sequence[int], width: int):
+    """NumPy transpose: ``(len(words), width)`` 0/1 matrix of lane bits.
 
-    ``words`` is a sequence of NumPy ``uint64`` chunk arrays (the
-    :class:`~repro.bitslice.wordengine.NumpyEngine` word layout); row
-    ``t``, column ``j`` of the result is bit ``j`` of word ``t``.  One
-    vectorized ``np.unpackbits`` replaces the per-lane bit twiddling of
-    :func:`unpack_lanes` — this is the "overhead of packing and
-    unpacking bits" amortized across all lanes at once.
+    Row ``t``, column ``j`` of the result is bit ``j`` of ``words[t]``.
+    One ``np.unpackbits`` over the words' little-endian bytes replaces
+    the per-lane bit twiddling of :func:`unpack_lanes` — this is the
+    "overhead of packing and unpacking bits" amortized across all lanes
+    at once.  Requires NumPy and words below ``2**width``.
     """
     import numpy as np
 
-    stacked = np.vstack([word.reshape(1, -1) for word in words])
-    as_bytes = stacked.astype("<u8").view(np.uint8)
-    bits = np.unpackbits(as_bytes, axis=1, bitorder="little")
-    return bits[:, :width]
-
-
-def unpack_lanes_array(words, width: int):
-    """Vectorized :func:`unpack_lanes` for NumPy chunk-array words.
-
-    Returns an ``int64`` array of ``width`` per-lane values, where
-    ``words[t]`` carries output bit ``t`` of every lane.
-    """
-    import numpy as np
-
-    if not len(words):
-        return np.zeros(width, dtype=np.int64)
-    bits = lane_bit_matrix(words, width)
-    weights = np.left_shift(np.int64(1),
-                            np.arange(len(words), dtype=np.int64))
-    return weights @ bits.astype(np.int64)
+    nbytes = (width + 7) // 8
+    raw = b"".join(word.to_bytes(nbytes, "little") for word in words)
+    as_bytes = np.frombuffer(raw, dtype=np.uint8).reshape(len(words),
+                                                          nbytes)
+    return np.unpackbits(as_bytes, axis=1, count=width,
+                         bitorder="little")
 
 
 def lanes_where(mask_word: int, width: int) -> list[int]:

@@ -19,8 +19,6 @@ Subcommands
 ``falcon``       keygen/sign/verify round trip with a chosen backend.
 ``keygen``       fill a generate-ahead key store (optionally persisted
                  to disk, optionally over a worker pool).
-``bench-keygen`` key-generation throughput: scalar vs vectorized
-                 keygen spines.
 ``bench-serve``  batch-signing throughput: ``sign_many`` over the
                  vectorized numeric spine vs the scalar paths, plus
                  batch verification; ``--keystore`` serves the signing
@@ -39,24 +37,11 @@ import sys
 
 from .analysis import format_table
 from .baselines import available_backends, make_sampler
-from .bitslice import available_engines
 from .boolfunc import to_c_source, to_python_source
 from .core import GaussianParams, compile_sampler, compile_sampler_circuit
+from .core.sampler import DEFAULT_BATCH_WIDTH
 from .ct import audit_batch_sampler, audit_sampler
 from .rng import available_sources, make_source
-
-#: Word-engine choices shared by every subcommand that samples.
-_ENGINE_CHOICES = ["auto"] + available_engines()
-
-
-def _add_engine_option(parser: argparse.ArgumentParser,
-                       default: str = "auto") -> None:
-    parser.add_argument(
-        "--engine", default=default, choices=_ENGINE_CHOICES,
-        help="word backend for the bitsliced sampler (auto = numpy "
-             "when available, else bigint; all choices produce the "
-             "same samples)")
-
 
 def _add_prng_option(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
@@ -66,11 +51,13 @@ def _add_prng_option(parser: argparse.ArgumentParser) -> None:
              "counters when NumPy is available)")
 
 
-def _batch_width(text: str) -> int | str:
-    """--batch-width parser: a positive int or 'auto' (calibrated)."""
-    if text == "auto":
-        return text
-    return int(text)
+def _positive_int(text: str) -> int:
+    """argparse type: an integer of at least 1."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(
+            f"must be a positive integer, got {value}")
+    return value
 
 
 def _cmd_compile(args: argparse.Namespace) -> int:
@@ -107,8 +94,7 @@ def _cmd_compile(args: argparse.Namespace) -> int:
 def _cmd_sample(args: argparse.Namespace) -> int:
     sampler = compile_sampler(args.sigma, args.precision,
                               source=make_source(args.prng, args.seed),
-                              batch_width=args.batch_width,
-                              engine=args.engine)
+                              batch_width=args.batch_width)
     values = sampler.sample_many(args.count)
     # ct: allow(vartime-str): printing the requested samples IS this command's output — nothing here feeds a signing path
     print(" ".join(str(v) for v in values))
@@ -116,13 +102,21 @@ def _cmd_sample(args: argparse.Namespace) -> int:
 
 
 def _cmd_audit(args: argparse.Namespace) -> int:
+    # The Welch test needs two measurements per class: 4 calls, and on
+    # the bitsliced backend a call is a whole batch.
+    bitsliced = args.backend == "bitsliced"
+    minimum = 4 * DEFAULT_BATCH_WIDTH if bitsliced else 4
+    if args.calls < minimum:
+        print(f"error: --calls must be at least {minimum} for the "
+              f"{args.backend} backend", file=sys.stderr)
+        return 2
     params = GaussianParams.from_sigma(args.sigma, args.precision)
-    if args.backend == "bitsliced":
+    if bitsliced:
         sampler = compile_sampler(args.sigma, args.precision,
                                   source=make_source(args.prng,
-                                                     args.seed),
-                                  engine=args.engine)
-        report = audit_batch_sampler(sampler, batches=args.calls // 64)
+                                                     args.seed))
+        report = audit_batch_sampler(
+            sampler, batches=args.calls // DEFAULT_BATCH_WIDTH)
     else:
         sampler = make_sampler(args.backend, params,
                                source=make_source(args.prng, args.seed))
@@ -136,7 +130,7 @@ def _cmd_ct_leakage(args: argparse.Namespace) -> int:
 
     report = leakage_audit(profile=args.profile, seed=args.seed,
                            targets=args.target or None,
-                           engine=args.engine, margin=args.margin)
+                           margin=args.margin)
     if args.json:
         with open(args.json, "w", encoding="utf-8") as handle:
             handle.write(report.to_json() + "\n")
@@ -201,9 +195,7 @@ def _cmd_falcon(args: argparse.Namespace) -> int:
 
     print(f"generating Falcon-{args.n} keys (seed {args.seed}) ...")
     sk = SecretKey.generate(n=args.n, seed=args.seed, prng=args.prng)
-    backend_kwargs = ({"engine": args.engine}
-                      if args.backend == "bitsliced" else {})
-    sk.use_base_sampler(args.backend, **backend_kwargs)
+    sk.use_base_sampler(args.backend)
     message = args.message.encode()
     signature = sk.sign_many([message], spine=args.spine)[0]
     ok = sk.public_key.verify(message, signature)
@@ -247,35 +239,6 @@ def _cmd_keygen(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_bench_keygen(args: argparse.Namespace) -> int:
-    import time
-
-    from .falcon import HAVE_NUMPY
-    from .falcon.ntrugen import generate_keys
-    from .rng import make_source
-
-    spines = ["scalar"] + (["numpy"] if HAVE_NUMPY else [])
-    if args.spine != "auto":
-        spines = [args.spine]
-    rows = []
-    rates = {}
-    for spine in spines:
-        started = time.perf_counter()
-        for seed in range(args.seed, args.seed + args.keys):
-            generate_keys(args.n, source=make_source(args.prng, seed),
-                          spine=spine)
-        rates[spine] = args.keys / (time.perf_counter() - started)
-        rows.append([f"generate_keys[{spine}]", f"{rates[spine]:,.2f}"])
-    if "numpy" in rates and "scalar" in rates:
-        rows.append(["numpy / scalar",
-                     f"{rates['numpy'] / rates['scalar']:.2f}x"])
-    print(format_table(
-        ["path", "keys/s"], rows,
-        title=f"Falcon-{args.n} key-generation throughput "
-              f"({args.keys} keys per row)"))
-    return 0
-
-
 def _cmd_bench_serve(args: argparse.Namespace) -> int:
     import time
 
@@ -297,9 +260,7 @@ def _cmd_bench_serve(args: argparse.Namespace) -> int:
         print(f"generating Falcon-{args.n} keys (seed {args.seed}) ...")
         sk = SecretKey.generate(n=args.n, seed=args.seed,
                                 prng=args.prng)
-    backend_kwargs = ({"engine": args.engine}
-                      if args.backend == "bitsliced" else {})
-    sk.use_base_sampler(args.backend, **backend_kwargs)
+    sk.use_base_sampler(args.backend)
     print(f"keygen     : {time.perf_counter() - started:.2f}s")
 
     messages = [f"serve-{i}".encode() for i in range(args.signs)]
@@ -907,11 +868,10 @@ def build_parser() -> argparse.ArgumentParser:
     sample_p.add_argument("--count", type=int, default=16)
     sample_p.add_argument("--seed", type=int, default=0)
     sample_p.add_argument(
-        "--batch-width", type=_batch_width, default=64,
-        help="lanes per kernel batch; 'auto' picks the calibrated "
-             "width for the chosen engine")
+        "--batch-width", type=_positive_int, default=DEFAULT_BATCH_WIDTH,
+        help="lanes per kernel batch (part of the sample stream: a "
+             "seed reproduces its samples only at the same width)")
     _add_prng_option(sample_p)
-    _add_engine_option(sample_p)
     sample_p.set_defaults(func=_cmd_sample)
 
     audit_p = sub.add_parser("audit", help="dudect leakage audit")
@@ -922,7 +882,6 @@ def build_parser() -> argparse.ArgumentParser:
     audit_p.add_argument("--calls", type=int, default=4000)
     audit_p.add_argument("--seed", type=int, default=0)
     _add_prng_option(audit_p)
-    _add_engine_option(audit_p)
     audit_p.set_defaults(func=_cmd_audit)
 
     leakage_p = sub.add_parser(
@@ -944,7 +903,6 @@ def build_parser() -> argparse.ArgumentParser:
                                 "null maximum before flagging")
     leakage_p.add_argument("--json", metavar="PATH",
                            help="also write the full report as JSON")
-    _add_engine_option(leakage_p)
     leakage_p.set_defaults(func=_cmd_ct_leakage)
 
     ctlint_p = sub.add_parser(
@@ -987,7 +945,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="numeric spine for signing (all spines produce identical "
              "signatures for a seed)")
     _add_prng_option(falcon_p)
-    _add_engine_option(falcon_p)
     falcon_p.set_defaults(func=_cmd_falcon)
 
     keygen_p = sub.add_parser(
@@ -1011,19 +968,6 @@ def build_parser() -> argparse.ArgumentParser:
              "for a seed)")
     _add_prng_option(keygen_p)
     keygen_p.set_defaults(func=_cmd_keygen)
-
-    bench_keygen_p = sub.add_parser(
-        "bench-keygen",
-        help="key-generation throughput, scalar vs vectorized spine")
-    bench_keygen_p.add_argument("--n", type=int, default=256)
-    bench_keygen_p.add_argument("--keys", type=int, default=8,
-                                help="keys per measured row")
-    bench_keygen_p.add_argument("--seed", type=int, default=1)
-    bench_keygen_p.add_argument(
-        "--spine", default="auto", choices=["auto", "numpy", "scalar"],
-        help="'auto' benchmarks every available spine")
-    _add_prng_option(bench_keygen_p)
-    bench_keygen_p.set_defaults(func=_cmd_bench_keygen)
 
     ledger_p = sub.add_parser(
         "ledger",
@@ -1114,7 +1058,6 @@ def build_parser() -> argparse.ArgumentParser:
     serve_p.add_argument("--max-wait", type=float, default=0.002,
                          help="coalescing batch window in seconds")
     _add_prng_option(serve_p)
-    _add_engine_option(serve_p)
     serve_p.set_defaults(func=_cmd_bench_serve)
 
     run_p = sub.add_parser(

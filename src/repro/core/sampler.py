@@ -6,18 +6,11 @@ Runtime counterpart of :mod:`repro.core.compiler`: wraps a compiled
 words of PRNG output, ``w`` samples per invocation (Sec. 3.2 of the
 paper; ``w = 64`` on the paper's target, arbitrary here).
 
-How those words are represented is pluggable — see
-:mod:`repro.bitslice.wordengine`:
-
-* ``engine="bigint"``  — one Python bigint per word (default);
-* ``engine="numpy"``   — NumPy ``uint64`` chunk arrays, vectorized
-  (``bigint`` when NumPy is not installed);
-* ``engine="auto"``    — ``numpy`` when available, else ``bigint``.
-
-All engines consume the same PRNG byte stream with the same
-byte-to-lane mapping, so their sample streams are **bit-identical**
-(pinned by the differential tests) — switching engines changes
-throughput, never output.
+A word is one Python int (:mod:`repro.bitslice.wordengine`).  Turning
+output words back into per-lane samples takes one NumPy transpose when
+NumPy is installed and a pure-Python compaction otherwise; both yield
+the same samples, so a seed gives one sample stream on every platform
+(pinned by the differential tests).
 
 Per batch the sampler consumes exactly ``n + 1`` random words — ``n``
 bits plus a sign bit per lane — regardless of the values produced, and
@@ -32,12 +25,11 @@ known batch fill rate leaks.
 
 For bulk work, :meth:`BitslicedSampler.sample_many` fuses several
 batches into one *super-batch*: a single kernel pass over
-``f * batch_width`` lanes, which amortizes Python call overhead (and,
-on the NumPy engine, turns every gate into one vectorized instruction
-over the whole block).  :meth:`BitslicedSampler.stream` exposes the
-same machinery as an endless iterator that refills across
-super-batches — the prefetched pool Falcon's ``RejectionSamplerZ``
-draws from.
+``f * batch_width`` lanes, which amortizes Python call overhead (every
+gate is one bitwise operation over the whole block).
+:meth:`BitslicedSampler.stream` exposes the same machinery as an
+endless iterator that refills across super-batches — the prefetched
+pool Falcon's ``RejectionSamplerZ`` draws from.
 """
 
 from __future__ import annotations
@@ -45,7 +37,8 @@ from __future__ import annotations
 from typing import Iterator
 
 from ..bitslice.engine import shared_kernel
-from ..bitslice.wordengine import WordEngine, get_engine
+from ..bitslice.pack import unpack_lanes
+from ..bitslice.wordengine import BigIntEngine
 from ..rng.source import CountingSource, RandomSource, default_source
 from .compiler import SamplerCircuit, compile_sampler_circuit
 from .gaussian import GaussianParams
@@ -55,33 +48,13 @@ DEFAULT_BATCH_WIDTH = 64
 
 #: Largest number of batches :meth:`BitslicedSampler.sample_many` fuses
 #: into one kernel pass.  64 batches of 64 lanes = 4096 lanes per pass:
-#: wide enough to amortize interpreter overhead on every engine, small
-#: enough to keep working-set memory trivial.
+#: wide enough to amortize interpreter overhead, small enough to keep
+#: working-set memory trivial.
 DEFAULT_MAX_FUSED_BATCHES = 64
 
 #: Lane ceiling for one fused pass regardless of batch width, so wide
 #: user-chosen widths don't fuse into multi-hundred-kilobit words.
 MAX_FUSED_LANES = 8192
-
-#: Measured sweet-spot batch width per word engine, used by
-#: ``batch_width="auto"``.  Calibrated from
-#: ``benchmarks/reports/BENCH_backend_scaling.json``: the NumPy engine
-#: peaks at moderate widths (wide enough to amortize array-op overhead,
-#: narrow enough that ``sample_many``'s fused passes stay cache-friendly
-#: — PR 1 showed w=1024 *regressing* to 0.90x there), while the
-#: bigint engine keeps gaining from wider words.
-BATCH_WIDTH_CALIBRATION = {"bigint": 512, "numpy": 256}
-
-
-def auto_batch_width(engine: str | WordEngine) -> int:
-    """The calibrated batch width for ``engine`` (see table above).
-
-    ``engine`` is resolved through :func:`get_engine`, so selector
-    strings (``"auto"``, ``None``) work and typos raise instead of
-    silently falling back to the default width.
-    """
-    return BATCH_WIDTH_CALIBRATION.get(get_engine(engine).name,
-                                       DEFAULT_BATCH_WIDTH)
 
 
 class BitslicedSampler:
@@ -98,25 +71,17 @@ class BitslicedSampler:
 
     def __init__(self, circuit: SamplerCircuit,
                  source: RandomSource | None = None,
-                 batch_width: int | str = DEFAULT_BATCH_WIDTH,
-                 engine: str | WordEngine = "bigint",
+                 batch_width: int = DEFAULT_BATCH_WIDTH,
                  prefetch_batches: int = 1,
                  max_fused_batches: int = DEFAULT_MAX_FUSED_BATCHES,
                  ) -> None:
-        self.engine = get_engine(engine)
-        if batch_width == "auto":
-            # Engine-calibrated width.  Note the lane mapping (hence the
-            # exact sample stream for a given seed) depends on the
-            # width, so "auto" trades cross-engine stream identity for
-            # throughput; pin an explicit width to reproduce streams.
-            batch_width = auto_batch_width(self.engine)
         if not isinstance(batch_width, int) or batch_width < 1:
-            raise ValueError("batch width must be a positive int "
-                             "or 'auto'")
+            raise ValueError("batch width must be a positive int")
         if prefetch_batches < 1:
             raise ValueError("prefetch_batches must be positive")
         if max_fused_batches < 1:
             raise ValueError("max_fused_batches must be positive")
+        self.engine = BigIntEngine()
         self.circuit = circuit
         self.kernel = shared_kernel(circuit.roots)
         self.source = CountingSource(
@@ -131,15 +96,14 @@ class BitslicedSampler:
     @classmethod
     def compile(cls, params: GaussianParams,
                 source: RandomSource | None = None,
-                batch_width: int | str = DEFAULT_BATCH_WIDTH,
-                engine: str | WordEngine = "bigint",
+                batch_width: int = DEFAULT_BATCH_WIDTH,
                 prefetch_batches: int = 1,
                 max_fused_batches: int = DEFAULT_MAX_FUSED_BATCHES,
                 **compile_kwargs) -> "BitslicedSampler":
         """One-call build: parameters -> circuit -> executable sampler."""
         circuit = compile_sampler_circuit(params, **compile_kwargs)
         return cls(circuit, source=source, batch_width=batch_width,
-                   engine=engine, prefetch_batches=prefetch_batches,
+                   prefetch_batches=prefetch_batches,
                    max_fused_batches=max_fused_batches)
 
     # -- cost model -------------------------------------------------------
@@ -148,9 +112,7 @@ class BitslicedSampler:
     def word_ops_per_batch(self) -> int:
         """Bitwise instructions per batch (the Table 2 cycle proxy).
 
-        A static property of the compiled circuit, identical for every
-        word engine: engines change how a word instruction is carried
-        out, never how many there are.
+        A static property of the compiled circuit.
         """
         return self.kernel.stats.word_ops
 
@@ -168,13 +130,13 @@ class BitslicedSampler:
 
     # -- kernel plumbing --------------------------------------------------
 
-    def _kernel_pass(self, width: int) -> tuple[tuple, object, object]:
+    def _kernel_pass(self, width: int) -> tuple[tuple[int, ...], int, int]:
         """One straight-line kernel pass over ``width`` lanes.
 
         Draws the ``n`` input words plus the sign word in a single bulk
         PRNG read (byte-identical to sequential draws), evaluates the
         kernel, and returns ``(magnitude_words, valid_word, sign_word)``
-        still in the engine's word representation.
+        as ``width``-bit ints.
         """
         n = self.circuit.num_input_bits
         needed = max(self.kernel.num_inputs, n)
@@ -189,26 +151,18 @@ class BitslicedSampler:
         """Run one kernel batch; return (magnitudes, valid_mask, signs).
 
         ``magnitudes[j]`` is lane ``j``'s magnitude (garbage when the
-        lane is invalid), ``valid_mask``/``signs`` are lane bitmasks
-        (plain Python ints, whatever the engine).
+        lane is invalid), ``valid_mask``/``signs`` are lane bitmasks.
         """
         width = self.batch_width
         magnitude_words, valid_word, sign_word = self._kernel_pass(width)
-        magnitudes = self.engine.unpack(magnitude_words, width)
-        valid_mask = self.engine.lane_mask(valid_word, width)
-        signs = self.engine.lane_mask(sign_word, width)
+        mask = (1 << width) - 1
         self.batches_run += 1
-        return magnitudes, valid_mask, signs
+        return (unpack_lanes(magnitude_words, width), valid_word & mask,
+                sign_word & mask)
 
     def sample_batch(self) -> list[int]:
         """Signed samples from one batch, invalid lanes compacted away."""
-        width = self.batch_width
-        magnitude_words, valid_word, sign_word = self._kernel_pass(width)
-        samples, discarded = self.engine.compact(
-            magnitude_words, valid_word, sign_word, width)
-        self.batches_run += 1
-        self.samples_discarded += discarded
-        return samples
+        return self._sample_block(1)
 
     def _sample_block(self, num_batches: int) -> list[int]:
         """``num_batches`` fused into one kernel pass (a super-batch).
@@ -236,35 +190,16 @@ class BitslicedSampler:
         """
         # ct: allow(secret-loop): refill cadence is the public batch fill rate — every batch costs the same fixed kernel pass regardless of the values produced
         while not self._buffer:
-            if self.prefetch_batches > 1:
-                self._buffer = self._sample_block(self.prefetch_batches)
-            else:
-                self._buffer = self.sample_batch()
+            self._buffer = self._sample_block(self.prefetch_batches)
         return self._buffer.pop()
-
-    def prefill(self, count: int) -> None:
-        """Top the :meth:`sample` buffer up to ``count`` samples.
-
-        Generation happens now, in ``prefetch_batches``-sized fused
-        passes — exactly the chunks lazy refills would use, prepended
-        in generation order — so the :meth:`sample` stream is
-        *unchanged*; a serving loop just pays the kernel cost up front
-        instead of mid-request.
-        """
-        while len(self._buffer) < count:
-            if self.prefetch_batches > 1:
-                block = self._sample_block(self.prefetch_batches)
-            else:
-                block = self.sample_batch()
-            self._buffer = block + self._buffer
 
     def sample_many(self, count: int) -> list[int]:
         """Exactly ``count`` signed samples, drawn in super-batches.
 
         Batches are fused up to ``max_fused_batches`` at a time, sized
         to the remaining need.  The fusion schedule depends only on
-        ``count`` and the (engine-independent) sample stream, so
-        ``sample_many`` is also bit-identical across engines.
+        ``count`` and the sample stream, so ``sample_many`` is also
+        bit-identical with and without NumPy.
         """
         if count <= 0:
             return []
@@ -294,9 +229,8 @@ class BitslicedSampler:
 
 def compile_sampler(sigma: float, precision: int,
                     source: RandomSource | None = None,
-                    batch_width: int | str = DEFAULT_BATCH_WIDTH,
+                    batch_width: int = DEFAULT_BATCH_WIDTH,
                     tail_cut: int = 13,
-                    engine: str | WordEngine = "bigint",
                     prefetch_batches: int = 1,
                     max_fused_batches: int = DEFAULT_MAX_FUSED_BATCHES,
                     **compile_kwargs) -> BitslicedSampler:
@@ -304,18 +238,13 @@ def compile_sampler(sigma: float, precision: int,
 
     This is the library's main entry point::
 
-        sampler = compile_sampler(sigma=2, precision=64, engine="auto")
+        sampler = compile_sampler(sigma=2, precision=64)
         values = sampler.sample_many(1000)
-
-    ``engine`` selects the word backend (see
-    :mod:`repro.bitslice.wordengine`); every choice produces the same
-    sample stream for the same seed.
     """
     params = GaussianParams.from_sigma(sigma, precision,
                                        tail_cut=tail_cut)
     return BitslicedSampler.compile(params, source=source,
                                     batch_width=batch_width,
-                                    engine=engine,
                                     prefetch_batches=prefetch_batches,
                                     max_fused_batches=max_fused_batches,
                                     **compile_kwargs)

@@ -374,7 +374,6 @@ def probe_trace_set(traces: TraceSet, folds: int = 3,
 
 def audit(profile: str = "quick", seed: int = 0,
           targets: Sequence[str] | None = None,
-          engine: str = "auto",
           margin: float = DEFAULT_MARGIN) -> LeakageAuditReport:
     """Capture traces from every audited layer and probe them all.
 
@@ -412,13 +411,12 @@ def audit(profile: str = "quick", seed: int = 0,
 
     if want("batched-sampler"):
         batch_sampler = compile_sampler(
-            2, 16, source=make_source("chacha20", seed + 11),
-            engine=engine)
+            2, 16, source=make_source("chacha20", seed + 11))
         captures["batched-sampler"] = batch_sampler_traces(
             batch_sampler, batches=sizing["batches"])
     if want("samplerz"):
         captures["samplerz"] = samplerz_traces(
-            calls=sizing["calls"], seed=seed + 23, engine=engine)
+            calls=sizing["calls"], seed=seed + 23)
     if want("ffsampling"):
         captures["ffsampling"] = ffsampling_traces(
             n=64, rounds=sizing["ffsampling_rounds"], lanes=4,

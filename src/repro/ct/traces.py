@@ -172,7 +172,6 @@ def batch_sampler_traces(batch_sampler, batches: int,
 
 
 def samplerz_traces(calls: int, seed: int = 0, sigma: float = 1.5,
-                    engine: str = "auto",
                     prng: str = "chacha20") -> TraceSet:
     """Per-call traces from :class:`RejectionSamplerZ` over the
     batched bitsliced base — Falcon's leaf sampler in isolation.
@@ -191,7 +190,7 @@ def samplerz_traces(calls: int, seed: int = 0, sigma: float = 1.5,
 
     base = BitslicedIntegerSampler(
         GaussianParams.from_sigma(2, 16),
-        source=make_source(prng, seed), engine=engine)
+        source=make_source(prng, seed))
     sampler_z = RejectionSamplerZ(
         base, uniform_source=make_source(prng, seed + 1))
     traces = TraceSet("samplerz", OP_FEATURES)

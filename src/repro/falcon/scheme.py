@@ -118,7 +118,7 @@ def make_base_sampler(backend: str, source: RandomSource | None = None,
     ``field`` selects the paper's sigma = 2 (``"binary"``) or
     sigma = sqrt(5) (``"ternary"``) base instance.  ``backend_kwargs``
     flow to the backend constructor — for ``"bitsliced"`` that includes
-    ``engine`` (word backend; every engine yields the same samples).
+    ``batch_width`` (lanes per batch; part of the sample stream).
     """
     if backend not in BASE_SAMPLER_BACKENDS:
         raise ValueError(
@@ -353,8 +353,7 @@ class SecretKey:
         sigma above the leaf sigmas, so signatures stay valid.
         ``backend_kwargs`` reach the backend constructor.  The default
         ``"bitsliced"`` backend already signs from a pooled sample
-        buffer refilled by fused 4096-lane kernel passes, on NumPy
-        when it is installed.
+        buffer refilled by fused 4096-lane kernel passes.
         """
         import math
 

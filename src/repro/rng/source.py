@@ -63,9 +63,9 @@ class RandomSource(ABC):
         One bulk draw of ``count * ceil(bits / 8)`` bytes.  Word ``i``
         occupies bytes ``[i * ceil(bits / 8), (i + 1) * ceil(bits / 8))``
         little-endian, so slicing the block reproduces ``count``
-        sequential :meth:`read_word` calls byte-for-byte — the word
-        engines rely on this to stay bit-identical while amortizing the
-        per-call PRNG overhead across a whole batch.
+        sequential :meth:`read_word` calls byte-for-byte, so bulk
+        readers amortize the per-call PRNG overhead across a whole batch
+        without changing the stream.
         """
         return self.read_bytes(count * ((bits + 7) // 8))
 
@@ -97,7 +97,7 @@ class RandomSource(ABC):
         Same stream consumption and word values as :meth:`read_words`
         (one ``read_word_block`` underneath), but the bytes go straight
         into a ``uint64`` array via ``frombuffer`` — no Python-int
-        round-trips, so bulk consumers (the word engines, the batched
+        round-trips, so bulk consumers (the CDT table scans, the batched
         acceptance uniforms) stay on the vectorized fast path.
         Requires NumPy and ``bits <= 64``.
         """

@@ -100,18 +100,35 @@ def test_ct_leakage_command(capsys, tmp_path):
     assert set(decoded["targets"]) == {"serving-rounds"}
 
 
-def test_sample_prng_and_auto_width(capsys):
+def test_sample_prng_and_explicit_width(capsys):
     assert main(["sample", "--count", "12", "--seed", "2",
                  "--precision", "16", "--prng", "chacha8",
-                 "--batch-width", "auto"]) == 0
+                 "--batch-width", "256"]) == 0
     chacha8 = capsys.readouterr().out.split()
     assert len(chacha8) == 12
     assert main(["sample", "--count", "12", "--seed", "2",
                  "--precision", "16", "--prng", "shake256",
-                 "--batch-width", "auto"]) == 0
+                 "--batch-width", "256"]) == 0
     shake = capsys.readouterr().out.split()
     assert len(shake) == 12
     assert chacha8 != shake  # different PRNGs, different streams
+
+
+@pytest.mark.parametrize("width", ["0", "-8", "auto", "wide"])
+def test_sample_rejects_bad_batch_width(capsys, width):
+    with pytest.raises(SystemExit) as exit_info:
+        main(["sample", "--batch-width", width])
+    assert exit_info.value.code == 2
+    assert "--batch-width" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("backend,calls", [("bitsliced", "255"),
+                                           ("cdt-binary", "3")])
+def test_audit_rejects_too_few_calls(capsys, backend, calls):
+    assert main(["audit", "--backend", backend, "--calls", calls]) == 2
+    err = capsys.readouterr().err
+    assert "--calls must be at least" in err
+    assert len(err.strip().splitlines()) == 1
 
 
 def test_falcon_command_prng_choice(capsys):
@@ -143,13 +160,6 @@ def test_keygen_command_spine_choice(capsys):
     assert main(["keygen", "--n", "8", "--count", "1",
                  "--spine", "scalar"]) == 0
     assert "scalar" in capsys.readouterr().out
-
-
-def test_bench_keygen_command(capsys):
-    assert main(["bench-keygen", "--n", "8", "--keys", "2"]) == 0
-    out = capsys.readouterr().out
-    assert "generate_keys[scalar]" in out
-    assert "keys/s" in out
 
 
 def test_bench_serve_from_keystore(capsys, tmp_path):

@@ -113,39 +113,7 @@ def test_as_dict():
         "rng_bytes": 5}
 
 
-# -- cross-engine trace parity through the IntegerSampler interface ------
-
-def _bitsliced_trace(engine, draws):
-    from repro.baselines import BitslicedIntegerSampler
-    from repro.core.gaussian import GaussianParams
-    from repro.core.sampler import DEFAULT_MAX_FUSED_BATCHES
-    from repro.rng import ChaChaSource
-
-    sampler = BitslicedIntegerSampler(
-        GaussianParams.from_sigma(2, 16), source=ChaChaSource(12),
-        engine=engine)
-    values = sampler.sample_many(draws)
-    # The pooled bulk path: one refill yields at most 64 x 64 samples,
-    # so this take() crosses at least one refill boundary.
-    values += sampler.take(2 * DEFAULT_MAX_FUSED_BATCHES * 64)
-    assert sampler.inner.batches_run >= 2 * DEFAULT_MAX_FUSED_BATCHES
-    return values, sampler.counter.counts.as_dict()
-
-
-def test_bitsliced_adapter_trace_identical_across_engines():
-    """The booked operation trace (word ops + PRNG bytes) of the
-    bitsliced backend is a function of the workload only — identical
-    for every word engine, as the constant-time argument requires —
-    and so are the samples, through per-call draws and pooled take()."""
-    reference_values, reference_trace = _bitsliced_trace("bigint", 300)
-    values, trace = _bitsliced_trace("numpy", 300)
-    assert values == reference_values
-    assert trace == reference_trace
-    assert reference_trace["word_ops"] > 0
-    assert reference_trace["rng_bytes"] > 0
-    assert reference_trace["compares"] == 0
-    assert reference_trace["branches"] == 0
-
+# -- the bitsliced backend through the IntegerSampler interface ---------
 
 def test_bitsliced_adapter_trace_is_per_batch_constant():
     """Booked costs advance in whole-batch quanta: after any number of
@@ -155,8 +123,7 @@ def test_bitsliced_adapter_trace_is_per_batch_constant():
     from repro.rng import ChaChaSource
 
     sampler = BitslicedIntegerSampler(
-        GaussianParams.from_sigma(2, 16), source=ChaChaSource(4),
-        engine="bigint")
+        GaussianParams.from_sigma(2, 16), source=ChaChaSource(4))
     for _ in range(130):
         sampler.sample()
     counts = sampler.counter.counts
@@ -164,3 +131,5 @@ def test_bitsliced_adapter_trace_is_per_batch_constant():
     assert counts.word_ops == batches * sampler.inner.word_ops_per_batch
     assert counts.rng_bytes == \
         batches * sampler.inner.random_bytes_per_batch
+    assert counts.compares == 0
+    assert counts.branches == 0

@@ -4,6 +4,7 @@ import math
 
 import pytest
 
+from repro.bitslice import HAVE_NUMPY, wordengine
 from repro.core import (
     BitslicedSampler,
     GaussianParams,
@@ -45,8 +46,9 @@ def test_batch_width_variants_same_distribution_support():
 
 def test_invalid_batch_width_rejected():
     circuit = compile_sampler_circuit(GaussianParams.from_sigma(2, 12))
-    with pytest.raises(ValueError):
-        BitslicedSampler(circuit, batch_width=0)
+    for width in (0, -64, "auto"):
+        with pytest.raises(ValueError):
+            BitslicedSampler(circuit, batch_width=width)
 
 
 def test_sample_many_exact_count():
@@ -127,31 +129,19 @@ def test_invalid_prefetch_and_fusion_rejected():
         next(BitslicedSampler(circuit).stream(block_samples=0))
 
 
-# -- constant-time regression: engines must share one operation trace ----
+# -- constant-time regression: the PRNG trace is value-independent -------
 
-ENGINES = ("bigint", "numpy")
-
-
-def test_word_ops_identical_across_engines():
-    """The instruction count is a property of the circuit, never of the
-    word representation: every engine reports the same word_ops."""
-    circuit = compile_sampler_circuit(GaussianParams.from_sigma(2, 16))
-    counts = {engine: BitslicedSampler(circuit, source=ChaChaSource(1),
-                                       engine=engine)
-              for engine in ENGINES}
-    reference = counts["bigint"]
-    for sampler in counts.values():
-        assert sampler.word_ops_per_batch == reference.word_ops_per_batch
-        assert sampler.kernel.stats.word_ops == \
-            reference.kernel.stats.word_ops
-
-
-@pytest.mark.parametrize("engine", ENGINES)
-def test_prng_trace_is_value_independent(engine):
+@pytest.mark.parametrize("body", [
+    "bigint", pytest.param("numpy", marks=pytest.mark.skipif(
+        not HAVE_NUMPY, reason="NumPy not installed"))])
+def test_prng_trace_is_value_independent(body, monkeypatch):
     """Each batch consumes exactly random_bytes_per_batch bytes, no
-    matter which values (or how many discards) it produces."""
+    matter which values (or how many discards) it produces, on either
+    lane compaction (``bigint`` forces the pure-Python one)."""
+    if body == "bigint":
+        monkeypatch.setattr(wordengine, "_np", None)
     sampler = compile_sampler(2, 16, source=ChaChaSource(5),
-                              batch_width=64, engine=engine)
+                              batch_width=64)
     per_batch = sampler.random_bytes_per_batch
     for _ in range(20):
         before = sampler.source.bytes_read
@@ -159,48 +149,11 @@ def test_prng_trace_is_value_independent(engine):
         assert sampler.source.bytes_read - before == per_batch
 
 
-def test_prng_trace_identical_across_engines():
-    """Total randomness drawn for the same workload is equal across
-    engines, for batch, bulk and streaming paths alike."""
-    workloads = {}
-    for engine in ENGINES:
-        sampler = compile_sampler(2, 16, source=ChaChaSource(2),
-                                  batch_width=64, engine=engine)
-        for _ in range(5):
-            sampler.sample_batch()
-        sampler.sample_many(1000)
-        for _ in range(10):
-            sampler.sample()
-        workloads[engine] = (sampler.source.bytes_read,
-                             sampler.batches_run)
-    assert len(set(workloads.values())) == 1, workloads
-
-
-@pytest.mark.parametrize("prefetch", [1, 4])
-def test_prefill_leaves_sample_stream_unchanged(prefetch):
-    """prefill() warms the pool without changing what sample() emits.
-
-    The prefilled buffer must be consumed in exactly the order lazy
-    refills would have produced — that's the contract that makes
-    warming a serving pool safe for reproducible (seeded) signing.
-    """
-    lazy = compile_sampler(2, 16, source=ChaChaSource(9),
-                           batch_width=64, engine="bigint",
-                           prefetch_batches=prefetch)
-    warmed = compile_sampler(2, 16, source=ChaChaSource(9),
-                             batch_width=64, engine="bigint",
-                             prefetch_batches=prefetch)
-    warmed.prefill(500)
-    assert len(warmed._buffer) >= 500
-    assert [warmed.sample() for _ in range(700)] \
-        == [lazy.sample() for _ in range(700)]
-
-
 def test_super_batch_randomness_scales_linearly():
     """A fused f-batch pass draws exactly f times the per-batch bytes
     (width 64 is byte-aligned), preserving the constant-time account."""
     sampler = compile_sampler(2, 16, source=ChaChaSource(3),
-                              batch_width=64, engine="bigint")
+                              batch_width=64)
     per_batch = sampler.random_bytes_per_batch
     for fused in (1, 2, 7, 16):
         before = sampler.source.bytes_read

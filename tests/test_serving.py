@@ -111,9 +111,9 @@ def test_served_signers_sign_from_private_key_derived_streams():
 
 def test_signers_refill_in_fused_passes_on_the_auto_engine():
     """Every signer the plane hands out draws from the pooled
-    bitsliced sampler: fused multi-batch refills, on NumPy when it is
-    installed."""
-    from repro.falcon import HAVE_NUMPY, SecretKey
+    bitsliced sampler: fused multi-batch refills of Python-int words,
+    whether or not NumPy is installed."""
+    from repro.falcon import SecretKey
 
     signers = [SecretKey.generate(n=8, seed=3),
                KeyStore(master_seed=3).acquire(8),
@@ -121,7 +121,7 @@ def test_signers_refill_in_fused_passes_on_the_auto_engine():
     for signer in signers:
         inner = signer.base_sampler.inner
         assert inner.prefetch_batches > 1
-        assert inner.engine.name == ("numpy" if HAVE_NUMPY else "bigint")
+        assert inner.engine.name == "bigint"
 
 
 def test_no_duplicate_key_material_across_shards():
