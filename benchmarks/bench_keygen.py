@@ -11,11 +11,13 @@ number on producing them.  Three measured rows per ring degree:
   NTRUSolve, so the recorded speedups *understate* the true gain over
   the seed commit.  Its keys are valid but follow the old stream
   contract (sequence of draws), not the block contract;
-* **scalar spine** — this PR's pure-Python route: bulk ``bisect`` CDT
-  blocks, candidate-block filters, exact deep-tower Babai;
-* **numpy spine** — the vectorized pipeline: bulk CDT block draws,
-  batched NTT invertibility, batched FFT Gram–Schmidt, array-kernel
-  Babai quotients;
+* **scalar spine** — the pure-Python route (what a host without NumPy
+  runs; timed here inside the private ``_scalar_spine`` switch): bulk
+  ``bisect`` CDT blocks, candidate-block filters, exact deep-tower
+  Babai;
+* **numpy spine** — the vectorized pipeline the platform runs when
+  NumPy imports: bulk CDT block draws, batched NTT invertibility,
+  batched FFT Gram–Schmidt, array-kernel Babai quotients;
 
 plus a **pooled** row (``KeyStore`` generate-ahead over a process
 pool) — the serving-layer configuration, which is how a deployment
@@ -38,6 +40,7 @@ import os
 import platform
 import sys
 import time
+from contextlib import nullcontext
 
 import pytest
 
@@ -52,6 +55,7 @@ from repro.falcon import (
     gram_schmidt_norm_sq,
     is_invertible,
     ntru_solve,
+    _scalar_spine,
 )
 from repro.falcon.keystore import KeyStore
 from repro.falcon.ntrugen import _keygen_table
@@ -79,12 +83,19 @@ SKIP_SEED_PIPELINE_FROM = 1024
 POOL_WORKERS = 4
 
 
+def _spine(name: str):
+    """Run ``name``'s spine: the scalar one inside the switch, the
+    NumPy one as the platform does."""
+    return _scalar_spine() if name == "scalar" else nullcontext()
+
+
 def _row_rate(n: int, keys: int, seed_base: int, spine: str) -> float:
     sources = [ChaChaSource(seed_base + i) for i in range(keys)]
-    started = time.perf_counter()
-    for source in sources:
-        generate_keys(n, source=source, spine=spine)
-    return keys / (time.perf_counter() - started)
+    with _spine(spine):
+        started = time.perf_counter()
+        for source in sources:
+            generate_keys(n, source=source)
+        return keys / (time.perf_counter() - started)
 
 
 def _seed_pipeline_generate(n: int, source) -> NtruKeys:
@@ -111,7 +122,7 @@ def _seed_pipeline_generate(n: int, source) -> NtruKeys:
         if gram_schmidt_norm_sq(f, g) > bound:
             continue
         try:
-            F, G = ntru_solve(list(f), list(g), spine="scalar")
+            F, G = ntru_solve(list(f), list(g))
         except NtruSolveError:
             continue
         return NtruKeys(f=f, g=g, F=F, G=G, h=div_ntt(g, f))
@@ -119,10 +130,11 @@ def _seed_pipeline_generate(n: int, source) -> NtruKeys:
 
 
 def _seed_pipeline_rate(n: int, keys: int, seed_base: int) -> float:
-    started = time.perf_counter()
-    for i in range(keys):
-        _seed_pipeline_generate(n, ChaChaSource(seed_base + i))
-    return keys / (time.perf_counter() - started)
+    with _scalar_spine():
+        started = time.perf_counter()
+        for i in range(keys):
+            _seed_pipeline_generate(n, ChaChaSource(seed_base + i))
+        return keys / (time.perf_counter() - started)
 
 
 def _pooled_rate(n: int, keys: int, workers: int) -> float:
@@ -155,11 +167,10 @@ def run_sweep(degrees=DEGREES, keys: int = 8, seed_base: int = 1,
         # Untimed warmup: one key per available spine, so whichever
         # row runs first is not charged the one-time costs (CDT table
         # construction, kernel caches) the others inherit for free.
-        generate_keys(n, source=ChaChaSource(seed_base - 1),
-                      spine="scalar")
+        with _scalar_spine():
+            generate_keys(n, source=ChaChaSource(seed_base - 1))
         if HAVE_NUMPY:
-            generate_keys(n, source=ChaChaSource(seed_base - 1),
-                          spine="numpy")
+            generate_keys(n, source=ChaChaSource(seed_base - 1))
         rows = {"scalar": _row_rate(n, scalar_keys, seed_base,
                                     "scalar")}
         if n < SKIP_SEED_PIPELINE_FROM:
@@ -242,10 +253,10 @@ def test_keygen_speed(benchmark, spine):
     counter = iter(range(1000, 2000))
 
     def generate():
-        generate_keys(256, source=ChaChaSource(next(counter)),
-                      spine=spine)
+        generate_keys(256, source=ChaChaSource(next(counter)))
 
-    benchmark.pedantic(generate, rounds=3, iterations=1)
+    with _spine(spine):
+        benchmark.pedantic(generate, rounds=3, iterations=1)
 
 
 def test_keygen_report(benchmark):

@@ -107,37 +107,36 @@ def _per_key_rate(lanes: list[tuple], keys: int) -> float:
     return len(lanes) / (time.perf_counter() - started)
 
 
-def _cross_key_rate(lanes: list[tuple], spine: str) -> float:
+def _cross_key_rate(lanes: list[tuple]) -> float:
     started = time.perf_counter()
-    verdicts = verify_batch(lanes, spine=spine)
+    verdicts = verify_batch(lanes)
     elapsed = time.perf_counter() - started
     assert all(verdicts)
     return len(lanes) / elapsed
 
 
-def _rlc_rate(lanes: list[tuple], spine: str) -> tuple[float, bool]:
+def _rlc_rate(lanes: list[tuple]) -> tuple[float, bool]:
     """Aggregate-then-verify: expand the lanes once (recover s1), then
     time the RLC congruence audit over the expanded batch.  Returns
     (records/s, fast-path taken)."""
-    expansion = verify_batch_report(lanes, spine=spine, keep_s1=True)
+    expansion = verify_batch_report(lanes, keep_s1=True)
     expanded = [(pk, message, signature, s1)
                 for (pk, message, signature), s1
                 in zip(lanes, expansion.s1_rows)]
     started = time.perf_counter()
-    audit = verify_batch_report(expanded, spine=spine, precheck="rlc",
+    audit = verify_batch_report(expanded, precheck="rlc",
                                 precheck_seed=b"bench-ledger")
     elapsed = time.perf_counter() - started
     assert all(audit.verdicts)
     return len(lanes) / elapsed, audit.precheck_passed
 
 
-def _ledger_pipeline(lanes: list[tuple], block_size: int,
-                     spine: str) -> tuple[Ledger, float, list[float]]:
+def _ledger_pipeline(lanes: list[tuple], block_size: int
+                     ) -> tuple[Ledger, float, list[float]]:
     """Submit every record through the mempool and commit in blocks;
     returns the in-memory ledger (for the audit rows), the end-to-end
     records/s, and the per-commit latencies."""
-    ledger = Ledger(expand=True, spine=spine,
-                    max_block_records=block_size,
+    ledger = Ledger(expand=True, max_block_records=block_size,
                     capacity=max(len(lanes), block_size))
     latencies: list[float] = []
     started = time.perf_counter()
@@ -167,8 +166,7 @@ def _audit_rate(ledger: Ledger, mode: str) -> tuple[float, int]:
 
 
 def run_sweep(n: int = 256, keys: int = GATE_KEYS, records: int = 128,
-              block_size: int = 64, quick: bool = False,
-              spine: str = "auto") -> dict:
+              block_size: int = 64, quick: bool = False) -> dict:
     if quick:
         n = min(n, 64)
         keys = min(keys, 8)
@@ -178,11 +176,11 @@ def run_sweep(n: int = 256, keys: int = GATE_KEYS, records: int = 128,
     lanes = _lanes(signers, records)
 
     rates = {"per_key_verify_many": _per_key_rate(lanes, keys),
-             "cross_key_verify_batch": _cross_key_rate(lanes, spine)}
-    rlc_rate, rlc_fastpath = _rlc_rate(lanes, spine)
+             "cross_key_verify_batch": _cross_key_rate(lanes)}
+    rlc_rate, rlc_fastpath = _rlc_rate(lanes)
     rates["cross_key_rlc_precheck"] = rlc_rate
     ledger, ledger_rate, commit_latencies = _ledger_pipeline(
-        lanes, block_size, spine)
+        lanes, block_size)
     rates["ledger_commit"] = ledger_rate
     full_rate, _ = _audit_rate(ledger, "full")
     aggregate_rate, fastpath_blocks = _audit_rate(ledger, "aggregate")
@@ -202,7 +200,7 @@ def run_sweep(n: int = 256, keys: int = GATE_KEYS, records: int = 128,
         "quick": quick,
         "python": platform.python_version(),
         "have_numpy": HAVE_NUMPY,
-        "spine": spine,
+        "spine": "numpy" if HAVE_NUMPY else "scalar",
         "n": n,
         "keys": keys,
         "records": records,
@@ -296,16 +294,13 @@ def main(argv=None) -> int:
     parser.add_argument("--records", type=int, default=128)
     parser.add_argument("--block-size", dest="block_size", type=int,
                         default=64)
-    parser.add_argument("--spine", default="auto",
-                        choices=("auto", "numpy", "scalar"))
     parser.add_argument("--quick", action="store_true",
                         help="CI smoke: n=64, 8 keys, 32 records")
     parser.add_argument("--no-json", action="store_true",
                         help="skip writing " + JSON_NAME)
     args = parser.parse_args(argv)
     payload = run_sweep(n=args.n, keys=args.keys, records=args.records,
-                        block_size=args.block_size, quick=args.quick,
-                        spine=args.spine)
+                        block_size=args.block_size, quick=args.quick)
     print(render_report(payload))
     if not args.no_json:
         write_json(payload)

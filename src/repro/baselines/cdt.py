@@ -183,24 +183,18 @@ def _block_magnitudes_numpy(table: CdtTable, source: RandomSource,
     return _np.concatenate(parts) if len(parts) > 1 else parts[0]
 
 
-def cdt_sample_block(table: CdtTable, source: RandomSource, count: int,
-                     route: str = "auto") -> list[int]:
+def cdt_sample_block(table: CdtTable, source: RandomSource,
+                     count: int) -> list[int]:
     """``count`` signed CDT draws from one bulk-drawn randomness block.
 
-    ``route`` picks the search implementation — ``"numpy"``
-    (``searchsorted`` over ``uint64`` lanes), ``"scalar"`` (pure-Python
-    ``bisect``) or ``"auto"`` — all of which consume the identical byte
-    stream and return identical samples (pinned by the differential
-    tests).
+    The search runs as NumPy ``searchsorted`` over ``uint64`` lanes when
+    NumPy imports and table words are at most 64 bits, else as
+    pure-Python ``bisect``; both consume the identical byte stream and
+    return identical samples (pinned by the differential tests).
     """
     if count <= 0:
         return []
-    if route not in ("auto", "numpy", "scalar"):
-        raise ValueError(f"unknown route {route!r}")
-    if route == "auto":
-        route = "numpy" if (_np is not None
-                            and 8 * table.num_bytes <= 64) else "scalar"
-    if route == "numpy":
+    if _np is not None and 8 * table.num_bytes <= 64:
         magnitudes = _block_magnitudes_numpy(table, source, count)
         sign_data = source.read_bytes((count + 7) // 8)
         sign_bits = _np.unpackbits(

@@ -16,18 +16,23 @@ Subcommands
                  emit generated C or Python source.
 ``sample``       draw samples from a compiled constant-time sampler.
 ``audit``        dudect leakage audit of any backend.
+``ct-leakage``   ML leakage-regression audit over sampler, ffSampling
+                 and serving traces (optionally written as JSON).
+``ct-lint``      static constant-time taint lint plus the serving-plane
+                 concurrency lint, gated against a committed baseline.
 ``falcon``       keygen/sign/verify round trip with a chosen backend.
 ``keygen``       fill a generate-ahead key store (optionally persisted
                  to disk, optionally over a worker pool).
-``bench-serve``  batch-signing throughput: ``sign_many`` over the
-                 vectorized numeric spine vs the scalar paths, plus
-                 batch verification; ``--keystore`` serves the signing
-                 key from a persisted pool; ``--async`` adds coalesced
-                 async-service rows (``--tenants``/``--clients``).
+``ledger``       append signed records to a ledger, audit its chain
+                 (full or RLC aggregate pass) or print its stats.
 ``serve``        run the asyncio coalescing signing service over a
                  sharded key store and drive a client load through it
                  (the serving-architecture demo: coalesced rounds,
                  watermark refill, back-pressure, metrics).
+
+Signing, verification and keygen run the NumPy spine when NumPy
+imports and the pure-Python one otherwise; both give identical bytes.
+Throughput benchmarks live under ``benchmarks/``.
 """
 
 from __future__ import annotations
@@ -57,6 +62,25 @@ def _positive_int(text: str) -> int:
     if value < 1:
         raise argparse.ArgumentTypeError(
             f"must be a positive integer, got {value}")
+    return value
+
+
+def _non_negative_float(text: str) -> float:
+    """argparse type: a float of at least 0."""
+    value = float(text)
+    if not value >= 0:
+        raise argparse.ArgumentTypeError(
+            f"must be a non-negative number, got {text}")
+    return value
+
+
+def _degree(text: str) -> int:
+    """argparse type: a Falcon ring degree, the rule
+    :func:`~repro.falcon.params.falcon_params` enforces."""
+    value = int(text)
+    if value < 4 or value & (value - 1):
+        raise argparse.ArgumentTypeError(
+            f"must be a power of two of at least 4, got {value}")
     return value
 
 
@@ -197,7 +221,7 @@ def _cmd_falcon(args: argparse.Namespace) -> int:
     sk = SecretKey.generate(n=args.n, seed=args.seed, prng=args.prng)
     sk.use_base_sampler(args.backend)
     message = args.message.encode()
-    signature = sk.sign_many([message], spine=args.spine)[0]
+    signature = sk.sign(message)
     ok = sk.public_key.verify(message, signature)
     print(f"public key : {len(encode_public_key(sk.public_key))} bytes")
     print(f"signature  : {len(encode_signature(signature, sk.n))} bytes")
@@ -215,8 +239,7 @@ def _cmd_keygen(args: argparse.Namespace) -> int:
         print("nothing to do: --count must be at least 1")
         return 2
     store = KeyStore(args.keystore, master_seed=args.seed,
-                     prng=args.prng, keygen_spine=args.spine,
-                     workers=args.workers)
+                     prng=args.prng, workers=args.workers)
     started = time.perf_counter()
     store.generate_ahead(args.n, args.count)
     elapsed = time.perf_counter() - started
@@ -228,7 +251,6 @@ def _cmd_keygen(args: argparse.Namespace) -> int:
         ["keys generated", args.count],
         ["keys/s", f"{args.count / elapsed:,.2f}"],
         ["workers", args.workers],
-        ["keygen spine", args.spine],
         ["secret key bytes", len(encode_secret_key(sk))],
         ["public key bytes", len(encode_public_key(sk.public_key))],
         ["pool remaining", store.available(args.n)],
@@ -239,96 +261,9 @@ def _cmd_keygen(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_bench_serve(args: argparse.Namespace) -> int:
-    import time
-
-    from .falcon import HAVE_NUMPY, SecretKey
-
-    started = time.perf_counter()
-    if args.keystore:
-        from .falcon.keystore import KeyStore
-
-        print(f"serving Falcon-{args.n} key from store "
-              f"{args.keystore} (seed {args.seed}) ...")
-        store = KeyStore(args.keystore, master_seed=args.seed,
-                         prng=args.prng)
-        # Peek, don't acquire: a benchmark run must not consume the
-        # provisioned pool (peek still exercises the full canonical
-        # decode the serving path relies on).
-        sk = store.peek(args.n)
-    else:
-        print(f"generating Falcon-{args.n} keys (seed {args.seed}) ...")
-        sk = SecretKey.generate(n=args.n, seed=args.seed,
-                                prng=args.prng)
-    sk.use_base_sampler(args.backend)
-    print(f"keygen     : {time.perf_counter() - started:.2f}s")
-
-    messages = [f"serve-{i}".encode() for i in range(args.signs)]
-    batch = max(1, args.batch)
-
-    def measure(label: str, sign_batch) -> tuple[str, float, list]:
-        sign_batch(messages[:min(2, len(messages))])  # warm caches
-        signatures = []
-        begun = time.perf_counter()
-        for start in range(0, len(messages), batch):
-            signatures.extend(sign_batch(messages[start:start + batch]))
-        elapsed = time.perf_counter() - begun
-        return label, len(messages) / elapsed, signatures
-
-    rows = []
-    spines = ["scalar"] + (["numpy"] if HAVE_NUMPY else [])
-    if args.spine != "auto":
-        spines = [args.spine]
-    signatures = None
-    for spine in spines:
-        label, rate, signatures = measure(
-            f"sign_many[{spine}]",
-            lambda chunk, s=spine: sk.sign_many(chunk, spine=s))
-        rows.append([label, f"{rate:,.1f}"])
-
-    pk = sk.public_key
-    begun = time.perf_counter()
-    verdicts = pk.verify_many(messages, signatures)
-    verify_rate = len(messages) / (time.perf_counter() - begun)
-    rows.append(["verify_many", f"{verify_rate:,.1f}"])
-
-    if args.async_rows:
-        from .falcon.serving import ShardedKeyStore
-
-        # The async rows need per-tenant keys over shards, which the
-        # flat --keystore layout cannot provide: they run over a
-        # dedicated in-memory sharded store derived from --seed
-        # (stated in --async's help).  Warm the per-tenant signers so
-        # the rows measure coalesced serving, not first-checkout
-        # keygen.
-        async_store = ShardedKeyStore(shards=args.shards,
-                                      master_seed=args.seed,
-                                      prng=args.prng)
-        for tenant in range(args.tenants):
-            async_store.signer(f"tenant-{tenant}", args.n)
-        for clients in (1, args.clients):
-            outcome = _run_service_load(
-                async_store, n=args.n, tenants=args.tenants,
-                clients=clients, requests=args.signs,
-                max_batch=batch, max_wait=args.max_wait,
-                queue_depth=max(batch * 4, 16), spine=args.spine)
-            rows.append(
-                [f"async coalesced (clients={clients}, "
-                 f"tenants={args.tenants})",
-                 f"{outcome['rate']:,.1f}"])
-    print(format_table(
-        ["path", "ops/s"], rows,
-        title=f"Falcon-{args.n} serving throughput "
-              f"({args.signs} messages, batch {batch}, "
-              f"backend {args.backend})"))
-    ok = all(verdicts)
-    print(f"all verified: {ok}")
-    return 0 if ok else 1
-
-
 def _run_service_load(store, *, n: int, tenants: int, clients: int,
                       requests: int, max_batch: int, max_wait: float,
-                      queue_depth: int, spine: str,
+                      queue_depth: int,
                       verify_share: int = 0,
                       worker_pool=None,
                       deadline: float = 0.0,
@@ -349,7 +284,7 @@ def _run_service_load(store, *, n: int, tenants: int, clients: int,
     async def drive() -> dict:
         service = SigningService(store, n=n, max_batch=max_batch,
                                  max_wait=max_wait,
-                                 queue_depth=queue_depth, spine=spine,
+                                 queue_depth=queue_depth,
                                  worker_pool=worker_pool)
 
         async def client(which: int) -> None:
@@ -517,8 +452,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
     store = ShardedKeyStore(
         args.keystore, shards=args.shards, master_seed=args.seed,
-        prng=args.prng, keygen_spine=args.spine,
-        low_watermark=args.watermark,
+        prng=args.prng, low_watermark=args.watermark,
         refill_target=(2 * args.watermark if args.watermark else None),
         fault_plan=chaos)
     if args.provision:
@@ -530,7 +464,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         pool = ShardWorkerPool(
             shards=args.shards, master_seed=args.seed,
             directory=args.keystore, prng=args.prng,
-            keygen_spine=args.spine, fault_plan=chaos)
+            fault_plan=chaos)
         pool.start()
         print(f"shard workers: {args.shards} dedicated process(es)")
     print(f"serving Falcon-{args.n}: {args.shards} shard(s), "
@@ -545,7 +479,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
                 store, n=args.n, tenants=args.tenants,
                 clients=args.clients, requests=args.requests,
                 max_batch=args.max_batch, max_wait=args.max_wait,
-                queue_depth=args.queue_depth, spine="auto",
+                queue_depth=args.queue_depth,
                 verify_share=args.verify_share, worker_pool=pool,
                 deadline=args.deadline,
                 tolerate_failures=chaos is not None)
@@ -702,7 +636,7 @@ def _cmd_ledger(args: argparse.Namespace) -> int:
 
     ledger = Ledger(args.dir, capacity=args.capacity,
                     max_block_records=args.block_size,
-                    expand=not args.no_expand, spine=args.spine)
+                    expand=not args.no_expand)
 
     if args.action == "append":
         print(f"generating {args.keys} Falcon-{args.n} signing keys "
@@ -769,77 +703,6 @@ def _cmd_ledger(args: argparse.Namespace) -> int:
         [[key, str(value)] for key, value in stats.items()],
         title="ledger stats"))
     return 0
-
-
-def _cmd_bench_ledger(args: argparse.Namespace) -> int:
-    import time
-
-    from .falcon.batchverify import verify_batch
-    from .falcon.ledger import Ledger
-
-    print(f"generating {args.keys} Falcon-{args.n} signing keys "
-          f"(seed {args.seed}) ...")
-    signers = _ledger_signers(args.n, args.keys, args.seed)
-    lanes = []
-    for i in range(args.records):
-        signer = signers[i % len(signers)]
-        message = b"bench-ledger|%d" % i
-        lanes.append((signer.public_key, message,
-                      signer.sign(message)))
-
-    # Per-key loop: what verify_many can do without the cross-key
-    # engine — one small batch per distinct key.
-    by_key: dict[int, list] = {}
-    for index, lane in enumerate(lanes):
-        by_key.setdefault(index % len(signers), []).append(lane)
-    begun = time.perf_counter()
-    for group in by_key.values():
-        public_key = group[0][0]
-        public_key.verify_many([m for _, m, _ in group],
-                               [s for _, _, s in group])
-    per_key_rate = len(lanes) / (time.perf_counter() - begun)
-
-    begun = time.perf_counter()
-    verdicts = verify_batch(lanes, spine=args.spine)
-    cross_key_rate = len(lanes) / (time.perf_counter() - begun)
-
-    # Ledger pipeline: mempool -> batch-verify -> committed block,
-    # with per-commit latency.
-    ledger = Ledger(expand=True, spine=args.spine,
-                    max_block_records=args.block_size,
-                    capacity=max(args.records, args.block_size))
-    latencies = []
-    begun = time.perf_counter()
-    for public_key, message, signature in lanes:
-        ledger.submit_signed(public_key, message, signature)
-        if len(ledger.mempool) >= args.block_size:
-            commit_start = time.perf_counter()
-            ledger.commit()
-            latencies.append(time.perf_counter() - commit_start)
-    while len(ledger.mempool):
-        commit_start = time.perf_counter()
-        ledger.commit()
-        latencies.append(time.perf_counter() - commit_start)
-    ledger_rate = len(lanes) / (time.perf_counter() - begun)
-    latencies.sort()
-
-    def pct(q: float) -> float:
-        return latencies[min(len(latencies) - 1,
-                             int(q * len(latencies)))] * 1000
-
-    rows = [
-        ["per-key verify_many loop", f"{per_key_rate:,.1f}"],
-        ["cross-key verify_batch", f"{cross_key_rate:,.1f}"],
-        ["cross-key / per-key",
-         f"{cross_key_rate / per_key_rate:.2f}x"],
-        ["ledger commit pipeline", f"{ledger_rate:,.1f}"],
-        ["commit p50 / p99 (ms)", f"{pct(0.50):.2f} / {pct(0.99):.2f}"],
-    ]
-    print(format_table(
-        ["path", "records/s"], rows,
-        title=f"ledger verification throughput ({args.records} "
-              f"records, {args.keys} distinct keys, n={args.n})"))
-    return 0 if all(verdicts) else 1
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -933,17 +796,13 @@ def build_parser() -> argparse.ArgumentParser:
     ctlint_p.set_defaults(func=_cmd_ct_lint)
 
     falcon_p = sub.add_parser("falcon", help="sign/verify round trip")
-    falcon_p.add_argument("--n", type=int, default=64)
+    falcon_p.add_argument("--n", type=_degree, default=64)
     falcon_p.add_argument("--seed", type=int, default=0)
     falcon_p.add_argument("--backend", default="bitsliced",
                           choices=["bitsliced", "cdt-byte-scan",
                                    "cdt-binary", "cdt-linear",
                                    "cdt-bisection"])
     falcon_p.add_argument("--message", default="repro")
-    falcon_p.add_argument(
-        "--spine", default="auto", choices=["auto", "numpy", "scalar"],
-        help="numeric spine for signing (all spines produce identical "
-             "signatures for a seed)")
     _add_prng_option(falcon_p)
     falcon_p.set_defaults(func=_cmd_falcon)
 
@@ -951,7 +810,7 @@ def build_parser() -> argparse.ArgumentParser:
         "keygen",
         help="fill a generate-ahead key store (optionally persisted "
              "and parallel)")
-    keygen_p.add_argument("--n", type=int, default=64)
+    keygen_p.add_argument("--n", type=_degree, default=64)
     keygen_p.add_argument("--count", type=int, default=4,
                           help="keys to generate ahead")
     keygen_p.add_argument("--seed", type=int, default=0,
@@ -960,12 +819,8 @@ def build_parser() -> argparse.ArgumentParser:
     keygen_p.add_argument("--keystore", default=None,
                           help="directory to persist keys to "
                                "(default: memory only)")
-    keygen_p.add_argument("--workers", type=int, default=1,
+    keygen_p.add_argument("--workers", type=_positive_int, default=1,
                           help="process-pool fan-out for generation")
-    keygen_p.add_argument(
-        "--spine", default="auto", choices=["auto", "numpy", "scalar"],
-        help="keygen numeric spine (all spines emit identical keys "
-             "for a seed)")
     _add_prng_option(keygen_p)
     keygen_p.set_defaults(func=_cmd_keygen)
 
@@ -978,107 +833,50 @@ def build_parser() -> argparse.ArgumentParser:
     ledger_p.add_argument("--dir", required=True,
                           help="ledger directory (blocks persist to "
                                "ledger.jsonl inside)")
-    ledger_p.add_argument("--n", type=int, default=64)
-    ledger_p.add_argument("--keys", type=int, default=8,
+    ledger_p.add_argument("--n", type=_degree, default=64)
+    ledger_p.add_argument("--keys", type=_positive_int, default=8,
                           help="distinct signing keys for append")
     ledger_p.add_argument("--records", type=int, default=64,
                           help="records to sign and submit on append")
     ledger_p.add_argument("--seed", type=int, default=0)
-    ledger_p.add_argument("--block-size", type=int, default=64,
+    ledger_p.add_argument("--block-size", type=_positive_int, default=64,
                           dest="block_size",
                           help="max records per committed block")
-    ledger_p.add_argument("--capacity", type=int, default=4096,
+    ledger_p.add_argument("--capacity", type=_positive_int, default=4096,
                           help="mempool bound")
     ledger_p.add_argument("--mode", default="full",
                           choices=["full", "aggregate"],
                           help="verify: full engine pass per block, "
                                "or the RLC aggregate fast path over "
                                "expanded blocks")
-    ledger_p.add_argument("--rounds", type=int, default=1,
+    ledger_p.add_argument("--rounds", type=_positive_int, default=1,
                           help="independent RLC rounds (soundness "
                                "error < q^-rounds)")
     ledger_p.add_argument("--no-expand", action="store_true",
                           help="do not store s1 expansion rows in "
                                "committed blocks")
-    ledger_p.add_argument("--spine", default="auto",
-                          choices=["auto", "numpy", "scalar"])
     ledger_p.set_defaults(func=_cmd_ledger)
-
-    bench_ledger_p = sub.add_parser(
-        "bench-ledger",
-        help="cross-key batch verification vs the per-key loop, plus "
-             "the mempool->block commit pipeline")
-    bench_ledger_p.add_argument("--n", type=int, default=256)
-    bench_ledger_p.add_argument("--keys", type=int, default=16,
-                                help="distinct signing keys")
-    bench_ledger_p.add_argument("--records", type=int, default=128)
-    bench_ledger_p.add_argument("--seed", type=int, default=0)
-    bench_ledger_p.add_argument("--block-size", type=int, default=64,
-                                dest="block_size")
-    bench_ledger_p.add_argument("--spine", default="auto",
-                                choices=["auto", "numpy", "scalar"])
-    bench_ledger_p.set_defaults(func=_cmd_bench_ledger)
-
-    serve_p = sub.add_parser(
-        "bench-serve",
-        help="batch signing/verification throughput (the serving "
-             "workload: sign_many + verify_many)")
-    serve_p.add_argument("--n", type=int, default=256)
-    serve_p.add_argument("--seed", type=int, default=0)
-    serve_p.add_argument("--signs", type=int, default=64,
-                         help="total messages to sign")
-    serve_p.add_argument("--batch", type=int, default=32,
-                         help="messages per sign_many call")
-    serve_p.add_argument("--backend", default="bitsliced",
-                         choices=["bitsliced", "cdt-byte-scan",
-                                  "cdt-binary", "cdt-linear",
-                                  "cdt-bisection"])
-    serve_p.add_argument("--keystore", default=None,
-                         help="serve the signing key from this key-store "
-                              "directory (generate-ahead pool + "
-                              "serialize round-trip) instead of "
-                              "generating inline")
-    serve_p.add_argument(
-        "--spine", default="auto",
-        choices=["auto", "numpy", "scalar"],
-        help="'auto' benchmarks every available spine")
-    serve_p.add_argument("--async", dest="async_rows",
-                         action="store_true",
-                         help="also time the asyncio coalescing "
-                              "service over a dedicated in-memory "
-                              "sharded store with per-tenant keys "
-                              "derived from --seed (--keystore does "
-                              "not apply to these rows)")
-    serve_p.add_argument("--tenants", type=int, default=4,
-                         help="tenants for the async rows")
-    serve_p.add_argument("--clients", type=int, default=8,
-                         help="concurrent clients for the async rows")
-    serve_p.add_argument("--shards", type=int, default=2,
-                         help="key-store shards for the async rows")
-    serve_p.add_argument("--max-wait", type=float, default=0.002,
-                         help="coalescing batch window in seconds")
-    _add_prng_option(serve_p)
-    serve_p.set_defaults(func=_cmd_bench_serve)
 
     run_p = sub.add_parser(
         "serve",
         help="run the asyncio coalescing signing service over a "
              "sharded key store and drive a client load through it")
-    run_p.add_argument("--n", type=int, default=64)
+    run_p.add_argument("--n", type=_degree, default=64)
     run_p.add_argument("--seed", type=int, default=0,
                        help="deployment master seed (shard and slot "
                             "seeds derive from it)")
-    run_p.add_argument("--shards", type=int, default=2)
-    run_p.add_argument("--tenants", type=int, default=4)
-    run_p.add_argument("--clients", type=int, default=8,
+    run_p.add_argument("--shards", type=_positive_int, default=2)
+    run_p.add_argument("--tenants", type=_positive_int, default=4)
+    run_p.add_argument("--clients", type=_positive_int, default=8,
                        help="concurrent client coroutines")
     run_p.add_argument("--requests", type=int, default=64,
                        help="total sign requests to serve")
-    run_p.add_argument("--max-batch", type=int, default=32,
+    run_p.add_argument("--max-batch", type=_positive_int, default=32,
                        help="coalescing round size cap")
-    run_p.add_argument("--max-wait", type=float, default=0.002,
+    run_p.add_argument("--max-wait", type=_non_negative_float,
+                       default=0.002,
                        help="coalescing batch window in seconds")
-    run_p.add_argument("--queue-depth", type=int, default=64,
+    run_p.add_argument("--queue-depth", type=_positive_int, default=64,
                        help="bounded per-shard queue (back-pressure)")
     run_p.add_argument("--watermark", type=int, default=0,
                        help="per-shard low watermark for background "
@@ -1092,9 +890,6 @@ def build_parser() -> argparse.ArgumentParser:
     run_p.add_argument("--keystore", default=None,
                        help="directory for persisted shard pools "
                             "(default: memory only)")
-    run_p.add_argument(
-        "--spine", default="auto", choices=["auto", "numpy", "scalar"],
-        help="keygen numeric spine for provisioning")
     run_p.add_argument("--listen", type=_parse_endpoint, default=None,
                        metavar="HOST:PORT",
                        help="expose the service over the wire protocol "

@@ -1,4 +1,11 @@
-"""Complete Falcon signature scheme with pluggable base samplers."""
+"""Complete Falcon signature scheme with pluggable base samplers.
+
+Signing, batch verification and key generation each have a NumPy spine
+and a pure-Python scalar spine that produce identical bytes.  The
+platform picks one: NumPy when it imports, the scalar spine otherwise.
+"""
+
+from contextlib import contextmanager
 
 from .batchverify import (
     BatchVerifyReport,
@@ -57,7 +64,6 @@ from .serving import (
 )
 from .ntrugen import (
     CANDIDATE_BLOCK,
-    KEYGEN_SPINES,
     NtruKeys,
     NtruSolveError,
     generate_keys,
@@ -97,7 +103,6 @@ from .scheme import (
     BASE_PRECISION,
     BASE_SIGMA_VARIANTS,
     BASE_SAMPLER_BACKENDS,
-    SPINES,
     PublicKey,
     SecretKey,
     Signature,
@@ -121,7 +126,6 @@ __all__ = [
     "ConsistentHashRing",
     "DecompressError",
     "FalconParams",
-    "KEYGEN_SPINES",
     "KeyGroup",
     "KeyStore",
     "KeyStoreStats",
@@ -134,7 +138,6 @@ __all__ = [
     "SignedRecord",
     "FlatLdlTree",
     "HAVE_NUMPY",
-    "SPINES",
     "NtruKeys",
     "NtruSolveError",
     "PAPER_LEVELS",
@@ -206,3 +209,27 @@ __all__ = [
     "verify_batch",
     "verify_batch_report",
 ]
+
+
+@contextmanager
+def _scalar_spine():
+    """Run the scalar spine on a NumPy host within a ``with`` block.
+
+    Hides NumPy from the four modules that pick a spine — signing,
+    batch verification, keygen and the CDT block sampler — and restores
+    it on exit.  Both spines give identical bytes; like
+    :func:`~repro.falcon.poly.mul_strategy`, this exists so tests and
+    benchmarks can force the route the platform would not take.
+    """
+    from ..baselines import cdt
+    from . import batchverify, ntrugen, scheme
+
+    modules = (scheme, batchverify, ntrugen, cdt)
+    saved = [module._np for module in modules]
+    for module in modules:
+        module._np = None
+    try:
+        yield
+    finally:
+        for module, value in zip(modules, saved):
+            module._np = value

@@ -59,7 +59,7 @@ from .ntt import (
     ntt_array,
 )
 from .params import falcon_params
-from .scheme import _resolve_spine, hash_to_point
+from .scheme import hash_to_point
 
 if HAVE_NUMPY:
     import numpy as _np
@@ -138,14 +138,15 @@ class _Lane:
 ROWS_DECODE_MIN = 32
 
 
-def _decode_rows(items: Sequence, spine: str) -> dict[int, list]:
+def _decode_rows(items: Sequence) -> dict[int, list]:
     """Batched phase-1 decode: lanes grouped by (degree, blob width)
     through :func:`decompress_rows`, one vectorized Golomb–Rice walk
     per group.  Returns ``{item index: s2}`` for the lanes it decoded;
     failed or too-small groups are left to the scalar decoder (which
-    also supplies the canonical error message on failure)."""
+    also supplies the canonical error message on failure).  Needs
+    NumPy; without it every lane takes the scalar decoder."""
     decoded: dict[int, list] = {}
-    if spine != "numpy":
+    if _np is None:
         return decoded
     groups: dict[tuple[int, int], list[int]] = {}
     for index, item in enumerate(items):
@@ -162,20 +163,20 @@ def _decode_rows(items: Sequence, spine: str) -> dict[int, list]:
     return decoded
 
 
-def _decode_lanes(items: Sequence, spine: str = "scalar"
+def _decode_lanes(items: Sequence
                   ) -> tuple[list[LaneVerdict | None], list[_Lane]]:
     """Shared phase 1: decompress + hash every lane, report failures.
 
     A lane whose signature fails canonical decompression gets its
     verdict here (with the decoder's message as detail) and never
     blocks the rest of the batch — the old single-key path silently
-    dropped these lanes with no stat.  On the numpy spine, big
+    dropped these lanes with no stat.  With NumPy, big
     same-degree groups decode through the vectorized row decoder;
     accept/reject stays bit-identical either way.
     """
     verdicts: list[LaneVerdict | None] = [None] * len(items)
     live: list[_Lane] = []
-    decoded = _decode_rows(items, spine)
+    decoded = _decode_rows(items)
     for index, item in enumerate(items):
         public_key, message, signature = item[0], item[1], item[2]
         s1_claimed = item[3] if len(item) > 3 else None
@@ -250,7 +251,7 @@ def rlc_weights(seed: bytes, count: int, round_index: int = 0
 
 
 def _rlc_congruence_holds(group: list[_Lane], n: int, seed: bytes,
-                          rounds: int, spine: str) -> bool:
+                          rounds: int) -> bool:
     """The aggregate congruence over one degree group.
 
     Checks ``sum_i rho_i * (s1_i + s2_i*h_i - c_i) = 0 (mod q)`` in
@@ -260,7 +261,7 @@ def _rlc_congruence_holds(group: list[_Lane], n: int, seed: bytes,
     (shared across rounds) plus two single forward NTTs — and no
     inverse NTT anywhere.
     """
-    if spine == "numpy":
+    if _np is not None:
         q = _np.uint64(Q)
         s2_mat = _np.asarray([lane.s2 for lane in group],
                              dtype=_np.int64)
@@ -310,7 +311,7 @@ def _rlc_congruence_holds(group: list[_Lane], n: int, seed: bytes,
 
 
 def _aggregate_pass(group: list[_Lane], n: int, seed: bytes,
-                    rounds: int, spine: str, keep_s1: bool) -> bool:
+                    rounds: int, keep_s1: bool) -> bool:
     """Aggregate-then-verify for one expanded degree group.
 
     Per-lane shortness first (cheap, exact), then one RLC congruence
@@ -328,7 +329,7 @@ def _aggregate_pass(group: list[_Lane], n: int, seed: bytes,
         lane.verdict = LaneVerdict(ok, REASON_OK if ok else REASON_NORM)
         if keep_s1 and ok:
             lane.s1 = list(lane.s1_claimed)
-    if not _rlc_congruence_holds(group, n, seed, rounds, spine):
+    if not _rlc_congruence_holds(group, n, seed, rounds):
         for lane in group:  # exact verdicts come from the full pass
             lane.verdict = None
             lane.s1 = None
@@ -336,7 +337,7 @@ def _aggregate_pass(group: list[_Lane], n: int, seed: bytes,
     return True
 
 
-def verify_batch_report(items: Sequence, *, spine: str = "auto",
+def verify_batch_report(items: Sequence, *,
                         keep_s1: bool = False,
                         precheck: str | None = None,
                         precheck_seed: bytes = b"",
@@ -348,15 +349,16 @@ def verify_batch_report(items: Sequence, *, spine: str = "auto",
     ``(public_key, message, signature, s1)`` expanded quadruples when
     ``precheck="rlc"`` requests the aggregate-then-verify fast path.
     ``keep_s1`` captures each accepted lane's recomputed ``s1`` in the
-    report (the expansion a later aggregate pass needs).
+    report (the expansion a later aggregate pass needs).  The
+    arithmetic runs on the NumPy kernels when NumPy imports and on the
+    pure-Python ones otherwise, with identical results.
     """
     if precheck not in PRECHECKS:
         raise ValueError(f"unknown precheck {precheck!r}; "
                          f"choose from {PRECHECKS}")
     if precheck_rounds < 1:
         raise ValueError("precheck_rounds must be at least 1")
-    spine = _resolve_spine(spine)
-    verdicts, live = _decode_lanes(items, spine)
+    verdicts, live = _decode_lanes(items)
     if precheck == "rlc" and any(lane.s1_claimed is None
                                  for lane in live):
         raise ValueError("precheck='rlc' needs expanded lanes: "
@@ -369,10 +371,10 @@ def verify_batch_report(items: Sequence, *, spine: str = "auto",
         settled = False
         if precheck == "rlc":
             settled = _aggregate_pass(group, n, precheck_seed,
-                                      precheck_rounds, spine, keep_s1)
+                                      precheck_rounds, keep_s1)
         if not settled:
             precheck_passed = False
-            if spine == "numpy":
+            if _np is not None:
                 _full_pass_numpy(group, n, keep_s1)
             else:
                 _full_pass_scalar(group, n, keep_s1)
@@ -389,7 +391,7 @@ def verify_batch_report(items: Sequence, *, spine: str = "auto",
         s1_rows=s1_rows, precheck_passed=precheck_passed)
 
 
-def verify_batch(items: Sequence, *, spine: str = "auto",
+def verify_batch(items: Sequence, *,
                  precheck: str | None = None,
                  precheck_seed: bytes = b"",
                  precheck_rounds: int = 1) -> list[bool]:
@@ -401,6 +403,6 @@ def verify_batch(items: Sequence, *, spine: str = "auto",
     and the expanded-lane ``precheck`` semantics.
     """
     return verify_batch_report(
-        items, spine=spine, precheck=precheck,
+        items, precheck=precheck,
         precheck_seed=precheck_seed,
         precheck_rounds=precheck_rounds).verdicts

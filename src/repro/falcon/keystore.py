@@ -134,23 +134,21 @@ def derive_key_seed(master_seed: int | bytes, n: int, index: int) -> bytes:
     return sha256(material).digest()
 
 
-def generate_encoded_key(n: int, seed: bytes, prng: str = "chacha20",
-                         keygen_spine: str = "auto") -> bytes:
+def generate_encoded_key(n: int, seed: bytes,
+                         prng: str = "chacha20") -> bytes:
     """Generate one key and return its canonical encoding.
 
     Module-level (not a method) so process pools can pickle the job;
     returning the *encoded* bytes keeps the inter-process payload small
     and guarantees every pooled key round-trips the serializer.
     """
-    secret_key = SecretKey.generate(n=n, seed=seed, prng=prng,
-                                    keygen_spine=keygen_spine)
+    secret_key = SecretKey.generate(n=n, seed=seed, prng=prng)
     from .serialize import encode_secret_key
     return encode_secret_key(secret_key)
 
 
 def generate_encoded_key_block(n: int, seeds: Sequence[bytes],
-                               prng: str = "chacha20",
-                               keygen_spine: str = "auto") -> list[bytes]:
+                               prng: str = "chacha20") -> list[bytes]:
     """Generate a whole block of keys in one process-pool task.
 
     One-slot-per-task submission pays the per-task costs — pickling,
@@ -162,8 +160,7 @@ def generate_encoded_key_block(n: int, seeds: Sequence[bytes],
     key in the block (and in any later block the warm worker picks up)
     rides them.
     """
-    return [generate_encoded_key(n, seed, prng, keygen_spine)
-            for seed in seeds]
+    return [generate_encoded_key(n, seed, prng) for seed in seeds]
 
 
 @dataclass
@@ -291,7 +288,6 @@ class KeyStore:
                  master_seed: int | bytes = 0,
                  prng: str = "chacha20",
                  base_backend: str = "bitsliced",
-                 keygen_spine: str = "auto",
                  workers: int = 1,
                  low_watermark: int = 0,
                  refill_target: int | None = None,
@@ -310,7 +306,6 @@ class KeyStore:
         self.master_seed = master_seed
         self.prng = prng
         self.base_backend = base_backend
-        self.keygen_spine = keygen_spine
         self.workers = workers
         self.low_watermark = low_watermark
         self.refill_target = (refill_target if refill_target is not None
@@ -620,13 +615,12 @@ class KeyStore:
             encoded_keys = [
                 encoded
                 for task in [executor.submit(
-                    generate_encoded_key_block, n, chunk, self.prng,
-                    self.keygen_spine) for chunk in blocks]
+                    generate_encoded_key_block, n, chunk, self.prng)
+                    for chunk in blocks]
                 for encoded in task.result()]
         else:
             encoded_keys = [
-                generate_encoded_key(n, seed, self.prng,
-                                     self.keygen_spine)
+                generate_encoded_key(n, seed, self.prng)
                 for seed in seeds]
         entries = []
         for index, encoded in zip(indices, encoded_keys):
@@ -919,10 +913,10 @@ class KeyStore:
                                       guards=self._signer_guards,
                                       cache=self._signers, key=n)
 
-    def sign_many(self, n: int, messages: Sequence[bytes],
-                  spine: str = "auto") -> list[Signature]:
+    def sign_many(self, n: int,
+                  messages: Sequence[bytes]) -> list[Signature]:
         """Batch-sign ``messages`` with the cached degree-``n`` signer."""
-        return self.signer(n).sign_many(messages, spine=spine)
+        return self.signer(n).sign_many(messages)
 
     def verify_many(self, n: int, messages: Sequence[bytes],
                     signatures: Sequence[Signature]) -> list[bool]:

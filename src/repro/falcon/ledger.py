@@ -283,13 +283,12 @@ class Ledger:
 
     def __init__(self, directory: str | Path | None = None, *,
                  capacity: int = 4096, max_block_records: int = 1024,
-                 expand: bool = True, spine: str = "auto") -> None:
+                 expand: bool = True) -> None:
         if max_block_records < 1:
             raise ValueError("max_block_records must be positive")
         self.mempool = Mempool(capacity)
         self.max_block_records = max_block_records
         self.expand = expand
-        self.spine = spine
         self.blocks: list[Block] = []
         self.path: Path | None = None
         self.recovered_bytes = 0  # torn tail truncated on load
@@ -439,7 +438,7 @@ class Ledger:
             report = verify_batch_report(
                 [(public_key, record.message, signature)
                  for record, public_key, signature in lanes],
-                spine=self.spine, keep_s1=self.expand)
+                keep_s1=self.expand)
             for (record, _, _), verdict, s1 in zip(
                     lanes, report.lanes,
                     report.s1_rows or [None] * len(lanes)):
@@ -532,13 +531,13 @@ class Ledger:
                 report = verify_batch_report(
                     [lane + (list(s1),) for lane, s1
                      in zip(lanes, block.s1_rows)],
-                    spine=self.spine, precheck="rlc",
+                    precheck="rlc",
                     precheck_seed=bytes.fromhex(header.hash),
                     precheck_rounds=rounds)
                 if report.precheck_passed:
                     audit.aggregate_fastpath += 1
             else:
-                report = verify_batch_report(lanes, spine=self.spine)
+                report = verify_batch_report(lanes)
             for record, verdict in zip(lane_records, report.lanes):
                 if not verdict.ok:
                     audit.failures.append(

@@ -15,11 +15,12 @@ coefficients grow to thousands of bits; only their top 53 bits matter
 for the rounding).
 
 The whole pipeline runs on one of two *spines* (mirroring the signing
-path): ``"scalar"`` is pure Python, ``"numpy"`` draws candidate
-coefficients through the bulk CDT block sampler, batch-checks
-invertibility with the array NTT, batch-filters Gram–Schmidt quality
-through the array FFT kernels and computes Babai quotients on the
-block-scaled array FFT.  Both spines consume the identical PRNG byte
+path), picked by the platform: when NumPy imports, keygen draws
+candidate coefficients through the vectorized CDT block search,
+batch-checks invertibility with the array NTT, batch-filters
+Gram–Schmidt quality through the array FFT kernels and computes Babai
+quotients on the block-scaled array FFT; without NumPy the same steps
+run in pure Python.  Both spines consume the identical PRNG byte
 stream and perform bit-identical float arithmetic (the PR-3 kernel
 guarantees), so a fixed seed yields the same ``NtruKeys`` on either —
 pinned by the keygen KATs in both CI legs.
@@ -80,11 +81,6 @@ _MAX_WINDOW_ZOOM = 900
 #: host) with 44 at the optimum plateau, so the n<=512 tuning stands.
 _QUOTIENT_EXTRA_BITS = 44
 
-#: Keygen spine choices: ``"numpy"`` = bulk CDT + array NTT/FFT batch
-#: kernels, ``"scalar"`` = pure Python, ``"auto"`` = numpy when
-#: installed.  Identical byte streams and identical keys either way.
-KEYGEN_SPINES = ("auto", "numpy", "scalar")
-
 #: Candidates are sampled in blocks of this many (f, g) pairs so the
 #: quality filters amortize over one batched NTT / FFT pass.  The block
 #: size is part of the keygen stream contract: both spines draw whole
@@ -92,24 +88,13 @@ KEYGEN_SPINES = ("auto", "numpy", "scalar")
 CANDIDATE_BLOCK = 16
 
 #: Below this ring degree the array FFT's per-call overhead outweighs
-#: its throughput; the numpy spine hands those levels to the scalar
+#: its throughput; the NumPy spine hands those levels to the scalar
 #: kernels (bit-identical either way, so this is purely a speed knob).
 _ARRAY_FFT_MIN_DEGREE = 64
 
 
 class NtruSolveError(Exception):
     """The NTRU equation has no solution for this (f, g) — resample."""
-
-
-def _resolve_keygen_spine(spine: str) -> str:
-    if spine not in KEYGEN_SPINES:
-        raise ValueError(f"unknown keygen spine {spine!r}; "
-                         f"choose from {KEYGEN_SPINES}")
-    if spine == "auto":
-        return "numpy" if HAVE_NUMPY else "scalar"
-    if spine == "numpy" and not HAVE_NUMPY:
-        raise RuntimeError("NumPy is not installed; use spine='scalar'")
-    return spine
 
 
 def _xgcd(a: int, b: int) -> tuple[int, int, int]:
@@ -259,8 +244,8 @@ class _BabaiQuotient:
         return [round(c * scale) for c in ifft(quotient)]
 
 
-def reduce_basis(f: list[int], g: list[int], F: list[int], G: list[int],
-                 spine: str = "auto") -> tuple[list[int], list[int]]:
+def reduce_basis(f: list[int], g: list[int], F: list[int], G: list[int]
+                 ) -> tuple[list[int], list[int]]:
     """Babai-reduce (F, G) against (f, g); returns the new (F, G).
 
     Iterates ``k = round((F f* + G g*) / (f f* + g g*))``,
@@ -273,10 +258,9 @@ def reduce_basis(f: list[int], g: list[int], F: list[int], G: list[int],
     reference implementation).  Terminates only when ``k = 0`` with the
     window at scale 0, i.e. when (F, G) is fully reduced.
     """
-    route = _resolve_keygen_spine(spine)
     if len(f) <= _EXACT_BABAI_MAX_DEGREE:
         return _reduce_basis_exact(f, g, F, G)
-    use_array = route == "numpy" and len(f) >= _ARRAY_FFT_MIN_DEGREE
+    use_array = _np is not None and len(f) >= _ARRAY_FFT_MIN_DEGREE
     fg_bits = poly.max_bitsize([f, g])
     size = max(53, fg_bits)
     quotient = _BabaiQuotient(_block_scaled_floats(f, size - 53),
@@ -318,14 +302,12 @@ def reduce_basis(f: list[int], g: list[int], F: list[int], G: list[int],
     raise NtruSolveError("Babai reduction did not converge")
 
 
-def ntru_solve(f: list[int], g: list[int],
-               spine: str = "auto") -> tuple[list[int], list[int]]:
+def ntru_solve(f: list[int], g: list[int]) -> tuple[list[int], list[int]]:
     """Solve ``f G - g F = q`` for short (F, G).
 
     Raises :class:`NtruSolveError` when the resultants share a factor
     with q's tower (caller resamples f, g).
     """
-    route = _resolve_keygen_spine(spine)
     n = len(f)
     if n == 1:
         gcd, u, v = _xgcd(f[0], g[0])
@@ -336,13 +318,13 @@ def ntru_solve(f: list[int], g: list[int],
 
     f_norm = poly.field_norm(f)
     g_norm = poly.field_norm(g)
-    F_half, G_half = ntru_solve(f_norm, g_norm, spine=route)
+    F_half, G_half = ntru_solve(f_norm, g_norm)
     # F = lift(F_half) * conj(g), G = lift(G_half) * conj(f):
     # N(f) = f * conj(f) at the lifted level, so
     # f G - g F = lift(N(f) G_half - N(g) F_half) = lift(q) = q.
     F = poly.mul_negacyclic(poly.lift(F_half), poly.galois_conjugate(g))
     G = poly.mul_negacyclic(poly.lift(G_half), poly.galois_conjugate(f))
-    F, G = reduce_basis(f, g, F, G, spine=route)
+    F, G = reduce_basis(f, g, F, G)
     return F, G
 
 
@@ -378,11 +360,10 @@ def gram_schmidt_norm_sq(f: list[int], g: list[int]) -> float:
 
 
 def gram_schmidt_norms_batch(fs: list[list[int]],
-                             gs: list[list[int]],
-                             spine: str = "auto") -> list[float]:
+                             gs: list[list[int]]) -> list[float]:
     """:func:`gram_schmidt_norm_sq` for a block of candidate pairs.
 
-    The numpy route runs one array-FFT pass over all rows, the exact
+    With NumPy this runs one array-FFT pass over all rows, the exact
     pointwise kernel ops (``cmul``/``cdiv``), exact ``int64`` dot
     products for the first norm, and ``cumsum`` (sequential prefix
     sums — the same left-to-right IEEE additions as the scalar loop)
@@ -390,8 +371,7 @@ def gram_schmidt_norms_batch(fs: list[list[int]],
     scalar function's, so the accept/reject decisions cannot diverge
     between spines.
     """
-    route = _resolve_keygen_spine(spine)
-    if route != "numpy" or not fs:
+    if _np is None or not fs:
         return [gram_schmidt_norm_sq(f, g) for f, g in zip(fs, gs)]
     from .fft import fft_of_int_rows
 
@@ -446,22 +426,20 @@ def _keygen_table(sigma_rounded: float):
     return CdtTable(gaussian)
 
 
-def _sample_fg(params: FalconParams, source: RandomSource,
-               spine: str = "auto") -> list[int]:
+def _sample_fg(params: FalconParams, source: RandomSource) -> list[int]:
     """One secret polynomial with D_{sigma_fg} coefficients.
 
     All ``n`` coefficients come from one bulk CDT block draw (the PR-1/2
-    batched word pipeline underneath); the scalar and numpy routes
+    batched word pipeline underneath); the scalar and NumPy searches
     consume the identical byte stream.
     """
     sigma = round(params.keygen_sigma, 6)
     table = _keygen_table(sigma)
-    return cdt_sample_block(table, source, params.n,
-                            route=_resolve_keygen_spine(spine))
+    return cdt_sample_block(table, source, params.n)
 
 
 def _sample_candidate_block(params: FalconParams, source: RandomSource,
-                            route: str, pairs: int,
+                            pairs: int,
                             ) -> list[tuple[list[int], list[int]]]:
     """``pairs`` candidate (f, g) polynomial pairs from ONE block draw.
 
@@ -474,35 +452,33 @@ def _sample_candidate_block(params: FalconParams, source: RandomSource,
     sigma = round(params.keygen_sigma, 6)
     table = _keygen_table(sigma)
     n = params.n
-    flat = cdt_sample_block(table, source, 2 * pairs * n, route=route)
+    flat = cdt_sample_block(table, source, 2 * pairs * n)
     return [(flat[2 * i * n:(2 * i + 1) * n],
              flat[(2 * i + 1) * n:(2 * i + 2) * n])
             for i in range(pairs)]
 
 
 def generate_keys(n: int, source: RandomSource | None = None,
-                  max_attempts: int = 1024,
-                  spine: str = "auto") -> NtruKeys:
+                  max_attempts: int = 1024) -> NtruKeys:
     """Falcon key generation for ring degree ``n``.
 
     Candidate (f, g) pairs are drawn in blocks of
     :data:`CANDIDATE_BLOCK` and pushed through the filter ladder —
-    parity pre-filter, invertibility (one batched NTT on the numpy
-    spine), Gram–Schmidt quality (one batched FFT pass) — before the
+    parity pre-filter, invertibility (one batched NTT when NumPy
+    imports), Gram–Schmidt quality (one batched FFT pass) — before the
     survivors run NTRUSolve in order; per-candidate acceptance is
     ~5-10% (the Gram–Schmidt bound dominates, as in the reference
     implementation), hence the generous attempt budget.  Whole blocks
     are drawn regardless of where acceptance lands, so the stream
     consumption (and therefore every key) is identical on both spines.
     """
-    route = _resolve_keygen_spine(spine)
     params = falcon_params(n)
     rng = source if source is not None else default_source()
     bound = (1.17 ** 2) * Q
     examined = 0
     while examined < max_attempts:
         block = min(CANDIDATE_BLOCK, max_attempts - examined)
-        candidates = _sample_candidate_block(params, rng, route, block)
+        candidates = _sample_candidate_block(params, rng, block)
         examined += block
         # Parity pre-filter: if f(1) and g(1) are both even, the two
         # resultants share the factor 2 and NTRUSolve must fail — skip
@@ -510,7 +486,7 @@ def generate_keys(n: int, source: RandomSource | None = None,
         live = [i for i, (f, g) in enumerate(candidates)
                 if sum(f) % 2 or sum(g) % 2]
         if live:
-            if route == "numpy":
+            if _np is not None:
                 invertible = is_invertible_array(
                     [candidates[i][0] for i in live])
                 live = [i for i, ok in zip(live, invertible) if ok]
@@ -520,13 +496,13 @@ def generate_keys(n: int, source: RandomSource | None = None,
         if live:
             norms = gram_schmidt_norms_batch(
                 [candidates[i][0] for i in live],
-                [candidates[i][1] for i in live], spine=route)
+                [candidates[i][1] for i in live])
             live = [i for i, norm_sq in zip(live, norms)
                     if norm_sq <= bound]
         for i in live:
             f, g = candidates[i]
             try:
-                F, G = ntru_solve(list(f), list(g), spine=route)
+                F, G = ntru_solve(list(f), list(g))
             except NtruSolveError:
                 continue
             h = div_ntt(g, f)

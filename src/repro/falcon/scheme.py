@@ -77,12 +77,6 @@ if HAVE_NUMPY:
 else:  # pragma: no cover - exercised in the no-numpy CI job
     _np = None
 
-#: Spine choices for the batch APIs: ``"numpy"`` runs the array
-#: kernels, ``"scalar"`` the pure-Python ones, ``"auto"`` picks numpy
-#: when installed.  Both spines produce identical signature bytes for a
-#: fixed seed (the array kernels are bit-identical by construction).
-SPINES = ("auto", "numpy", "scalar")
-
 #: Base-sampler precision: the paper keeps n = 128 bits and tau = 13
 #: for every backend in Table 1.
 BASE_PRECISION = 128
@@ -134,16 +128,11 @@ def make_base_sampler(backend: str, source: RandomSource | None = None,
                                           **backend_kwargs)
 
 
-def _resolve_spine(spine: str) -> str:
-    if spine not in SPINES:
-        raise ValueError(
-            f"unknown spine {spine!r}; choose from {SPINES}")
-    if spine == "auto":
-        return "numpy" if HAVE_NUMPY else "scalar"
-    if spine == "numpy" and not HAVE_NUMPY:
-        raise RuntimeError("NumPy is not installed; "
-                           "use spine='scalar'")
-    return spine
+def _spine_name() -> str:
+    """The signing spine that runs: the array kernels when NumPy
+    imports, the pure-Python ones otherwise.  Both produce identical
+    signature bytes for a fixed seed."""
+    return "numpy" if _np is not None else "scalar"
 
 
 def hash_to_point(message: bytes, salt: bytes, n: int) -> list[int]:
@@ -318,20 +307,16 @@ class SecretKey:
     @classmethod
     def generate(cls, n: int, seed: int | bytes = 0,
                  base_backend: str = "bitsliced",
-                 prng: str = "chacha20",
-                 keygen_spine: str = "auto") -> "SecretKey":
+                 prng: str = "chacha20") -> "SecretKey":
         """Generate a fresh key pair for ring degree ``n``.
 
         ``prng`` names the deterministic randomness backend feeding key
         generation *and* signing (``chacha20`` — the paper's Table 1
         configuration, vectorized when NumPy is present — ``chacha12``,
         ``chacha8``, ``shake128``, ``shake256``, ``counter``).
-        ``keygen_spine`` selects the keygen numeric route (``"numpy"``,
-        ``"scalar"`` or ``"auto"``); all spines consume the identical
-        byte stream and emit bit-identical keys for a fixed seed.
         """
         source = make_source(prng, seed)
-        keys = generate_keys(n, source=source, spine=keygen_spine)
+        keys = generate_keys(n, source=source)
         return cls(keys, source=source, base_backend=base_backend)
 
     @property
@@ -391,8 +376,9 @@ class SecretKey:
                                                   self.params.sigma)
         return self._flat_tree
 
-    def _resolve_spine(self, spine: str) -> str:
-        return _resolve_spine(spine)
+    def _resolve_spine(self, _spine: object) -> str:
+        # The repository benchmark's config line reads the spine here.
+        return _spine_name()
 
     def _key_target_ffts(self) -> tuple[list[complex], list[complex]]:
         """FFTs of (f, F) used to build signing targets (cached)."""
@@ -429,9 +415,8 @@ class SecretKey:
         self.source.prefetch(min(lanes * per_signature, 1 << 22))
 
     def sign_many(self, messages: Sequence[bytes],
-                  max_attempts: int = 64,
-                  spine: str = "auto") -> list[Signature]:
-        """Sign a batch of messages through the vectorized spine.
+                  max_attempts: int = 64) -> list[Signature]:
+        """Sign a batch of messages in shared rounds.
 
         Round-based: each round draws a salt per still-unsigned
         message (in message order), hashes them to points, and runs
@@ -442,13 +427,9 @@ class SecretKey:
         Lanes failing the norm or compression check retry in the next
         round.  This is :func:`sign_batch` with every lane under this
         key, and :meth:`sign` is its one-lane case.
-
-        ``spine`` selects the numeric backend (``"numpy"``,
-        ``"scalar"``, or ``"auto"``); both produce **identical
-        signature bytes** for a fixed seed.
         """
         return sign_batch([(self, message) for message in messages],
-                          max_attempts=max_attempts, spine=spine)
+                          max_attempts=max_attempts)
 
     def samples_per_signature(self) -> int:
         """Base-sampler leaf calls per ffSampling pass: 2n."""
@@ -539,8 +520,7 @@ def _attempt_lanes_scalar(keys: list[SecretKey], counts: list[int],
 
 @secret_params("lanes")
 def sign_batch(lanes: Sequence[tuple[SecretKey, bytes]],
-               max_attempts: int = 64,
-               spine: str = "auto") -> list[Signature]:
+               max_attempts: int = 64) -> list[Signature]:
     """Sign ``(secret_key, message)`` lanes of many keys in shared rounds.
 
     The sign-side twin of
@@ -559,9 +539,9 @@ def sign_batch(lanes: Sequence[tuple[SecretKey, bytes]],
     byte for byte, on both spines, whatever other keys share the round
     (for keys that do not share one random source, as no generated or
     served key does).  All keys must have one degree.  Returns the
-    signatures in lane order.
+    signatures in lane order.  Each attempt runs the array kernels when
+    NumPy imports and the pure-Python ones otherwise.
     """
-    spine = _resolve_spine(spine)
     # Which lanes share a key is public metadata: group by identity.
     keys: dict[int, SecretKey] = {}
     owners = []
@@ -589,7 +569,7 @@ def sign_batch(lanes: Sequence[tuple[SecretKey, bytes]],
                 hashed.append(hash_to_point(lanes[index][1], salt, key.n))
         group_keys = [keys[owner] for owner in active]
         counts = [len(pending[owner]) for owner in active]
-        if spine == "numpy":
+        if _np is not None:
             results = _attempt_lanes_numpy(group_keys, counts, hashed)
         else:
             results = _attempt_lanes_scalar(group_keys, counts, hashed)

@@ -43,7 +43,7 @@ from dataclasses import dataclass, field
 from typing import Sequence
 
 from ..batchverify import verify_batch
-from ..scheme import Signature
+from ..scheme import Signature, _spine_name
 from .errors import DeadlineExceeded, ServingUnavailable
 from .sharded import ShardedKeyStore, sign_tenant_lanes
 
@@ -238,12 +238,9 @@ class SigningService:
     window (seconds the first request of a round waits for company; 0
     drains only what is already queued), ``queue_depth`` bounds each
     shard queue — a full queue suspends callers (back-pressure)
-    instead of buffering without limit.  ``offload=True`` (default)
-    runs each round on a worker thread so the event loop stays
-    responsive while the CPU-bound spine runs; ``offload=False`` runs
-    rounds inline on the loop — on a single-core host the GIL makes
-    the thread hop pure overhead, and inline execution trades loop
-    responsiveness for peak throughput.
+    instead of buffering without limit.  Each round runs on a worker
+    thread so the event loop stays responsive while the CPU-bound
+    spine runs.
 
     ``worker_pool`` escapes the GIL entirely: rounds are submitted to
     a :class:`~repro.falcon.serving.ShardWorkerPool` — one dedicated
@@ -272,13 +269,15 @@ class SigningService:
     of the round.
     """
 
+    #: Rounds always run off the loop; a constant the repository
+    #: benchmark's config line reports.
+    offload = True
+
     def __init__(self, store: ShardedKeyStore, *,
                  n: int = 64,
                  max_batch: int = 32,
                  max_wait: float = 0.002,
                  queue_depth: int = 256,
-                 spine: str = "auto",
-                 offload: bool = True,
                  worker_pool=None,
                  record_rounds: bool = False,
                  breaker_failures: int = 5,
@@ -295,8 +294,6 @@ class SigningService:
         self.max_batch = max_batch
         self.max_wait = max_wait
         self.queue_depth = queue_depth
-        self.spine = spine
-        self.offload = offload
         self.worker_pool = worker_pool
         # Verify lanes merge across tenants into maximal rounds by
         # default (they need no secret key; the cross-key engine
@@ -314,6 +311,12 @@ class SigningService:
         self._workers: list[asyncio.Task] = []
         self._started = False
         self._stopping = False
+
+    @property
+    def spine(self) -> str:
+        """The signing spine the rounds run: ``"numpy"`` or
+        ``"scalar"``, whichever the platform provides."""
+        return _spine_name()
 
     # -- lifecycle ---------------------------------------------------------
 
@@ -575,21 +578,16 @@ class SigningService:
                 # engine pass.
                 return verify_batch(
                     [(self.store.public_key(r.tenant, self.n),
-                      r.message, r.signature) for r in requests],
-                    spine=self.spine)
+                      r.message, r.signature) for r in requests])
             # One worker-thread hop per round: the signer checkouts
             # (cached after first use) plus the batched kernel call
             # together, so the event loop stays free while the
             # CPU-bound spine runs.
-            return sign_tenant_lanes(checkout, tenants, messages,
-                                     spine=self.spine)
+            return sign_tenant_lanes(checkout, tenants, messages)
 
         breaker = self.breakers[shard] if self.breakers else None
         try:
-            if self.offload or self.worker_pool is not None:
-                results = await asyncio.to_thread(run_round)
-            else:
-                results = run_round()
+            results = await asyncio.to_thread(run_round)
             if len(results) != len(requests):  # a broken backend
                 raise RuntimeError(
                     f"round returned {len(results)} results for "

@@ -40,8 +40,7 @@ def derive_shard_seed(master_seed: int | bytes, shard: int) -> bytes:
 
 
 def sign_tenant_lanes(checkout, tenants: Sequence[str],
-                      messages: Sequence[bytes],
-                      spine: str = "auto") -> list:
+                      messages: Sequence[bytes]) -> list:
     """Sign one merged round: lane ``i`` is ``messages[i]`` under
     ``tenants[i]``'s key.
 
@@ -63,7 +62,7 @@ def sign_tenant_lanes(checkout, tenants: Sequence[str],
     signed = iter(sign_batch(
         [(signers[tenant], message)
          for tenant, message in zip(tenants, messages)
-         if tenant in signers], spine=spine))
+         if tenant in signers]))
     return [failed[tenant] if tenant in failed else next(signed)
             for tenant in tenants]
 
@@ -277,11 +276,10 @@ class ShardedKeyStore:
         return self.signer(tenant, n).public_key
 
     def sign_many(self, tenant: str | bytes, n: int,
-                  messages: Sequence[bytes],
-                  spine: str = "auto") -> list[Signature]:
+                  messages: Sequence[bytes]) -> list[Signature]:
         """Batch-sign under the tenant's checked-out key (byte-
         identical to ``self.signer(tenant, n).sign_many(...)``)."""
-        return self.signer(tenant, n).sign_many(messages, spine=spine)
+        return self.signer(tenant, n).sign_many(messages)
 
     def verify_many(self, tenant: str | bytes, n: int,
                     messages: Sequence[bytes],

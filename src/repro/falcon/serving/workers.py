@@ -108,9 +108,7 @@ def _worker_main(connection, shard: int, config: dict) -> None:
         master_seed=derive_shard_seed(config["master_seed"], shard),
         prng=config.get("prng", "chacha20"),
         base_backend=config.get("base_backend", "bitsliced"),
-        keygen_spine=config.get("keygen_spine", "auto"),
         fault_plan=config.get("fault_plan"))
-    spine = config.get("spine", "auto")
     signers = {}
 
     def signer(tenant: str, n: int):
@@ -143,7 +141,7 @@ def _worker_main(connection, shard: int, config: dict) -> None:
             elif kind == _KIND_SIGN:
                 signed = sign_tenant_lanes(
                     lambda lane_tenant: signer(lane_tenant, n),
-                    lane_tenants, messages, spine=spine)
+                    lane_tenants, messages)
                 reply = ("ok", [_portable(s) if isinstance(s, Exception)
                                 else (s.salt, s.compressed)
                                 for s in signed])
@@ -153,8 +151,7 @@ def _worker_main(connection, shard: int, config: dict) -> None:
                 verdicts = verify_batch(
                     [(signer(t, n).public_key, message, signature)
                      for t, message, signature
-                     in zip(lane_tenants, messages, rebuilt)],
-                    spine=spine)
+                     in zip(lane_tenants, messages, rebuilt)])
                 reply = ("ok", list(verdicts))
             else:
                 raise ValueError(f"unknown round kind {kind!r}")
@@ -203,8 +200,6 @@ class ShardWorkerPool:
                  directory: str | Path | None = None,
                  prng: str = "chacha20",
                  base_backend: str = "bitsliced",
-                 keygen_spine: str = "auto",
-                 spine: str = "auto",
                  mp_context: str | None = None,
                  fault_plan=None,
                  max_restarts: int = 3,
@@ -216,8 +211,6 @@ class ShardWorkerPool:
             "master_seed": master_seed,
             "prng": prng,
             "base_backend": base_backend,
-            "keygen_spine": keygen_spine,
-            "spine": spine,
             # The plan's keystore faults (failed / crashed claims) arm
             # each worker's store, as they arm a ShardedKeyStore's.
             "fault_plan": fault_plan,

@@ -3,7 +3,8 @@
 The engine's contract: ``verify_batch(items)`` over arbitrary mixed
 keys and degrees returns verdicts bit-identical to calling each lane's
 ``public_key.verify(message, signature)``, on both spines, with
-per-lane failure reasons instead of silent drops.
+per-lane failure reasons instead of silent drops.  The ``spine``
+fixture (tests/conftest.py) runs a test once per spine.
 """
 
 import pytest
@@ -15,6 +16,7 @@ from repro.falcon import (
     verify_batch,
     verify_batch_report,
 )
+from repro.falcon import batchverify
 from repro.falcon.batchverify import (
     REASON_DECOMPRESS,
     REASON_NORM,
@@ -22,8 +24,6 @@ from repro.falcon.batchverify import (
     ROWS_DECODE_MIN,
     rlc_weights,
 )
-
-SPINES = ("scalar",) + (("numpy",) if HAVE_NUMPY else ())
 
 # Session-scope keys: keygen dominates these tests otherwise.
 _KEYS: dict[tuple[int, int], SecretKey] = {}
@@ -61,20 +61,21 @@ def _mixed_batch() -> list[tuple]:
     return lanes
 
 
-@pytest.mark.parametrize("spine", SPINES)
 def test_cross_key_matches_per_key_verify(spine):
     lanes = _mixed_batch()
-    verdicts = verify_batch(lanes, spine=spine)
+    verdicts = verify_batch(lanes)
     assert verdicts == [pk.verify(message, signature)
                         for pk, message, signature in lanes]
     assert True in verdicts and False in verdicts
 
 
 @pytest.mark.skipif(not HAVE_NUMPY, reason="needs both spines")
-def test_spines_bit_identical_including_reasons():
+def test_spines_bit_identical_including_reasons(scalar_spine):
     lanes = _mixed_batch()
-    numpy_report = verify_batch_report(lanes, spine="numpy")
-    scalar_report = verify_batch_report(lanes, spine="scalar")
+    numpy_report = verify_batch_report(lanes, keep_s1=True)
+    with scalar_spine():
+        scalar_report = verify_batch_report(lanes, keep_s1=True)
+    assert numpy_report.s1_rows == scalar_report.s1_rows
     assert numpy_report.verdicts == scalar_report.verdicts
     assert [(lane.ok, lane.reason, lane.detail)
             for lane in numpy_report.lanes] == \
@@ -82,31 +83,27 @@ def test_spines_bit_identical_including_reasons():
          for lane in scalar_report.lanes]
 
 
-@pytest.mark.parametrize("spine", SPINES)
 def test_empty_batch(spine):
-    assert verify_batch([], spine=spine) == []
-    report = verify_batch_report([], spine=spine, keep_s1=True)
+    assert verify_batch([]) == []
+    report = verify_batch_report([], keep_s1=True)
     assert report.lanes == [] and report.s1_rows == []
 
 
-@pytest.mark.parametrize("spine", SPINES)
 def test_single_lane_batch(spine):
     lane = _honest_lane(8, 1, 0)
-    assert verify_batch([lane], spine=spine) == [True]
+    assert verify_batch([lane]) == [True]
 
 
-@pytest.mark.parametrize("spine", SPINES)
 def test_duplicate_keys_share_a_batch(spine):
     sk = _secret_key(8, 1)
     lanes = [(sk.public_key, b"dup-%d" % i, sk.sign(b"dup-%d" % i))
              for i in range(4)]
-    assert verify_batch(lanes, spine=spine) == [True] * 4
+    assert verify_batch(lanes) == [True] * 4
 
 
-@pytest.mark.parametrize("spine", SPINES)
 def test_failure_reasons_reported_not_dropped(spine):
     lanes = _mixed_batch()
-    report = verify_batch_report(lanes, spine=spine)
+    report = verify_batch_report(lanes)
     reasons = [lane.reason for lane in report.lanes]
     assert reasons[:7] == [REASON_OK] * 7
     assert reasons[7] == REASON_NORM          # forged message
@@ -122,7 +119,7 @@ def test_failure_reasons_reported_not_dropped(spine):
 
 @pytest.mark.skipif(not HAVE_NUMPY,
                     reason="row decoder needs the numpy spine")
-def test_large_batch_row_decoder_matches_scalar():
+def test_large_batch_row_decoder_matches_scalar(scalar_spine):
     """A same-degree batch past ROWS_DECODE_MIN rides the vectorized
     row decoder; verdicts and reasons must not change."""
     lanes = []
@@ -136,8 +133,9 @@ def test_large_batch_row_decoder_matches_scalar():
                           compressed=signature.compressed[:2]))
     pk, message, signature = lanes[9]
     lanes[9] = (pk, message + b"!", signature)
-    numpy_report = verify_batch_report(lanes, spine="numpy")
-    scalar_report = verify_batch_report(lanes, spine="scalar")
+    numpy_report = verify_batch_report(lanes)
+    with scalar_spine():
+        scalar_report = verify_batch_report(lanes)
     assert numpy_report.verdicts == scalar_report.verdicts
     assert [(lane.reason, lane.detail)
             for lane in numpy_report.lanes] == \
@@ -146,10 +144,9 @@ def test_large_batch_row_decoder_matches_scalar():
                                      for pk, m, s in lanes]
 
 
-@pytest.mark.parametrize("spine", SPINES)
 def test_keep_s1_exposes_expansion_rows(spine):
     lanes = _mixed_batch()
-    report = verify_batch_report(lanes, spine=spine, keep_s1=True)
+    report = verify_batch_report(lanes, keep_s1=True)
     for verdict, s1, (pk, _m, _s) in zip(report.verdicts,
                                          report.s1_rows, lanes):
         if verdict:
@@ -158,45 +155,64 @@ def test_keep_s1_exposes_expansion_rows(spine):
             assert s1 is None
 
 
-@pytest.mark.parametrize("spine", SPINES)
 def test_rlc_precheck_accepts_honest_expansion(spine):
     lanes = [_honest_lane(8, seed, i)
              for i, seed in enumerate((1, 2, 3, 1))]
-    expansion = verify_batch_report(lanes, spine=spine, keep_s1=True)
+    expansion = verify_batch_report(lanes, keep_s1=True)
     expanded = [(pk, m, s, s1) for (pk, m, s), s1
                 in zip(lanes, expansion.s1_rows)]
-    report = verify_batch_report(expanded, spine=spine,
-                                 precheck="rlc",
+    report = verify_batch_report(expanded, precheck="rlc",
                                  precheck_seed=b"test-seed",
                                  precheck_rounds=2)
     assert report.precheck_passed
     assert report.verdicts == expansion.verdicts
 
 
-@pytest.mark.parametrize("spine", SPINES)
 def test_rlc_falls_back_exactly_on_corrupt_expansion(spine):
     """A tampered claimed s1 must not change any verdict: the
     aggregate check fails and the engine re-derives exact verdicts
     through the full pass."""
     lanes = [_honest_lane(8, seed, i)
              for i, seed in enumerate((1, 2, 3))]
-    expansion = verify_batch_report(lanes, spine=spine, keep_s1=True)
+    expansion = verify_batch_report(lanes, keep_s1=True)
     rows = [list(s1) for s1 in expansion.s1_rows]
     rows[1][0] = (rows[1][0] + 1)  # in-range tamper
     expanded = [(pk, m, s, s1) for (pk, m, s), s1
                 in zip(lanes, rows)]
-    report = verify_batch_report(expanded, spine=spine,
-                                 precheck="rlc",
+    report = verify_batch_report(expanded, precheck="rlc",
                                  precheck_seed=b"test-seed")
     assert not report.precheck_passed
     assert report.verdicts == expansion.verdicts == [True] * 3
 
 
-@pytest.mark.parametrize("spine", SPINES)
 def test_rlc_requires_expanded_lanes(spine):
     lanes = [_honest_lane(8, 1, 0)]
     with pytest.raises(ValueError, match="expanded"):
-        verify_batch(lanes, spine=spine, precheck="rlc")
+        verify_batch(lanes, precheck="rlc")
+
+
+def test_verify_batch_report_follows_platform(spine, monkeypatch):
+    """With NumPy, a same-degree batch past ``ROWS_DECODE_MIN`` takes
+    the row decoder, the NumPy full pass and the NumPy RLC check;
+    inside the switch it takes the scalar bodies — never the other
+    spine's."""
+    if spine == "numpy":
+        banned = ("_full_pass_scalar", "decompress", "ntt", "intt")
+    else:
+        banned = ("_full_pass_numpy", "decompress_rows", "ntt_array",
+                  "mul_ntt_rows_array")
+    for name in banned:
+        def fail(*args, name=name):
+            raise AssertionError(f"{name} ran on the {spine} spine")
+
+        monkeypatch.setattr(batchverify, name, fail)
+    lanes = [_honest_lane(8, 1 + i % 3, 200 + i)
+             for i in range(ROWS_DECODE_MIN + 4)]
+    report = verify_batch_report(lanes, keep_s1=True)
+    assert report.verdicts == [True] * len(lanes)
+    expanded = [lane + (s1,) for lane, s1 in zip(lanes, report.s1_rows)]
+    assert verify_batch_report(expanded, precheck="rlc",
+                               precheck_seed=b"platform").precheck_passed
 
 
 def test_precheck_and_spine_validation():
@@ -204,8 +220,6 @@ def test_precheck_and_spine_validation():
         verify_batch([], precheck="magic")
     with pytest.raises(ValueError, match="at least 1"):
         verify_batch([], precheck="rlc", precheck_rounds=0)
-    with pytest.raises(ValueError, match="unknown spine"):
-        verify_batch([], spine="vliw")
 
 
 def test_rlc_weights_deterministic_and_in_range():

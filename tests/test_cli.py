@@ -122,6 +122,39 @@ def test_sample_rejects_bad_batch_width(capsys, width):
     assert "--batch-width" in capsys.readouterr().err
 
 
+#: Count, window and degree options that once crashed, raised a
+#: traceback or ran a meaningless load: each must be a usage error.
+BAD_NUMERIC_INPUT = {
+    "serve-tenants-0": ["serve", "--tenants", "0"],
+    "serve-clients-0": ["serve", "--requests", "4", "--clients", "0"],
+    "serve-shards-0": ["serve", "--shards", "0"],
+    "serve-max-batch-0": ["serve", "--max-batch", "0"],
+    "serve-queue-depth-0": ["serve", "--queue-depth", "0"],
+    "serve-max-wait-negative": ["serve", "--max-wait", "-1"],
+    "serve-n-6": ["serve", "--n", "6"],
+    "ledger-keys-0": ["ledger", "append", "--dir", "ld", "--keys", "0"],
+    "ledger-block-size-0": ["ledger", "append", "--dir", "ld",
+                            "--block-size", "0"],
+    "ledger-capacity-0": ["ledger", "append", "--dir", "ld",
+                          "--capacity", "0"],
+    "ledger-rounds-0": ["ledger", "verify", "--dir", "ld", "--mode",
+                        "aggregate", "--rounds", "0"],
+    "falcon-n-100": ["falcon", "--n", "100"],
+    "falcon-n-0": ["falcon", "--n", "0"],
+    "keygen-workers-0": ["keygen", "--workers", "0"],
+    "keygen-n-2": ["keygen", "--n", "2"],
+}
+
+
+@pytest.mark.parametrize("argv", BAD_NUMERIC_INPUT.values(),
+                         ids=BAD_NUMERIC_INPUT.keys())
+def test_numeric_options_reject_bad_values(capsys, argv):
+    with pytest.raises(SystemExit) as exit_info:
+        main(argv)
+    assert exit_info.value.code == 2
+    assert f"argument {argv[-2]}:" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("backend,calls", [("bitsliced", "255"),
                                            ("cdt-binary", "3")])
 def test_audit_rejects_too_few_calls(capsys, backend, calls):
@@ -154,35 +187,6 @@ def test_keygen_command_persists(capsys, tmp_path):
     out = capsys.readouterr().out
     assert store_dir in out
     assert len(list((tmp_path / "keys").glob("*.skey"))) >= 1
-
-
-def test_keygen_command_spine_choice(capsys):
-    assert main(["keygen", "--n", "8", "--count", "1",
-                 "--spine", "scalar"]) == 0
-    assert "scalar" in capsys.readouterr().out
-
-
-def test_bench_serve_from_keystore(capsys, tmp_path):
-    store_dir = str(tmp_path / "serve-keys")
-    assert main(["keygen", "--n", "16", "--count", "2", "--seed", "2",
-                 "--keystore", store_dir]) == 0
-    capsys.readouterr()
-    assert main(["bench-serve", "--n", "16", "--seed", "2",
-                 "--signs", "4", "--batch", "4",
-                 "--keystore", store_dir]) == 0
-    out = capsys.readouterr().out
-    assert "serving Falcon-16 key from store" in out
-    assert "all verified: True" in out
-
-
-def test_bench_serve_async_rows(capsys):
-    assert main(["bench-serve", "--n", "16", "--signs", "8",
-                 "--batch", "4", "--async", "--tenants", "2",
-                 "--clients", "4", "--spine", "scalar"]) == 0
-    out = capsys.readouterr().out
-    assert "async coalesced (clients=1, tenants=2)" in out
-    assert "async coalesced (clients=4, tenants=2)" in out
-    assert "all verified: True" in out
 
 
 def test_serve_command(capsys):

@@ -4,27 +4,27 @@ The fixtures under ``tests/kats/`` were generated once (seed, PRNG and
 backend recorded in each file) and committed; every future refactor of
 the numeric spine — scalar or vectorized — must keep reproducing the
 exact same signature bytes, in both the with-NumPy and without-NumPy
-environments.  A silent change here means a silent change to what the
-scheme signs, which is exactly what these vectors exist to catch.
+environments, and on the scalar spine inside the ``scalar_spine``
+switch (tests/conftest.py) on a NumPy host.  A silent change here means
+a silent change to what the scheme signs, which is exactly what these
+vectors exist to catch.
 
 The n=256 vector costs a keygen of ~1s and runs under ``REPRO_FULL=1``.
 """
 
 import json
+from contextlib import nullcontext
 from pathlib import Path
 
 import pytest
 from _env_gate import REPRO_FULL
 
-from repro.falcon import HAVE_NUMPY, SecretKey
+from repro.falcon import SecretKey
 
 KAT_DIR = Path(__file__).parent / "kats"
 FULL = REPRO_FULL
 
 KAT_FILES = sorted(KAT_DIR.glob("falcon_*.json"))
-
-#: The numeric spines installed here: both produce the pinned bytes.
-SPINES = ["scalar"] + (["numpy"] if HAVE_NUMPY else [])
 
 
 def _load(path):
@@ -57,28 +57,26 @@ def test_kat_key_generation(kat):
 
 
 @pytest.mark.parametrize("kat", _kats())
-def test_kat_sequential_sign(kat):
-    """One message at a time: ``sign`` (the auto spine) and a one-lane
-    ``sign_many`` round on each installed spine."""
-    signers = [SecretKey.sign] + [
-        lambda sk, message, spine=spine: sk.sign_many([message],
-                                                      spine=spine)[0]
-        for spine in SPINES]
-    for sign in signers:
+def test_kat_sequential_sign(kat, scalar_spine):
+    """One message at a time: ``sign`` on the platform's spine, then
+    inside the scalar-spine switch."""
+    for switch in (nullcontext, scalar_spine):
         sk = _regenerate(kat)
-        for message_hex, expected in zip(kat["messages"],
-                                         kat["sign_sequential"]):
-            signature = sign(sk, bytes.fromhex(message_hex))
-            assert signature.salt.hex() == expected["salt"]
-            assert signature.compressed.hex() == expected["compressed"]
+        with switch():
+            for message_hex, expected in zip(kat["messages"],
+                                             kat["sign_sequential"]):
+                signature = sk.sign(bytes.fromhex(message_hex))
+                assert signature.salt.hex() == expected["salt"]
+                assert signature.compressed.hex() \
+                    == expected["compressed"]
 
 
-@pytest.mark.parametrize("spine", SPINES)
+@pytest.mark.parametrize("spine", ["scalar", "numpy"], indirect=True)
 @pytest.mark.parametrize("kat", _kats())
 def test_kat_batch_sign(kat, spine):
     sk = _regenerate(kat)
     messages = [bytes.fromhex(h) for h in kat["messages"]]
-    signatures = sk.sign_many(messages, spine=spine)
+    signatures = sk.sign_many(messages)
     for signature, expected in zip(signatures, kat["sign_many_batch"]):
         assert signature.salt.hex() == expected["salt"]
         assert signature.compressed.hex() == expected["compressed"]

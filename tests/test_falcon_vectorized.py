@@ -7,7 +7,9 @@ byte for byte.  These tests pin that, transform by transform and end
 to end, across ring sizes.
 
 The full-sign differentials run at small n by default; the larger
-paper levels are exercised under ``REPRO_FULL=1`` (keygen cost).
+paper levels are exercised under ``REPRO_FULL=1`` (keygen cost).  The
+scalar signing spine runs inside the ``scalar_spine`` switch
+(tests/conftest.py); the ``spine`` fixture runs a test on each spine.
 """
 
 import dataclasses
@@ -38,6 +40,7 @@ from repro.falcon import (  # noqa: E402
     hash_to_point,
     sign_batch,
 )
+from repro.falcon import scheme  # noqa: E402
 from repro.falcon.ffsampling import _build_flat_ldl_tree_lists  # noqa: E402
 from repro.falcon.samplerz import RejectionSamplerZ
 from repro.falcon.scheme import make_base_sampler
@@ -240,17 +243,20 @@ def test_batched_walk_kernels_agree_at_served_shape(served_key, lanes):
 
 
 @numpy_only
-def test_sign_many_spines_identical_at_served_shape(served_key):
+def test_sign_many_spines_identical_at_served_shape(served_key,
+                                                    scalar_spine):
     """Both spines sign 11- and 32-message rounds to the same bytes."""
-    signed = {}
-    for spine in ("scalar", "numpy"):
+
+    def sign_rounds():
         sk = SecretKey(served_key.keys, source=ChaChaSource(43))
-        signed[spine] = [
-            (s.salt, s.compressed)
-            for batch in (11, 32)
-            for s in sk.sign_many([b"round-%d-%d" % (batch, i)
-                                   for i in range(batch)], spine=spine)]
-    assert signed["numpy"] == signed["scalar"]
+        return [(s.salt, s.compressed)
+                for batch in (11, 32)
+                for s in sk.sign_many([b"round-%d-%d" % (batch, i)
+                                       for i in range(batch)])]
+
+    with scalar_spine():
+        scalar = sign_rounds()
+    assert sign_rounds() == scalar
 
 
 # -- hash-to-point ---------------------------------------------------------
@@ -377,12 +383,13 @@ def _fresh(n, seed):
 
 @numpy_only
 @pytest.mark.parametrize("n", SIGN_SIZES)
-def test_sign_many_spines_identical(n):
+def test_sign_many_spines_identical(n, scalar_spine):
     """The acceptance-criterion property: scalar and NumPy spines emit
     identical signature bytes for a fixed ChaCha seed."""
     messages = [b"spine-%d" % i for i in range(4)]
-    scalar = _fresh(n, 32).sign_many(messages, spine="scalar")
-    vector = _fresh(n, 32).sign_many(messages, spine="numpy")
+    with scalar_spine():
+        scalar = _fresh(n, 32).sign_many(messages)
+    vector = _fresh(n, 32).sign_many(messages)
     assert [(s.salt, s.compressed) for s in scalar] \
         == [(s.salt, s.compressed) for s in vector]
 
@@ -415,11 +422,25 @@ def test_verify_many_rejects_malformed_compression(n=64):
 def test_sign_many_empty_and_spine_validation():
     sk = _fresh(8, 35)
     assert sk.sign_many([]) == []
-    with pytest.raises(ValueError):
-        sk.sign_many([b"x"], spine="simd")
-    if not HAVE_NUMPY:
-        with pytest.raises(RuntimeError):
-            sk.sign_many([b"x"], spine="numpy")
+    assert sk.signing_attempts == 0
+
+
+def test_sign_batch_follows_platform(spine, monkeypatch):
+    """``sign_batch`` runs the NumPy attempt when NumPy imports and
+    the scalar attempt inside the switch — never the other one."""
+    other = ("_attempt_lanes_scalar" if spine == "numpy"
+             else "_attempt_lanes_numpy")
+
+    def fail(*args):
+        raise AssertionError(f"{other} ran on the {spine} spine")
+
+    monkeypatch.setattr(scheme, other, fail)
+    assert scheme._spine_name() == spine
+    key = _fresh(8, 89)
+    messages = [b"platform-%d" % i for i in range(3)]
+    signatures = sign_batch([(key, message) for message in messages])
+    assert all(key.public_key.verify(message, signature)
+               for message, signature in zip(messages, signatures))
 
 
 # -- cross-key batch signing -----------------------------------------------
@@ -428,27 +449,24 @@ def test_sign_many_empty_and_spine_validation():
 #: interleaved arrivals and uneven lane counts (6, 3 and 1 lanes).
 MERGED_ARRIVALS = (0, 1, 0, 0, 2, 1, 0, 1, 0, 0)
 
-SPINE_PARAMS = ("scalar", pytest.param("numpy", marks=numpy_only))
-
 
 def _counters(key):
     return (key.signing_attempts, key.sampler_z.accepted,
             key.sampler_z.base_draws)
 
 
-def _assert_per_key_streams(merged, reference, arrivals, spine):
+def _assert_per_key_streams(merged, reference, arrivals):
     """One ``sign_batch`` round over ``merged`` keys equals, key by
     key, ``sign_many`` of the twin ``reference`` key over that key's
-    messages in arrival order — bytes and sampler counters."""
+    messages in arrival order — bytes and sampler counters — on the
+    spine the caller's ``spine`` fixture selected."""
     messages = [b"merged-%d-%d" % (key, lane)
                 for lane, key in enumerate(arrivals)]
     signed = sign_batch([(merged[key], message)
-                         for key, message in zip(arrivals, messages)],
-                        spine=spine)
+                         for key, message in zip(arrivals, messages)])
     for index, twin in enumerate(reference):
         mine = [lane for lane, key in enumerate(arrivals) if key == index]
-        expected = twin.sign_many([messages[lane] for lane in mine],
-                                  spine=spine)
+        expected = twin.sign_many([messages[lane] for lane in mine])
         assert [(signed[lane].salt, signed[lane].compressed)
                 for lane in mine] \
             == [(s.salt, s.compressed) for s in expected]
@@ -458,12 +476,11 @@ def _assert_per_key_streams(merged, reference, arrivals, spine):
                    [merged[key] for key in arrivals], messages, signed))
 
 
-@pytest.mark.parametrize("spine", SPINE_PARAMS)
 def test_sign_batch_matches_per_key_sign_many(spine):
     seeds = (81, 82, 83)
     _assert_per_key_streams([_fresh(64, seed) for seed in seeds],
                             [_fresh(64, seed) for seed in seeds],
-                            MERGED_ARRIVALS, spine)
+                            MERGED_ARRIVALS)
 
 
 @pytest.fixture(scope="module")
@@ -475,7 +492,8 @@ def served_trio():
 @numpy_only
 @pytest.mark.parametrize("split, spine", (
     ((11, 11, 0), "numpy"), ((1, 7, 0), "numpy"), ((16, 5, 1), "numpy"),
-    ((32, 1, 0), "numpy"), ((3, 0, 9), "numpy"), ((16, 5, 1), "scalar")))
+    ((32, 1, 0), "numpy"), ((3, 0, 9), "numpy"), ((16, 5, 1), "scalar")),
+    indirect=["spine"])
 def test_sign_batch_matches_per_key_sign_many_at_served_shape(
         served_trio, split, spine):
     """n = 512: lanes per key as in a served shard batch, round-robin
@@ -485,10 +503,9 @@ def test_sign_batch_matches_per_key_sign_many_at_served_shape(
     twins = [[SecretKey(keys, source=ChaChaSource(47 + index))
               for index, keys in enumerate(served_trio)]
              for _ in range(2)]
-    _assert_per_key_streams(twins[0], twins[1], arrivals, spine)
+    _assert_per_key_streams(twins[0], twins[1], arrivals)
 
 
-@pytest.mark.parametrize("spine", SPINE_PARAMS)
 def test_sign_batch_retries_lanes_against_their_own_bound(spine):
     """Keys 0 and 2 get a bound near the median signature norm, so
     some of their lanes fail the norm check and retry in later rounds
@@ -503,7 +520,7 @@ def test_sign_batch_retries_lanes_against_their_own_bound(spine):
         return out
 
     merged, reference = keys(), keys()
-    _assert_per_key_streams(merged, reference, MERGED_ARRIVALS, spine)
+    _assert_per_key_streams(merged, reference, MERGED_ARRIVALS)
     assert merged[0].signing_attempts > MERGED_ARRIVALS.count(0)
 
 
@@ -519,21 +536,3 @@ def test_sign_batch_rejects_mixed_degrees():
             KeyGroup(small.flat_tree, small.sampler_z, slice(0, 1)),
             KeyGroup(large.flat_tree, large.sampler_z, slice(1, 2))])
 
-
-# -- CLI -------------------------------------------------------------------
-
-def test_cli_bench_serve_smoke(capsys):
-    from repro.cli import main
-
-    assert main(["bench-serve", "--n", "16", "--signs", "4",
-                 "--batch", "2"]) == 0
-    out = capsys.readouterr().out
-    assert "serving throughput" in out
-    assert "verify_many" in out
-
-
-def test_cli_falcon_spine_option(capsys):
-    from repro.cli import main
-
-    assert main(["falcon", "--n", "16", "--spine", "auto"]) == 0
-    assert "verified   : True" in capsys.readouterr().out

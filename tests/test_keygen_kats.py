@@ -5,8 +5,10 @@ The fixtures under ``tests/kats/keygen_*.json`` were generated once
 refactor of the keygen pipeline — the CDT block sampler, the candidate
 filters, NTRUSolve, Babai reduction, on either spine — must keep
 reproducing the exact same (f, g, F, G, h), in both the with-NumPy and
-without-NumPy CI legs.  A divergence here means the two spines no
-longer generate the same keys from the same seed.
+without-NumPy CI legs, and on the scalar spine inside the
+``scalar_spine`` switch (tests/conftest.py) on a NumPy host.  A
+divergence here means the two spines no longer generate the same keys
+from the same seed.
 
 The n=256, n=512 and n=1024 vectors run under ``REPRO_FULL=1`` (the
 slow gate; Level 3 keygen costs ~100 ms vectorized, ~1 s scalar).
@@ -18,7 +20,7 @@ from pathlib import Path
 import pytest
 from _env_gate import REPRO_FULL
 
-from repro.falcon import HAVE_NUMPY, generate_keys
+from repro.falcon import generate_keys
 from repro.rng import ChaChaSource
 
 KAT_DIR = Path(__file__).parent / "kats"
@@ -52,12 +54,10 @@ def test_keygen_kat_default_spine(kat):
     assert keys.h == kat["h"]
 
 
-@pytest.mark.parametrize("spine", ["scalar"]
-                         + (["numpy"] if HAVE_NUMPY else []))
+@pytest.mark.parametrize("spine", ["scalar", "numpy"], indirect=True)
 @pytest.mark.parametrize("kat", _kats())
 def test_keygen_kat_each_spine(kat, spine):
-    keys = generate_keys(kat["n"], source=ChaChaSource(kat["seed"]),
-                         spine=spine)
+    keys = generate_keys(kat["n"], source=ChaChaSource(kat["seed"]))
     assert keys.F == kat["F"]
     assert keys.G == kat["G"]
     assert keys.h == kat["h"]

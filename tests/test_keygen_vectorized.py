@@ -5,7 +5,8 @@ seed the scalar and numpy routes must consume the identical PRNG byte
 stream and emit **bit-identical** keys.  These tests pin every layer of
 that promise: the bulk CDT block sampler, the batched invertibility and
 Gram–Schmidt filters, the Babai quotients, the multiplication kernels,
-and finally whole ``generate_keys`` runs.
+and finally whole ``generate_keys`` runs.  The scalar route runs inside
+the ``scalar_spine`` switch (tests/conftest.py).
 """
 
 import random
@@ -14,6 +15,7 @@ import pytest
 
 from repro.baselines.cdt import CdtTable, cdt_sample_block
 from repro.core.gaussian import GaussianParams
+from repro.baselines import cdt
 from repro.falcon import (
     HAVE_NUMPY,
     generate_keys,
@@ -22,6 +24,7 @@ from repro.falcon import (
     is_invertible,
     poly,
 )
+from repro.falcon import ntrugen
 from repro.falcon.ntrugen import _sample_fg
 from repro.falcon.params import falcon_params
 from repro.rng import ChaChaSource, CountingSource
@@ -38,26 +41,26 @@ def _table(sigma=4.05, precision=64):
 
 @needs_numpy
 @pytest.mark.parametrize("count", [1, 7, 64, 1000])
-def test_cdt_block_routes_identical(count):
+def test_cdt_block_routes_identical(count, scalar_spine):
     table = _table()
-    scalar = cdt_sample_block(table, ChaChaSource(42), count,
-                              route="scalar")
-    vector = cdt_sample_block(table, ChaChaSource(42), count,
-                              route="numpy")
+    with scalar_spine():
+        scalar = cdt_sample_block(table, ChaChaSource(42), count)
+    vector = cdt_sample_block(table, ChaChaSource(42), count)
     assert scalar == vector
 
 
 @needs_numpy
-def test_cdt_block_routes_consume_identical_stream():
+def test_cdt_block_routes_consume_identical_stream(scalar_spine):
     table = _table()
     counting_scalar = CountingSource(ChaChaSource(9))
     counting_vector = CountingSource(ChaChaSource(9))
-    cdt_sample_block(table, counting_scalar, 333, route="scalar")
-    cdt_sample_block(table, counting_vector, 333, route="numpy")
+    with scalar_spine():
+        cdt_sample_block(table, counting_scalar, 333)
+    cdt_sample_block(table, counting_vector, 333)
     assert counting_scalar.bytes_read == counting_vector.bytes_read
 
 
-def test_cdt_block_matches_distribution_contract():
+def test_cdt_block_matches_distribution_contract(scalar_spine):
     """Block draws follow the documented stream contract: full-width
     words searched against the shifted CDF, then LSB-first sign bits."""
     from bisect import bisect_right
@@ -74,22 +77,16 @@ def test_cdt_block_matches_distribution_contract():
         assert magnitude < len(table.shifted_entries)  # no gap hits here
         bit = (signs[index >> 3] >> (index & 7)) & 1
         expected.append(-magnitude if bit else magnitude)
-    assert cdt_sample_block(table, ChaChaSource(5), 16,
-                            route="scalar") == expected
+    with scalar_spine():
+        assert cdt_sample_block(table, ChaChaSource(5), 16) == expected
 
 
-def test_cdt_block_rejects_bad_route():
-    with pytest.raises(ValueError):
-        cdt_sample_block(_table(), ChaChaSource(0), 4, route="simd")
-
-
-def test_sample_fg_spines_identical():
+def test_sample_fg_spines_identical(scalar_spine):
     params = falcon_params(64)
-    scalar = _sample_fg(params, ChaChaSource(3), spine="scalar")
+    with scalar_spine():
+        scalar = _sample_fg(params, ChaChaSource(3))
     assert len(scalar) == 64
-    if HAVE_NUMPY:
-        assert _sample_fg(params, ChaChaSource(3),
-                          spine="numpy") == scalar
+    assert _sample_fg(params, ChaChaSource(3)) == scalar
 
 
 # -- batched filters --------------------------------------------------------
@@ -99,7 +96,7 @@ def test_batched_gram_schmidt_bit_identical():
     rng = random.Random(17)
     fs = [[rng.randrange(-40, 41) for _ in range(64)] for _ in range(6)]
     gs = [[rng.randrange(-40, 41) for _ in range(64)] for _ in range(6)]
-    batch = gram_schmidt_norms_batch(fs, gs, spine="numpy")
+    batch = gram_schmidt_norms_batch(fs, gs)
     for f, g, norm_sq in zip(fs, gs, batch):
         assert norm_sq == gram_schmidt_norm_sq(f, g)  # same float, ==
 
@@ -149,9 +146,10 @@ def test_adjoint_is_fft_conjugate():
 
 @needs_numpy
 @pytest.mark.parametrize("n", [8, 64])
-def test_generate_keys_spines_bit_identical(n):
-    scalar = generate_keys(n, source=ChaChaSource(1234), spine="scalar")
-    vector = generate_keys(n, source=ChaChaSource(1234), spine="numpy")
+def test_generate_keys_spines_bit_identical(n, scalar_spine):
+    with scalar_spine():
+        scalar = generate_keys(n, source=ChaChaSource(1234))
+    vector = generate_keys(n, source=ChaChaSource(1234))
     assert scalar.f == vector.f
     assert scalar.g == vector.g
     assert scalar.F == vector.F
@@ -160,21 +158,33 @@ def test_generate_keys_spines_bit_identical(n):
 
 
 @needs_numpy
-def test_generate_keys_spines_consume_identical_stream():
+def test_generate_keys_spines_consume_identical_stream(scalar_spine):
     counting_scalar = CountingSource(ChaChaSource(77))
     counting_vector = CountingSource(ChaChaSource(77))
-    generate_keys(32, source=counting_scalar, spine="scalar")
-    generate_keys(32, source=counting_vector, spine="numpy")
+    with scalar_spine():
+        generate_keys(32, source=counting_scalar)
+    generate_keys(32, source=counting_vector)
     assert counting_scalar.bytes_read == counting_vector.bytes_read
 
 
-def test_generate_keys_rejects_unknown_spine():
-    with pytest.raises(ValueError):
-        generate_keys(8, source=ChaChaSource(0), spine="gpu")
+def test_generate_keys_follows_platform(spine, monkeypatch):
+    """``generate_keys`` takes the array route (vectorized CDT search,
+    batched invertibility and Gram–Schmidt filters, array Babai at
+    n = 64) when NumPy imports and the pure-Python route inside the
+    switch — never the other one."""
+    if spine == "numpy":
+        banned = [(cdt, "_block_magnitudes_scalar"),
+                  (ntrugen, "is_invertible"),
+                  (ntrugen, "gram_schmidt_norm_sq")]
+    else:
+        banned = [(cdt, "_block_magnitudes_numpy"),
+                  (ntrugen, "is_invertible_array"),
+                  (ntrugen, "fft_array"),
+                  (ntrugen, "cdiv")]
+    for module, name in banned:
+        def fail(*args, name=name):
+            raise AssertionError(f"{name} ran on the {spine} spine")
 
-
-def test_generate_keys_auto_spine_matches_explicit():
-    auto = generate_keys(8, source=ChaChaSource(55), spine="auto")
-    explicit = "numpy" if HAVE_NUMPY else "scalar"
-    again = generate_keys(8, source=ChaChaSource(55), spine=explicit)
-    assert auto.f == again.f and auto.h == again.h
+        monkeypatch.setattr(module, name, fail)
+    keys = generate_keys(64, source=ChaChaSource(1234))
+    assert keys.verify_ntru_equation()

@@ -375,9 +375,8 @@ def test_rotation_during_refill_discards_inflight_cohort(tmp_path,
     real_generate = keystore_module.generate_encoded_key
     fired = []
 
-    def rotate_mid_generation(n, seed, prng="chacha20",
-                              keygen_spine="auto"):
-        encoded = real_generate(n, seed, prng, keygen_spine)
+    def rotate_mid_generation(n, seed, prng="chacha20"):
+        encoded = real_generate(n, seed, prng)
         if not fired:  # rotation lands while this key is in flight
             fired.append(True)
             store.rotate(8)

@@ -152,12 +152,9 @@ def test_reduce_basis_zoom_terminates_on_intrinsic_excess():
         poly.max_bitsize([r, s]) + poly.max_bitsize([f, g]) - 53 + 8
 
 
-@pytest.mark.parametrize("spine", ["scalar", "numpy", "auto"])
-def test_reduce_basis_spines_identical(spine):
-    from repro.falcon import HAVE_NUMPY
-
-    if spine == "numpy" and not HAVE_NUMPY:
-        pytest.skip("NumPy not installed")
+@pytest.mark.parametrize("spine", ["scalar", "numpy", "auto"],
+                         indirect=True)
+def test_reduce_basis_spines_identical(spine, scalar_spine):
     rng = random.Random(11)
     n = 64
     f = [rng.getrandbits(40) - (1 << 39) for _ in range(n)]
@@ -165,8 +162,9 @@ def test_reduce_basis_spines_identical(spine):
     t = [rng.randrange(-5000, 5001) for _ in range(n)]
     F = poly.mul_negacyclic(t, f)
     G = poly.mul_negacyclic(t, g)
-    reference = reduce_basis(f, g, list(F), list(G), spine="scalar")
-    assert reduce_basis(f, g, list(F), list(G), spine=spine) == reference
+    with scalar_spine():
+        reference = reduce_basis(f, g, list(F), list(G))
+    assert reduce_basis(f, g, list(F), list(G)) == reference
 
 
 def test_round_div_is_nearest_integer():
