@@ -13,17 +13,11 @@ the whole mixed-key batch through a single vectorized
   (what a fleet without the cross-key engine can do);
 * **cross_key_verify_batch** — the tentpole: the identical record
   stream through one mixed-key ``verify_batch`` call;
-* **cross_key_rlc_precheck** — the aggregate-then-verify fast path:
-  lanes expanded with their recovered ``s1`` vectors, audited by the
-  random-linear-combination congruence
-  ``Σ ρᵢ(s1ᵢ + s2ᵢ·hᵢ − cᵢ) ≡ 0 (mod q)`` (per round: one batched
-  forward NTT plus two single NTTs, no inverse transforms);
 * **ledger_commit** — the full pipeline: bounded mempool → cross-key
   batch verification → hash-chained committed blocks, with per-commit
   p50/p99 latency;
-* **chain_audit_full / chain_audit_aggregate** — re-verifying the
-  committed chain record-by-record vs through the RLC aggregate
-  (seeded by each block's own header hash).
+* **chain_audit_full** — re-verifying the committed chain: linkage,
+  roots and one engine pass per block.
 
 The acceptance gate (recorded in the JSON): at 64 distinct keys the
 cross-key batch must verify records at >= 2x the per-key
@@ -47,7 +41,7 @@ import pytest
 
 from repro.analysis import format_table
 from repro.falcon import HAVE_NUMPY, Ledger
-from repro.falcon.batchverify import verify_batch, verify_batch_report
+from repro.falcon.batchverify import verify_batch
 from repro.falcon.scheme import SecretKey
 
 from _report import REPORT_DIR, once, report
@@ -115,28 +109,12 @@ def _cross_key_rate(lanes: list[tuple]) -> float:
     return len(lanes) / elapsed
 
 
-def _rlc_rate(lanes: list[tuple]) -> tuple[float, bool]:
-    """Aggregate-then-verify: expand the lanes once (recover s1), then
-    time the RLC congruence audit over the expanded batch.  Returns
-    (records/s, fast-path taken)."""
-    expansion = verify_batch_report(lanes, keep_s1=True)
-    expanded = [(pk, message, signature, s1)
-                for (pk, message, signature), s1
-                in zip(lanes, expansion.s1_rows)]
-    started = time.perf_counter()
-    audit = verify_batch_report(expanded, precheck="rlc",
-                                precheck_seed=b"bench-ledger")
-    elapsed = time.perf_counter() - started
-    assert all(audit.verdicts)
-    return len(lanes) / elapsed, audit.precheck_passed
-
-
 def _ledger_pipeline(lanes: list[tuple], block_size: int
                      ) -> tuple[Ledger, float, list[float]]:
     """Submit every record through the mempool and commit in blocks;
     returns the in-memory ledger (for the audit rows), the end-to-end
     records/s, and the per-commit latencies."""
-    ledger = Ledger(expand=True, max_block_records=block_size,
+    ledger = Ledger(max_block_records=block_size,
                     capacity=max(len(lanes), block_size))
     latencies: list[float] = []
     started = time.perf_counter()
@@ -156,13 +134,12 @@ def _ledger_pipeline(lanes: list[tuple], block_size: int
     return ledger, rate, latencies
 
 
-def _audit_rate(ledger: Ledger, mode: str) -> tuple[float, int]:
+def _audit_rate(ledger: Ledger) -> float:
     started = time.perf_counter()
-    audit = ledger.verify_chain(mode)
+    audit = ledger.verify_chain()
     elapsed = time.perf_counter() - started
     assert audit.ok, audit.failures
-    return (audit.records / elapsed if elapsed else 0.0,
-            audit.aggregate_fastpath)
+    return audit.records / elapsed if elapsed else 0.0
 
 
 def run_sweep(n: int = 256, keys: int = GATE_KEYS, records: int = 128,
@@ -177,15 +154,10 @@ def run_sweep(n: int = 256, keys: int = GATE_KEYS, records: int = 128,
 
     rates = {"per_key_verify_many": _per_key_rate(lanes, keys),
              "cross_key_verify_batch": _cross_key_rate(lanes)}
-    rlc_rate, rlc_fastpath = _rlc_rate(lanes)
-    rates["cross_key_rlc_precheck"] = rlc_rate
     ledger, ledger_rate, commit_latencies = _ledger_pipeline(
         lanes, block_size)
     rates["ledger_commit"] = ledger_rate
-    full_rate, _ = _audit_rate(ledger, "full")
-    aggregate_rate, fastpath_blocks = _audit_rate(ledger, "aggregate")
-    rates["chain_audit_full"] = full_rate
-    rates["chain_audit_aggregate"] = aggregate_rate
+    rates["chain_audit_full"] = _audit_rate(ledger)
 
     speedup = (rates["cross_key_verify_batch"]
                / rates["per_key_verify_many"])
@@ -210,8 +182,6 @@ def run_sweep(n: int = 256, keys: int = GATE_KEYS, records: int = 128,
         "commit_latency": _latency_summary(commit_latencies),
         "commits": len(commit_latencies),
         "chain_height": ledger.height,
-        "aggregate_fastpath_blocks": fastpath_blocks,
-        "rlc_precheck_fastpath": rlc_fastpath,
         "cross_key_speedup_vs_per_key": round(speedup, 2),
         "cross_key_2x_at_64_keys":
             bool(speedup >= GATE_SPEEDUP) if gate_applicable else None,
@@ -234,10 +204,7 @@ def render_report(payload: dict) -> str:
     lines = [table, "",
              f"commit latency over {payload['commits']} block(s): "
              f"p50 {latency['p50_ms']:,.2f} ms / "
-             f"p99 {latency['p99_ms']:,.2f} ms",
-             f"aggregate audit fast-path blocks: "
-             f"{payload['aggregate_fastpath_blocks']}"
-             f"/{payload['chain_height']}"]
+             f"p99 {latency['p99_ms']:,.2f} ms"]
     speedup = payload["cross_key_speedup_vs_per_key"]
     line = (f"cross-key batch = {speedup:.2f}x the per-key "
             f"verify_many loop")

@@ -24,7 +24,7 @@ Subcommands
 ``keygen``       fill a generate-ahead key store (optionally persisted
                  to disk, optionally over a worker pool).
 ``ledger``       append signed records to a ledger, audit its chain
-                 (full or RLC aggregate pass) or print its stats.
+                 or print its stats.
 ``serve``        run the asyncio coalescing signing service over a
                  sharded key store and drive a client load through it
                  (the serving-architecture demo: coalesced rounds,
@@ -62,6 +62,15 @@ def _positive_int(text: str) -> int:
     if value < 1:
         raise argparse.ArgumentTypeError(
             f"must be a positive integer, got {value}")
+    return value
+
+
+def _non_negative_int(text: str) -> int:
+    """argparse type: an integer of at least 0."""
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(
+            f"must be a non-negative integer, got {value}")
     return value
 
 
@@ -632,11 +641,14 @@ def _ledger_signers(n: int, keys: int, seed: int) -> list:
 def _cmd_ledger(args: argparse.Namespace) -> int:
     import time
 
-    from .falcon.ledger import Ledger
+    from .falcon.ledger import Ledger, LedgerError
 
-    ledger = Ledger(args.dir, capacity=args.capacity,
-                    max_block_records=args.block_size,
-                    expand=not args.no_expand)
+    try:
+        ledger = Ledger(args.dir, capacity=args.capacity,
+                        max_block_records=args.block_size)
+    except LedgerError as error:
+        print(f"error: {error}", file=sys.stderr)
+        return 1
 
     if args.action == "append":
         print(f"generating {args.keys} Falcon-{args.n} signing keys "
@@ -657,7 +669,8 @@ def _cmd_ledger(args: argparse.Namespace) -> int:
             message = b"ledger|%d|%d" % (args.seed, i)
             ledger.submit_signed(signer.public_key, message,
                                  signer.sign(message))
-            if len(ledger.mempool) >= args.block_size:
+            # Commit before a mempool smaller than a block fills up.
+            if len(ledger.mempool) >= min(args.block_size, args.capacity):
                 commit_now()
         while len(ledger.mempool):
             commit_now()
@@ -678,16 +691,14 @@ def _cmd_ledger(args: argparse.Namespace) -> int:
 
     if args.action == "verify":
         begun = time.perf_counter()
-        audit = ledger.verify_chain(args.mode, rounds=args.rounds)
+        audit = ledger.verify_chain()
         elapsed = time.perf_counter() - begun
         rate = audit.records / elapsed if elapsed and audit.records \
             else 0.0
         print(format_table(
             ["metric", "value"],
-            [["mode", audit.mode],
-             ["blocks", audit.blocks],
+            [["blocks", audit.blocks],
              ["records", audit.records],
-             ["aggregate fast-path blocks", audit.aggregate_fastpath],
              ["records/s", f"{rate:,.1f}"],
              ["failures", len(audit.failures)],
              ["verdict", "OK" if audit.ok else "FAIL"]],
@@ -836,7 +847,7 @@ def build_parser() -> argparse.ArgumentParser:
     ledger_p.add_argument("--n", type=_degree, default=64)
     ledger_p.add_argument("--keys", type=_positive_int, default=8,
                           help="distinct signing keys for append")
-    ledger_p.add_argument("--records", type=int, default=64,
+    ledger_p.add_argument("--records", type=_positive_int, default=64,
                           help="records to sign and submit on append")
     ledger_p.add_argument("--seed", type=int, default=0)
     ledger_p.add_argument("--block-size", type=_positive_int, default=64,
@@ -844,17 +855,6 @@ def build_parser() -> argparse.ArgumentParser:
                           help="max records per committed block")
     ledger_p.add_argument("--capacity", type=_positive_int, default=4096,
                           help="mempool bound")
-    ledger_p.add_argument("--mode", default="full",
-                          choices=["full", "aggregate"],
-                          help="verify: full engine pass per block, "
-                               "or the RLC aggregate fast path over "
-                               "expanded blocks")
-    ledger_p.add_argument("--rounds", type=_positive_int, default=1,
-                          help="independent RLC rounds (soundness "
-                               "error < q^-rounds)")
-    ledger_p.add_argument("--no-expand", action="store_true",
-                          help="do not store s1 expansion rows in "
-                               "committed blocks")
     ledger_p.set_defaults(func=_cmd_ledger)
 
     run_p = sub.add_parser(
@@ -869,8 +869,9 @@ def build_parser() -> argparse.ArgumentParser:
     run_p.add_argument("--tenants", type=_positive_int, default=4)
     run_p.add_argument("--clients", type=_positive_int, default=8,
                        help="concurrent client coroutines")
-    run_p.add_argument("--requests", type=int, default=64,
-                       help="total sign requests to serve")
+    run_p.add_argument("--requests", type=_non_negative_int, default=64,
+                       help="total sign requests to serve (0 with "
+                            "--listen: serve until interrupted)")
     run_p.add_argument("--max-batch", type=_positive_int, default=32,
                        help="coalescing round size cap")
     run_p.add_argument("--max-wait", type=_non_negative_float,
@@ -878,7 +879,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="coalescing batch window in seconds")
     run_p.add_argument("--queue-depth", type=_positive_int, default=64,
                        help="bounded per-shard queue (back-pressure)")
-    run_p.add_argument("--watermark", type=int, default=0,
+    run_p.add_argument("--watermark", type=_non_negative_int, default=0,
                        help="per-shard low watermark for background "
                             "refill (0 disables)")
     run_p.add_argument("--provision", type=int, default=0,
@@ -909,10 +910,12 @@ def build_parser() -> argparse.ArgumentParser:
                        help="per-tenant auth token for the wire "
                             "protocol (repeatable; default: open "
                             "server, empty tokens accepted)")
-    run_p.add_argument("--rate-limit", type=float, default=0.0,
+    run_p.add_argument("--rate-limit", type=_non_negative_float,
+                       default=0.0,
                        help="per-tenant token-bucket rate limit in "
                             "frames/s (0 disables)")
-    run_p.add_argument("--deadline", type=float, default=0.0,
+    run_p.add_argument("--deadline", type=_non_negative_float,
+                       default=0.0,
                        help="per-request deadline in seconds "
                             "(0 disables; expired requests fail with "
                             "DeadlineExceeded)")

@@ -10,7 +10,6 @@ from contextlib import contextmanager
 from .batchverify import (
     BatchVerifyReport,
     LaneVerdict,
-    rlc_weights,
     verify_batch,
     verify_batch_report,
 )
@@ -198,7 +197,6 @@ __all__ = [
     "plan_rounds",
     "ntt_array",
     "reduce_basis",
-    "rlc_weights",
     "round_ifft",
     "save_secret_key",
     "round_ifft_array",

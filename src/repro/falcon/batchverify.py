@@ -18,33 +18,11 @@ Failures are *reported*, never silently dropped: each lane of a
 (``"decompress"`` with the decoder's detail, ``"norm-bound"``, or
 ``"ok"``), so callers like the ledger's block builder can reject bad
 lanes without blocking the rest of the batch.
-
-The aggregate-then-verify fast path (the folded-falcon shape, see
-SNIPPETS.md #3) is the opt-in ``precheck="rlc"``: for *expanded* lanes
-that also carry the recomputed ``s1`` (``(pk, message, sig, s1)``),
-verification splits into per-lane shortness (cheap) and the lattice
-congruence ``s1 + s2*h - c = 0 (mod q)``, and the congruences of a
-whole batch collapse into **one** random-linear-combination check::
-
-    sum_i rho_i * (s1_i + s2_i * h_i - c_i)  =  0   (mod q)
-
-with weights ``rho_i`` derived from a caller-supplied seed.  By NTT
-linearity the check needs the batched forward transform of the ``s2``
-rows plus just two more forward transforms (of the rho-weighted ``s1``
-and ``c`` sums) — and **no inverse transforms at all**.  A batch with
-any lane whose congruence residual is non-zero survives the check with
-probability at most ``1/q`` per independent round (the residual is a
-non-zero linear form in the ``rho_i`` over the prime field), so
-``precheck_rounds=r`` drives soundness error below ``q^-r``.  When the
-aggregate check fails, the engine falls back to the full per-lane path
-and returns exact verdicts — aggregate-then-verify never changes
-*what* is accepted, only how cheaply acceptance is established.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from hashlib import sha256
+from dataclasses import dataclass
 from typing import Sequence
 
 from .encoding import DecompressError, decompress, decompress_rows
@@ -56,7 +34,6 @@ from .ntt import (
     intt,
     mul_ntt_rows_array,
     ntt,
-    ntt_array,
 )
 from .params import falcon_params
 from .scheme import hash_to_point
@@ -71,9 +48,6 @@ else:  # pragma: no cover - exercised in the no-numpy CI job
 REASON_OK = "ok"
 REASON_DECOMPRESS = "decompress"
 REASON_NORM = "norm-bound"
-
-#: Prechecks :func:`verify_batch` understands (``None`` = full path).
-PRECHECKS = (None, "rlc")
 
 
 @dataclass(frozen=True)
@@ -90,17 +64,10 @@ class BatchVerifyReport:
     """Everything one engine pass learned about a batch.
 
     ``verdicts`` matches per-key :meth:`PublicKey.verify` bit for bit.
-    ``s1_rows`` (with ``keep_s1=True``) holds each accepted lane's
-    recomputed centered ``s1`` — the expansion the RLC aggregate path
-    consumes later, captured at zero extra cost.  ``precheck_passed``
-    is True when an ``"rlc"`` aggregate check settled the batch
-    without the per-lane inverse-NTT pass.
     """
 
     verdicts: list[bool]
     lanes: list[LaneVerdict]
-    s1_rows: list | None = None
-    precheck_passed: bool = False
 
     @property
     def accepted(self) -> int:
@@ -126,10 +93,8 @@ class _Lane:
     public_key: object
     s2: list
     hashed: list
-    s1_claimed: list | None = None
-    # Filled by the arithmetic passes:
+    # Filled by the arithmetic pass:
     verdict: LaneVerdict | None = None
-    s1: list | None = field(default=None, repr=False)
 
 
 #: Smallest same-degree group worth the batched row decoder's setup
@@ -178,8 +143,7 @@ def _decode_lanes(items: Sequence
     live: list[_Lane] = []
     decoded = _decode_rows(items)
     for index, item in enumerate(items):
-        public_key, message, signature = item[0], item[1], item[2]
-        s1_claimed = item[3] if len(item) > 3 else None
+        public_key, message, signature = item
         s2 = decoded.get(index)
         if s2 is None:
             try:
@@ -190,7 +154,7 @@ def _decode_lanes(items: Sequence
                 continue
         hashed = hash_to_point(message, signature.salt, public_key.n)
         live.append(_Lane(index=index, public_key=public_key, s2=s2,
-                          hashed=hashed, s1_claimed=s1_claimed))
+                          hashed=hashed))
     return verdicts, live
 
 
@@ -198,7 +162,7 @@ def _norm_sq(s1: Sequence[int], s2: Sequence[int]) -> int:
     return sum(c * c for c in s1) + sum(c * c for c in s2)
 
 
-def _full_pass_numpy(group: list[_Lane], n: int, keep_s1: bool) -> None:
+def _full_pass_numpy(group: list[_Lane], n: int) -> None:
     """The tentpole kernel: the whole mixed-key degree group through
     ONE batched forward NTT, one rowwise pointwise multiply against
     the stacked per-key ``ntt(h)`` rows, one batched inverse NTT and
@@ -214,11 +178,9 @@ def _full_pass_numpy(group: list[_Lane], n: int, keep_s1: bool) -> None:
     for row, lane in enumerate(group):
         ok = bool(norms[row] <= bound)
         lane.verdict = LaneVerdict(ok, REASON_OK if ok else REASON_NORM)
-        if keep_s1 and ok:
-            lane.s1 = [int(value) for value in s1[row]]
 
 
-def _full_pass_scalar(group: list[_Lane], n: int, keep_s1: bool) -> None:
+def _full_pass_scalar(group: list[_Lane], n: int) -> None:
     """Pure-Python fallback: per-lane scalar NTTs, identical verdicts."""
     bound = falcon_params(n).sig_bound
     for lane in group:
@@ -228,181 +190,34 @@ def _full_pass_scalar(group: list[_Lane], n: int, keep_s1: bool) -> None:
               for c, x in zip(lane.hashed, s2h)]
         ok = _norm_sq(s1, lane.s2) <= bound
         lane.verdict = LaneVerdict(ok, REASON_OK if ok else REASON_NORM)
-        if keep_s1 and ok:
-            lane.s1 = s1
 
 
-def rlc_weights(seed: bytes, count: int, round_index: int = 0
-                ) -> list[int]:
-    """Deterministic RLC weights in ``[1, q-1]``.
-
-    Each weight hashes ``(seed, round, lane)`` through SHA-256, so a
-    verifier binding ``seed`` to content an adversary must commit to
-    first (the ledger uses the block header hash) gets Fiat–Shamir-
-    style non-interactive weights.  The ``mod (q-1)`` bias is below
-    ``2^-50`` and irrelevant to the ``1/q`` soundness bound.
-    """
-    weights = []
-    for lane in range(count):
-        digest = sha256(b"falcon-rlc|%d|%d|%b"
-                        % (round_index, lane, seed)).digest()
-        weights.append(1 + int.from_bytes(digest[:8], "big") % (Q - 1))
-    return weights
-
-
-def _rlc_congruence_holds(group: list[_Lane], n: int, seed: bytes,
-                          rounds: int) -> bool:
-    """The aggregate congruence over one degree group.
-
-    Checks ``sum_i rho_i * (s1_i + s2_i*h_i - c_i) = 0 (mod q)`` in
-    the NTT domain.  By linearity the rho-weighted ``s1`` and ``c``
-    sums are folded in the coefficient domain first, so the whole
-    check per round costs one batched forward NTT of the ``s2`` rows
-    (shared across rounds) plus two single forward NTTs — and no
-    inverse NTT anywhere.
-    """
-    if _np is not None:
-        q = _np.uint64(Q)
-        s2_mat = _np.asarray([lane.s2 for lane in group],
-                             dtype=_np.int64)
-        h_mat = _np.stack([lane.public_key.h_ntt_row
-                           for lane in group])
-        s2h_ntt = ntt_array(s2_mat) * h_mat % q
-        s1_mat = (_np.asarray([lane.s1_claimed for lane in group],
-                              dtype=_np.int64) % Q).astype(_np.uint64)
-        c_mat = _np.asarray([lane.hashed for lane in group],
-                            dtype=_np.uint64)
-        for round_index in range(rounds):
-            rho = _np.asarray(rlc_weights(seed, len(group),
-                                          round_index),
-                              dtype=_np.uint64)[:, None]
-            # Products stay below q^2 ~ 2^27.2 and the lane sum below
-            # batch * 2^27.2 — far from the uint64 ceiling.
-            folded_s1 = (rho * s1_mat).sum(axis=0) % q
-            folded_c = (rho * c_mat).sum(axis=0) % q
-            folded_s2h = (rho * s2h_ntt).sum(axis=0) % q
-            residual = (ntt_array(folded_s1) + folded_s2h
-                        + (q - ntt_array(folded_c))) % q
-            if residual.any():
-                return False
-        return True
-    s2h_ntts = [[x * y % Q for x, y in zip(ntt(lane.s2),
-                                           lane.public_key.h_ntt)]
-                for lane in group]
-    for round_index in range(rounds):
-        rho = rlc_weights(seed, len(group), round_index)
-        folded_s1 = [0] * n
-        folded_c = [0] * n
-        folded_s2h = [0] * n
-        for weight, lane, s2h_ntt in zip(rho, group, s2h_ntts):
-            for k in range(n):
-                folded_s1[k] = (folded_s1[k]
-                                + weight * lane.s1_claimed[k]) % Q
-                folded_c[k] = (folded_c[k]
-                               + weight * lane.hashed[k]) % Q
-                folded_s2h[k] = (folded_s2h[k]
-                                 + weight * s2h_ntt[k]) % Q
-        lhs = ntt(folded_s1)
-        rhs = ntt(folded_c)
-        if any((lhs[k] + folded_s2h[k] - rhs[k]) % Q
-               for k in range(n)):
-            return False
-    return True
-
-
-def _aggregate_pass(group: list[_Lane], n: int, seed: bytes,
-                    rounds: int, keep_s1: bool) -> bool:
-    """Aggregate-then-verify for one expanded degree group.
-
-    Per-lane shortness first (cheap, exact), then one RLC congruence
-    for the whole group.  Returns False when the aggregate check did
-    not hold — the caller re-runs the full path, so verdicts stay
-    exact whatever a corrupted expansion claims.
-    """
-    bound = falcon_params(n).sig_bound
-    for lane in group:
-        if (lane.s1_claimed is None or len(lane.s1_claimed) != n
-                or any(not -Q // 2 <= c <= Q // 2
-                       for c in lane.s1_claimed)):
-            return False
-        ok = _norm_sq(lane.s1_claimed, lane.s2) <= bound
-        lane.verdict = LaneVerdict(ok, REASON_OK if ok else REASON_NORM)
-        if keep_s1 and ok:
-            lane.s1 = list(lane.s1_claimed)
-    if not _rlc_congruence_holds(group, n, seed, rounds):
-        for lane in group:  # exact verdicts come from the full pass
-            lane.verdict = None
-            lane.s1 = None
-        return False
-    return True
-
-
-def verify_batch_report(items: Sequence, *,
-                        keep_s1: bool = False,
-                        precheck: str | None = None,
-                        precheck_seed: bytes = b"",
-                        precheck_rounds: int = 1) -> BatchVerifyReport:
+def verify_batch_report(items: Sequence) -> BatchVerifyReport:
     """Verify a mixed-key batch and report per-lane outcomes.
 
-    ``items`` are ``(public_key, message, signature)`` triples —
-    arbitrary keys and ring degrees may share one batch — or
-    ``(public_key, message, signature, s1)`` expanded quadruples when
-    ``precheck="rlc"`` requests the aggregate-then-verify fast path.
-    ``keep_s1`` captures each accepted lane's recomputed ``s1`` in the
-    report (the expansion a later aggregate pass needs).  The
+    ``items`` are ``(public_key, message, signature)`` triples;
+    arbitrary keys and ring degrees may share one batch.  The
     arithmetic runs on the NumPy kernels when NumPy imports and on the
     pure-Python ones otherwise, with identical results.
     """
-    if precheck not in PRECHECKS:
-        raise ValueError(f"unknown precheck {precheck!r}; "
-                         f"choose from {PRECHECKS}")
-    if precheck_rounds < 1:
-        raise ValueError("precheck_rounds must be at least 1")
     verdicts, live = _decode_lanes(items)
-    if precheck == "rlc" and any(lane.s1_claimed is None
-                                 for lane in live):
-        raise ValueError("precheck='rlc' needs expanded lanes: "
-                         "(public_key, message, signature, s1)")
     by_degree: dict[int, list[_Lane]] = {}
     for lane in live:
         by_degree.setdefault(lane.public_key.n, []).append(lane)
-    precheck_passed = bool(precheck == "rlc" and live)
+    full_pass = _full_pass_numpy if _np is not None else _full_pass_scalar
     for n, group in sorted(by_degree.items()):
-        settled = False
-        if precheck == "rlc":
-            settled = _aggregate_pass(group, n, precheck_seed,
-                                      precheck_rounds, keep_s1)
-        if not settled:
-            precheck_passed = False
-            if _np is not None:
-                _full_pass_numpy(group, n, keep_s1)
-            else:
-                _full_pass_scalar(group, n, keep_s1)
-    s1_rows: list | None = [None] * len(items) if keep_s1 else None
+        full_pass(group, n)
     for lane in live:
         verdicts[lane.index] = lane.verdict
-        if keep_s1 and lane.s1 is not None:
-            s1_rows[lane.index] = lane.s1
-    lanes = [verdict if verdict is not None
-             else LaneVerdict(False, REASON_DECOMPRESS)
-             for verdict in verdicts]
-    return BatchVerifyReport(
-        verdicts=[lane.ok for lane in lanes], lanes=lanes,
-        s1_rows=s1_rows, precheck_passed=precheck_passed)
+    return BatchVerifyReport(verdicts=[lane.ok for lane in verdicts],
+                             lanes=verdicts)
 
 
-def verify_batch(items: Sequence, *,
-                 precheck: str | None = None,
-                 precheck_seed: bytes = b"",
-                 precheck_rounds: int = 1) -> list[bool]:
+def verify_batch(items: Sequence) -> list[bool]:
     """Cross-key batch verification: per-lane verdicts only.
 
     Bit-identical to calling each lane's ``public_key.verify(message,
     signature)`` — but the whole mixed-key batch rides one vectorized
-    NTT pass.  See :func:`verify_batch_report` for per-lane reasons
-    and the expanded-lane ``precheck`` semantics.
+    NTT pass.  See :func:`verify_batch_report` for per-lane reasons.
     """
-    return verify_batch_report(
-        items, precheck=precheck,
-        precheck_seed=precheck_seed,
-        precheck_rounds=precheck_rounds).verdicts
+    return verify_batch_report(items).verdicts

@@ -18,15 +18,8 @@ Blocks persist as one JSON line each, appended with flush + fsync, so
 a crash can tear at most the final line; :class:`Ledger` detects the
 torn tail on load, truncates it, and resumes from the last durable
 block (the crash-recovery round-trip tests pin this).
-
-Committed blocks optionally carry each record's recomputed ``s1`` rows
-(``expand=True``, the default) — captured for free during commit
-verification.  A later audit can then take the aggregate-then-verify
-fast path: ``verify_chain(mode="aggregate")`` re-checks each block via
-per-lane shortness plus one random-linear-combination congruence whose
-weights are seeded by the block's own header hash, falling back to the
-full engine pass per block whenever the aggregate check fails — so
-audit verdicts are exact either way.
+:meth:`Ledger.verify_chain` audits the chain by re-running the same
+engine pass over every committed block.
 """
 
 from __future__ import annotations
@@ -49,9 +42,6 @@ from .serialize import (
 )
 
 GENESIS_HASH = "0" * 64
-
-#: Audit modes :meth:`Ledger.verify_chain` understands.
-AUDIT_MODES = ("full", "aggregate")
 
 
 class LedgerError(Exception):
@@ -185,12 +175,10 @@ class BlockHeader:
 
 @dataclass(frozen=True)
 class Block:
-    """A committed block: header + verified records (+ optional
-    expansion — the recomputed ``s1`` rows the aggregate audit eats)."""
+    """A committed block: header + verified records."""
 
     header: BlockHeader
     records: tuple[SignedRecord, ...]
-    s1_rows: tuple[tuple[int, ...], ...] | None = None
 
     def to_json(self) -> str:
         payload = {
@@ -208,14 +196,15 @@ class Block:
                  "sig": record.signature_bytes.hex()}
                 for record in self.records
             ],
-            "s1": ([list(row) for row in self.s1_rows]
-                   if self.s1_rows is not None else None),
         }
         return json.dumps(payload, separators=(",", ":"),
                           sort_keys=True)
 
     @classmethod
     def from_json(cls, line: str) -> "Block":
+        """Parse one block line.  Lines from earlier versions also
+        carry an ``"s1"`` field (recomputed rows outside the header
+        hash); it is ignored, so those ledgers still load."""
         try:
             payload = json.loads(line)
             header = BlockHeader(
@@ -229,8 +218,6 @@ class Block:
                              message=bytes.fromhex(entry["msg"]),
                              signature_bytes=bytes.fromhex(entry["sig"]))
                 for entry in payload["records"])
-            s1_rows = (tuple(tuple(row) for row in payload["s1"])
-                       if payload.get("s1") is not None else None)
             stored_hash = payload["header"]["hash"]
         except (ValueError, KeyError, TypeError) as error:
             raise LedgerError(f"malformed block line: {error}") \
@@ -243,7 +230,7 @@ class Block:
             raise LedgerError(
                 f"block {header.index}: count {header.count} != "
                 f"{len(records)} records")
-        return cls(header=header, records=records, s1_rows=s1_rows)
+        return cls(header=header, records=records)
 
 
 @dataclass
@@ -261,12 +248,10 @@ class ChainAudit:
     """Outcome of :meth:`Ledger.verify_chain`."""
 
     ok: bool
-    mode: str
     blocks: int
     records: int
     failures: list[tuple[int, str | None, str]] = field(
         default_factory=list)  # (block index, record_id | None, why)
-    aggregate_fastpath: int = 0  # blocks settled by the RLC pre-check
 
 
 class Ledger:
@@ -275,20 +260,16 @@ class Ledger:
     ``directory=None`` keeps the chain in memory only (tests, bench
     warm-up); otherwise blocks append to ``<directory>/ledger.jsonl``
     with flush + fsync per block and torn-tail recovery on load.
-    ``expand=True`` stores each committed record's recomputed ``s1``
-    row so audits can ride the aggregate fast path.
     """
 
     FILENAME = "ledger.jsonl"
 
     def __init__(self, directory: str | Path | None = None, *,
-                 capacity: int = 4096, max_block_records: int = 1024,
-                 expand: bool = True) -> None:
+                 capacity: int = 4096, max_block_records: int = 1024) -> None:
         if max_block_records < 1:
             raise ValueError("max_block_records must be positive")
         self.mempool = Mempool(capacity)
         self.max_block_records = max_block_records
-        self.expand = expand
         self.blocks: list[Block] = []
         self.path: Path | None = None
         self.recovered_bytes = 0  # torn tail truncated on load
@@ -433,19 +414,13 @@ class Ledger:
             lanes.append((record, public_key, signature))
         report = None
         accepted: list[SignedRecord] = []
-        s1_rows: list[tuple[int, ...]] = []
         if lanes:
             report = verify_batch_report(
                 [(public_key, record.message, signature)
-                 for record, public_key, signature in lanes],
-                keep_s1=self.expand)
-            for (record, _, _), verdict, s1 in zip(
-                    lanes, report.lanes,
-                    report.s1_rows or [None] * len(lanes)):
+                 for record, public_key, signature in lanes])
+            for (record, _, _), verdict in zip(lanes, report.lanes):
                 if verdict.ok:
                     accepted.append(record)
-                    if self.expand:
-                        s1_rows.append(tuple(s1))
                 else:
                     reason = verdict.reason
                     if verdict.detail:
@@ -463,8 +438,7 @@ class Ledger:
             records_root=_records_root([record.record_id
                                         for record in accepted]),
             count=len(accepted), timestamp_us=int(timestamp_us))
-        block = Block(header=header, records=tuple(accepted),
-                      s1_rows=tuple(s1_rows) if self.expand else None)
+        block = Block(header=header, records=tuple(accepted))
         self._append_to_disk(block)
         self.blocks.append(block)
         self._committed.update(record.record_id
@@ -476,23 +450,16 @@ class Ledger:
 
     # -- audit -------------------------------------------------------------
 
-    def verify_chain(self, mode: str = "full", *,
-                     rounds: int = 1) -> ChainAudit:
+    def verify_chain(self, mode: str = "full") -> ChainAudit:
         """Re-verify the whole chain: linkage, roots, every signature.
 
-        ``mode="full"`` re-runs the cross-key engine over each block.
-        ``mode="aggregate"`` takes the RLC fast path over blocks that
-        carry their ``s1`` expansion — weights seeded by the block's
-        own header hash, so they are fixed by content committed before
-        the audit — and falls back to the full pass per block when the
-        aggregate check fails (or the expansion is missing), keeping
-        verdicts exact.
+        Each block's records re-run the cross-key engine pass that
+        committed them.  ``mode`` accepts only ``"full"``.
         """
-        if mode not in AUDIT_MODES:
+        if mode != "full":
             raise ValueError(f"unknown audit mode {mode!r}; "
-                             f"choose from {AUDIT_MODES}")
-        audit = ChainAudit(ok=True, mode=mode, blocks=len(self.blocks),
-                           records=0)
+                             f"only 'full' is supported")
+        audit = ChainAudit(ok=True, blocks=len(self.blocks), records=0)
         prev_hash = GENESIS_HASH
         for index, block in enumerate(self.blocks):
             header = block.header
@@ -524,20 +491,7 @@ class Ledger:
             audit.records += len(block.records)
             if not lanes:
                 continue
-            expanded = (mode == "aggregate"
-                        and block.s1_rows is not None
-                        and len(block.s1_rows) == len(lanes))
-            if expanded:
-                report = verify_batch_report(
-                    [lane + (list(s1),) for lane, s1
-                     in zip(lanes, block.s1_rows)],
-                    precheck="rlc",
-                    precheck_seed=bytes.fromhex(header.hash),
-                    precheck_rounds=rounds)
-                if report.precheck_passed:
-                    audit.aggregate_fastpath += 1
-            else:
-                report = verify_batch_report(lanes)
+            report = verify_batch_report(lanes)
             for record, verdict in zip(lane_records, report.lanes):
                 if not verdict.ok:
                     audit.failures.append(
@@ -556,7 +510,6 @@ class Ledger:
             "mempool_capacity": self.mempool.capacity,
             "duplicates_dropped": self.mempool.dropped_duplicates,
             "rejected_total": dict(self.rejected_total),
-            "expand": self.expand,
             "recovered_bytes": self.recovered_bytes,
             "path": str(self.path) if self.path else None,
         }

@@ -304,6 +304,13 @@ class NetServer:
             raise ValueError("max_frame_bytes too small to frame")
         if burst is not None and rate_limit is None:
             raise ValueError("burst needs rate_limit")
+        # A bucket needs a positive rate and burst.  TokenBucket checks
+        # only when a tenant's first frame builds its bucket, inside the
+        # connection handler, where a failure drops the connection.
+        if rate_limit is not None and not rate_limit > 0:
+            raise ValueError("rate_limit must be positive")
+        if burst is not None and not burst > 0:
+            raise ValueError("burst must be positive")
         self.service = service
         self.tokens = ({tenant: bytes(token)
                         for tenant, token in tokens.items()}

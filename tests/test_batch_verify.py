@@ -22,7 +22,6 @@ from repro.falcon.batchverify import (
     REASON_NORM,
     REASON_OK,
     ROWS_DECODE_MIN,
-    rlc_weights,
 )
 
 # Session-scope keys: keygen dominates these tests otherwise.
@@ -72,10 +71,9 @@ def test_cross_key_matches_per_key_verify(spine):
 @pytest.mark.skipif(not HAVE_NUMPY, reason="needs both spines")
 def test_spines_bit_identical_including_reasons(scalar_spine):
     lanes = _mixed_batch()
-    numpy_report = verify_batch_report(lanes, keep_s1=True)
+    numpy_report = verify_batch_report(lanes)
     with scalar_spine():
-        scalar_report = verify_batch_report(lanes, keep_s1=True)
-    assert numpy_report.s1_rows == scalar_report.s1_rows
+        scalar_report = verify_batch_report(lanes)
     assert numpy_report.verdicts == scalar_report.verdicts
     assert [(lane.ok, lane.reason, lane.detail)
             for lane in numpy_report.lanes] == \
@@ -85,8 +83,7 @@ def test_spines_bit_identical_including_reasons(scalar_spine):
 
 def test_empty_batch(spine):
     assert verify_batch([]) == []
-    report = verify_batch_report([], keep_s1=True)
-    assert report.lanes == [] and report.s1_rows == []
+    assert verify_batch_report([]).lanes == []
 
 
 def test_single_lane_batch(spine):
@@ -144,62 +141,14 @@ def test_large_batch_row_decoder_matches_scalar(scalar_spine):
                                      for pk, m, s in lanes]
 
 
-def test_keep_s1_exposes_expansion_rows(spine):
-    lanes = _mixed_batch()
-    report = verify_batch_report(lanes, keep_s1=True)
-    for verdict, s1, (pk, _m, _s) in zip(report.verdicts,
-                                         report.s1_rows, lanes):
-        if verdict:
-            assert isinstance(s1, list) and len(s1) == pk.n
-        else:
-            assert s1 is None
-
-
-def test_rlc_precheck_accepts_honest_expansion(spine):
-    lanes = [_honest_lane(8, seed, i)
-             for i, seed in enumerate((1, 2, 3, 1))]
-    expansion = verify_batch_report(lanes, keep_s1=True)
-    expanded = [(pk, m, s, s1) for (pk, m, s), s1
-                in zip(lanes, expansion.s1_rows)]
-    report = verify_batch_report(expanded, precheck="rlc",
-                                 precheck_seed=b"test-seed",
-                                 precheck_rounds=2)
-    assert report.precheck_passed
-    assert report.verdicts == expansion.verdicts
-
-
-def test_rlc_falls_back_exactly_on_corrupt_expansion(spine):
-    """A tampered claimed s1 must not change any verdict: the
-    aggregate check fails and the engine re-derives exact verdicts
-    through the full pass."""
-    lanes = [_honest_lane(8, seed, i)
-             for i, seed in enumerate((1, 2, 3))]
-    expansion = verify_batch_report(lanes, keep_s1=True)
-    rows = [list(s1) for s1 in expansion.s1_rows]
-    rows[1][0] = (rows[1][0] + 1)  # in-range tamper
-    expanded = [(pk, m, s, s1) for (pk, m, s), s1
-                in zip(lanes, rows)]
-    report = verify_batch_report(expanded, precheck="rlc",
-                                 precheck_seed=b"test-seed")
-    assert not report.precheck_passed
-    assert report.verdicts == expansion.verdicts == [True] * 3
-
-
-def test_rlc_requires_expanded_lanes(spine):
-    lanes = [_honest_lane(8, 1, 0)]
-    with pytest.raises(ValueError, match="expanded"):
-        verify_batch(lanes, precheck="rlc")
-
-
 def test_verify_batch_report_follows_platform(spine, monkeypatch):
     """With NumPy, a same-degree batch past ``ROWS_DECODE_MIN`` takes
-    the row decoder, the NumPy full pass and the NumPy RLC check;
-    inside the switch it takes the scalar bodies — never the other
-    spine's."""
+    the row decoder and the NumPy full pass; inside the switch it
+    takes the scalar bodies — never the other spine's."""
     if spine == "numpy":
         banned = ("_full_pass_scalar", "decompress", "ntt", "intt")
     else:
-        banned = ("_full_pass_numpy", "decompress_rows", "ntt_array",
+        banned = ("_full_pass_numpy", "decompress_rows",
                   "mul_ntt_rows_array")
     for name in banned:
         def fail(*args, name=name):
@@ -208,28 +157,7 @@ def test_verify_batch_report_follows_platform(spine, monkeypatch):
         monkeypatch.setattr(batchverify, name, fail)
     lanes = [_honest_lane(8, 1 + i % 3, 200 + i)
              for i in range(ROWS_DECODE_MIN + 4)]
-    report = verify_batch_report(lanes, keep_s1=True)
-    assert report.verdicts == [True] * len(lanes)
-    expanded = [lane + (s1,) for lane, s1 in zip(lanes, report.s1_rows)]
-    assert verify_batch_report(expanded, precheck="rlc",
-                               precheck_seed=b"platform").precheck_passed
-
-
-def test_precheck_and_spine_validation():
-    with pytest.raises(ValueError, match="unknown precheck"):
-        verify_batch([], precheck="magic")
-    with pytest.raises(ValueError, match="at least 1"):
-        verify_batch([], precheck="rlc", precheck_rounds=0)
-
-
-def test_rlc_weights_deterministic_and_in_range():
-    from repro.falcon import Q
-
-    first = rlc_weights(b"seed", 32, round_index=0)
-    assert first == rlc_weights(b"seed", 32, round_index=0)
-    assert first != rlc_weights(b"seed", 32, round_index=1)
-    assert first != rlc_weights(b"eeds", 32, round_index=0)
-    assert all(1 <= w <= Q - 1 for w in first)
+    assert verify_batch_report(lanes).verdicts == [True] * len(lanes)
 
 
 # -- verify_many rides the engine -----------------------------------------

@@ -1,5 +1,8 @@
 """Tests for the command-line tool."""
 
+import json
+import re
+
 import pytest
 
 from repro.cli import build_parser, main
@@ -132,13 +135,18 @@ BAD_NUMERIC_INPUT = {
     "serve-queue-depth-0": ["serve", "--queue-depth", "0"],
     "serve-max-wait-negative": ["serve", "--max-wait", "-1"],
     "serve-n-6": ["serve", "--n", "6"],
+    "serve-requests-negative": ["serve", "--requests", "-2"],
+    "serve-watermark-negative": ["serve", "--watermark", "-1"],
+    "serve-deadline-negative": ["serve", "--deadline", "-1"],
+    "serve-rate-limit-negative": ["serve", "--listen", "127.0.0.1:0",
+                                  "--rate-limit", "-1"],
     "ledger-keys-0": ["ledger", "append", "--dir", "ld", "--keys", "0"],
     "ledger-block-size-0": ["ledger", "append", "--dir", "ld",
                             "--block-size", "0"],
     "ledger-capacity-0": ["ledger", "append", "--dir", "ld",
                           "--capacity", "0"],
-    "ledger-rounds-0": ["ledger", "verify", "--dir", "ld", "--mode",
-                        "aggregate", "--rounds", "0"],
+    "ledger-records-negative": ["ledger", "append", "--dir", "ld",
+                                "--records", "-3"],
     "falcon-n-100": ["falcon", "--n", "100"],
     "falcon-n-0": ["falcon", "--n", "0"],
     "keygen-workers-0": ["keygen", "--workers", "0"],
@@ -210,6 +218,63 @@ def test_serve_command_persists(capsys, tmp_path):
     assert store_dir in out
     assert (tmp_path / "serving" / "shard-00").is_dir()
     assert (tmp_path / "serving" / "shard-01").is_dir()
+
+
+def _ledger(tmp_path, action, *extra):
+    return main(["ledger", action, "--dir", str(tmp_path / "ld"),
+                 "--n", "8", *extra])
+
+
+def _table_rows(out: str) -> dict:
+    """``metric -> value`` from a printed two-column table."""
+    rows = (re.split(r"\s{2,}", line.strip(), maxsplit=1)
+            for line in out.splitlines())
+    return {row[0]: row[1] for row in rows if len(row) == 2}
+
+
+def test_ledger_command_round_trip(capsys, tmp_path):
+    assert _ledger(tmp_path, "append", "--keys", "2", "--records", "6",
+                   "--block-size", "3") == 0
+    appended = _table_rows(capsys.readouterr().out)
+    assert appended["records committed"] == "6"
+    assert appended["chain height"] == "2"
+    assert _ledger(tmp_path, "verify") == 0
+    audited = _table_rows(capsys.readouterr().out)
+    assert audited["verdict"] == "OK"
+    assert (audited["blocks"], audited["records"]) == ("2", "6")
+    assert _ledger(tmp_path, "stats") == 0
+    stats = _table_rows(capsys.readouterr().out)
+    assert (stats["height"], stats["records_committed"]) == ("2", "6")
+
+
+def test_ledger_append_commits_before_a_small_mempool_fills(capsys,
+                                                            tmp_path):
+    assert _ledger(tmp_path, "append", "--keys", "2", "--records", "5",
+                   "--capacity", "2") == 0
+    appended = _table_rows(capsys.readouterr().out)
+    assert appended["records committed"] == "5"
+    assert appended["chain height"] == "3"
+
+
+@pytest.mark.parametrize("action", ["append", "verify", "stats"])
+def test_ledger_command_reports_a_tampered_file(capsys, tmp_path,
+                                                action):
+    assert _ledger(tmp_path, "append", "--keys", "2", "--records", "6",
+                   "--block-size", "3") == 0
+    capsys.readouterr()
+    path = tmp_path / "ld" / "ledger.jsonl"
+    lines = path.read_text().splitlines()
+    payload = json.loads(lines[0])
+    message = payload["records"][0]["msg"]
+    flipped = "0" if message[0] != "0" else "1"
+    payload["records"][0]["msg"] = flipped + message[1:]
+    lines[0] = json.dumps(payload, separators=(",", ":"), sort_keys=True)
+    path.write_text("\n".join(lines) + "\n")
+    assert _ledger(tmp_path, action) == 1
+    captured = capsys.readouterr()
+    assert captured.err == ("error: block 0: records_root does not "
+                            "match records\n")
+    assert captured.out == ""
 
 
 def test_parser_rejects_unknown_prng():

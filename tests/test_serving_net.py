@@ -78,6 +78,21 @@ def test_token_bucket_refills_on_injected_clock():
         TokenBucket(rate=0.0, burst=1.0)
 
 
+@pytest.mark.parametrize("limits", [
+    {"rate_limit": 0.0}, {"rate_limit": -1.0},
+    {"rate_limit": float("nan")}, {"rate_limit": 2.0, "burst": 0.0},
+    {"rate_limit": 2.0, "burst": -1.0}, {"burst": 4.0}],
+    ids=["rate-0", "rate-negative", "rate-nan", "burst-0",
+         "burst-negative", "burst-without-rate"])
+def test_server_rejects_rate_limits_no_bucket_can_serve(limits):
+    """A rate or burst that is not positive leaves no bucket that can
+    serve a frame (zero or negative ones made the first frame's bucket
+    raise inside the connection handler), so the server refuses it at
+    construction."""
+    with pytest.raises(ValueError):
+        NetServer(None, **limits)
+
+
 # -- loopback helpers --------------------------------------------------------
 
 def _serve(test_body, *, master_seed=21, n=8, tokens=None,
