@@ -104,7 +104,7 @@ class BitslicedIntegerSampler(IntegerSampler):
             self._buffer = self._refill()
         return self._buffer.pop()
 
-    def take(self, count: int) -> list[int]:
+    def sample_many(self, count: int) -> list[int]:
         """``count`` samples in one call, exactly as ``count``
         sequential :meth:`sample` calls would return them.
 

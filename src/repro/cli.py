@@ -74,6 +74,25 @@ def _non_negative_int(text: str) -> int:
     return value
 
 
+def _positive_float(text: str) -> float:
+    """argparse type: a finite float above 0."""
+    value = float(text)
+    if not 0 < value < float("inf"):
+        raise argparse.ArgumentTypeError(
+            f"must be a positive finite number, got {text}")
+    return value
+
+
+def _precision(text: str) -> int:
+    """argparse type: a sampler precision in bits, the rule
+    :class:`~repro.core.gaussian.GaussianParams` enforces."""
+    value = int(text)
+    if value < 2:
+        raise argparse.ArgumentTypeError(
+            f"must be an integer of at least 2, got {value}")
+    return value
+
+
 def _non_negative_float(text: str) -> float:
     """argparse type: a float of at least 0."""
     value = float(text)
@@ -724,9 +743,9 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     compile_p = sub.add_parser("compile", help="run the Fig. 4 pipeline")
-    compile_p.add_argument("--sigma", type=float, default=2.0)
-    compile_p.add_argument("--precision", type=int, default=64)
-    compile_p.add_argument("--tail-cut", type=int, default=13)
+    compile_p.add_argument("--sigma", type=_positive_float, default=2.0)
+    compile_p.add_argument("--precision", type=_precision, default=64)
+    compile_p.add_argument("--tail-cut", type=_positive_int, default=13)
     compile_p.add_argument("--method", default="efficient",
                            choices=["efficient", "simple"])
     compile_p.add_argument("--combiner", default="onehot",
@@ -737,9 +756,9 @@ def build_parser() -> argparse.ArgumentParser:
     compile_p.set_defaults(func=_cmd_compile)
 
     sample_p = sub.add_parser("sample", help="draw samples")
-    sample_p.add_argument("--sigma", type=float, default=2.0)
-    sample_p.add_argument("--precision", type=int, default=32)
-    sample_p.add_argument("--count", type=int, default=16)
+    sample_p.add_argument("--sigma", type=_positive_float, default=2.0)
+    sample_p.add_argument("--precision", type=_precision, default=32)
+    sample_p.add_argument("--count", type=_positive_int, default=16)
     sample_p.add_argument("--seed", type=int, default=0)
     sample_p.add_argument(
         "--batch-width", type=_positive_int, default=DEFAULT_BATCH_WIDTH,
@@ -751,8 +770,8 @@ def build_parser() -> argparse.ArgumentParser:
     audit_p = sub.add_parser("audit", help="dudect leakage audit")
     audit_p.add_argument("--backend", default="bitsliced",
                          choices=available_backends())
-    audit_p.add_argument("--sigma", type=float, default=2.0)
-    audit_p.add_argument("--precision", type=int, default=64)
+    audit_p.add_argument("--sigma", type=_positive_float, default=2.0)
+    audit_p.add_argument("--precision", type=_precision, default=64)
     audit_p.add_argument("--calls", type=int, default=4000)
     audit_p.add_argument("--seed", type=int, default=0)
     _add_prng_option(audit_p)
@@ -882,10 +901,11 @@ def build_parser() -> argparse.ArgumentParser:
     run_p.add_argument("--watermark", type=_non_negative_int, default=0,
                        help="per-shard low watermark for background "
                             "refill (0 disables)")
-    run_p.add_argument("--provision", type=int, default=0,
+    run_p.add_argument("--provision", type=_non_negative_int, default=0,
                        help="keys to generate ahead per shard before "
                             "serving")
-    run_p.add_argument("--verify-share", type=int, default=4,
+    run_p.add_argument("--verify-share", type=_non_negative_int,
+                       default=4,
                        help="verify every k-th signature through the "
                             "service (0 disables)")
     run_p.add_argument("--keystore", default=None,

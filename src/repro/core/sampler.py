@@ -27,14 +27,9 @@ For bulk work, :meth:`BitslicedSampler.sample_many` fuses several
 batches into one *super-batch*: a single kernel pass over
 ``f * batch_width`` lanes, which amortizes Python call overhead (every
 gate is one bitwise operation over the whole block).
-:meth:`BitslicedSampler.stream` exposes the same machinery as an
-endless iterator that refills across super-batches — the prefetched
-pool Falcon's ``RejectionSamplerZ`` draws from.
 """
 
 from __future__ import annotations
-
-from typing import Iterator
 
 from ..bitslice.engine import shared_kernel
 from ..bitslice.pack import unpack_lanes
@@ -72,15 +67,11 @@ class BitslicedSampler:
     def __init__(self, circuit: SamplerCircuit,
                  source: RandomSource | None = None,
                  batch_width: int = DEFAULT_BATCH_WIDTH,
-                 prefetch_batches: int = 1,
-                 max_fused_batches: int = DEFAULT_MAX_FUSED_BATCHES,
-                 ) -> None:
+                 prefetch_batches: int = 1) -> None:
         if not isinstance(batch_width, int) or batch_width < 1:
             raise ValueError("batch width must be a positive int")
         if prefetch_batches < 1:
             raise ValueError("prefetch_batches must be positive")
-        if max_fused_batches < 1:
-            raise ValueError("max_fused_batches must be positive")
         self.engine = BigIntEngine()
         self.circuit = circuit
         self.kernel = shared_kernel(circuit.roots)
@@ -88,7 +79,6 @@ class BitslicedSampler:
             source if source is not None else default_source())
         self.batch_width = batch_width
         self.prefetch_batches = prefetch_batches
-        self.max_fused_batches = max_fused_batches
         self.batches_run = 0
         self.samples_discarded = 0
         self._buffer: list[int] = []
@@ -98,13 +88,11 @@ class BitslicedSampler:
                 source: RandomSource | None = None,
                 batch_width: int = DEFAULT_BATCH_WIDTH,
                 prefetch_batches: int = 1,
-                max_fused_batches: int = DEFAULT_MAX_FUSED_BATCHES,
                 **compile_kwargs) -> "BitslicedSampler":
         """One-call build: parameters -> circuit -> executable sampler."""
         circuit = compile_sampler_circuit(params, **compile_kwargs)
         return cls(circuit, source=source, batch_width=batch_width,
-                   prefetch_batches=prefetch_batches,
-                   max_fused_batches=max_fused_batches)
+                   prefetch_batches=prefetch_batches)
 
     # -- cost model -------------------------------------------------------
 
@@ -185,8 +173,8 @@ class BitslicedSampler:
         """One signed sample (buffered batches underneath).
 
         With ``prefetch_batches > 1`` the refill runs that many batches
-        as one fused kernel pass, so pointwise consumers (Falcon's
-        rejection wrapper) still get super-batch throughput.
+        as one fused kernel pass, so pointwise consumers still get
+        super-batch throughput.
         """
         # ct: allow(secret-loop): refill cadence is the public batch fill rate — every batch costs the same fixed kernel pass regardless of the values produced
         while not self._buffer:
@@ -196,16 +184,16 @@ class BitslicedSampler:
     def sample_many(self, count: int) -> list[int]:
         """Exactly ``count`` signed samples, drawn in super-batches.
 
-        Batches are fused up to ``max_fused_batches`` at a time, sized
-        to the remaining need.  The fusion schedule depends only on
-        ``count`` and the sample stream, so ``sample_many`` is also
-        bit-identical with and without NumPy.
+        Batches are fused up to :data:`DEFAULT_MAX_FUSED_BATCHES` at a
+        time, sized to the remaining need.  The fusion schedule depends
+        only on ``count`` and the sample stream, so ``sample_many`` is
+        also bit-identical with and without NumPy.
         """
         if count <= 0:
             return []
         out: list[int] = []
         width = self.batch_width
-        cap = max(1, min(self.max_fused_batches,
+        cap = max(1, min(DEFAULT_MAX_FUSED_BATCHES,
                          MAX_FUSED_LANES // width))
         while len(out) < count:
             need = count - len(out)
@@ -214,25 +202,12 @@ class BitslicedSampler:
         del out[count:]
         return out
 
-    def stream(self, block_samples: int = 4096) -> Iterator[int]:
-        """Endless sample iterator refilling across super-batches.
-
-        Yields signed samples forever, drawing ``block_samples`` at a
-        time through :meth:`sample_many`.  This is the prefetched pool
-        a long-running consumer (e.g. a signing service) iterates.
-        """
-        if block_samples < 1:
-            raise ValueError("block_samples must be positive")
-        while True:
-            yield from self.sample_many(block_samples)
-
 
 def compile_sampler(sigma: float, precision: int,
                     source: RandomSource | None = None,
                     batch_width: int = DEFAULT_BATCH_WIDTH,
                     tail_cut: int = 13,
                     prefetch_batches: int = 1,
-                    max_fused_batches: int = DEFAULT_MAX_FUSED_BATCHES,
                     **compile_kwargs) -> BitslicedSampler:
     """Top-level convenience: ``sigma, n -> ready-to-use sampler``.
 
@@ -246,5 +221,4 @@ def compile_sampler(sigma: float, precision: int,
     return BitslicedSampler.compile(params, source=source,
                                     batch_width=batch_width,
                                     prefetch_batches=prefetch_batches,
-                                    max_fused_batches=max_fused_batches,
                                     **compile_kwargs)

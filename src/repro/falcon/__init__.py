@@ -86,7 +86,7 @@ from .ntt import (
     ntt_array,
 )
 from .params import PAPER_LEVELS, SALT_BYTES, SIGMA_MAX, FalconParams, falcon_params
-from .samplerz import BASE_SIGMA, ReferenceSamplerZ, RejectionSamplerZ
+from .samplerz import BASE_SIGMA, RejectionSamplerZ
 from .serialize import (
     SerializeError,
     decode_public_key,
@@ -142,7 +142,6 @@ __all__ = [
     "PAPER_LEVELS",
     "PublicKey",
     "Q",
-    "ReferenceSamplerZ",
     "RejectionSamplerZ",
     "SALT_BYTES",
     "SIGMA_MAX",

@@ -15,9 +15,10 @@ deployment.
 
 Failures are *reported*, never silently dropped: each lane of a
 :class:`BatchVerifyReport` carries a verdict plus a reason
-(``"decompress"`` with the decoder's detail, ``"norm-bound"``, or
-``"ok"``), so callers like the ledger's block builder can reject bad
-lanes without blocking the rest of the batch.
+(``"salt-length"`` with the length found, ``"decompress"`` with the
+decoder's detail, ``"norm-bound"``, or ``"ok"``), so callers like the
+ledger's block commit can reject bad lanes without blocking the rest
+of the batch.
 """
 
 from __future__ import annotations
@@ -46,6 +47,7 @@ else:  # pragma: no cover - exercised in the no-numpy CI job
 #: Per-lane outcome labels (machine-readable; ``detail`` carries the
 #: human-readable specifics, e.g. the decompress error text).
 REASON_OK = "ok"
+REASON_SALT = "salt-length"
 REASON_DECOMPRESS = "decompress"
 REASON_NORM = "norm-bound"
 
@@ -132,10 +134,11 @@ def _decode_lanes(items: Sequence
                   ) -> tuple[list[LaneVerdict | None], list[_Lane]]:
     """Shared phase 1: decompress + hash every lane, report failures.
 
-    A lane whose signature fails canonical decompression gets its
-    verdict here (with the decoder's message as detail) and never
-    blocks the rest of the batch — the old single-key path silently
-    dropped these lanes with no stat.  With NumPy, big
+    A lane whose salt is not the parameter set's length (the hash input
+    is ``salt || message``, so any other length would verify a related
+    message) or whose signature fails canonical decompression gets its
+    verdict here, with the length found or the decoder's message as
+    detail, and never blocks the rest of the batch.  With NumPy, big
     same-degree groups decode through the vectorized row decoder;
     accept/reject stays bit-identical either way.
     """
@@ -144,6 +147,12 @@ def _decode_lanes(items: Sequence
     decoded = _decode_rows(items)
     for index, item in enumerate(items):
         public_key, message, signature = item
+        if len(signature.salt) != public_key.params.salt_bytes:
+            verdicts[index] = LaneVerdict(
+                False, REASON_SALT,
+                f"salt is {len(signature.salt)} bytes, expected "
+                f"{public_key.params.salt_bytes}")
+            continue
         s2 = decoded.get(index)
         if s2 is None:
             try:

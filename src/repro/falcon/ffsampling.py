@@ -342,8 +342,7 @@ class KeyGroup(NamedTuple):
     """Lanes ``lanes`` of a batched walk, sampled under one key.
 
     ``tree`` supplies the lanes' L10 rows and leaf sigmas; ``sampler_z``
-    draws their leaves (a plain ``(center, sigma) -> int`` callable or
-    an object with ``sample``/``sample_lanes``).
+    draws their leaves through ``sample_lanes(centers, sigma)``.
     """
 
     tree: FlatLdlTree
@@ -363,8 +362,7 @@ def _lane_rows(rows: list, counts: list[int], axis: int = 0):
 
 
 @secret_params("er", "br", "bi")
-def _sample_leaf(tree: FlatLdlTree, node: int, er, br, bi,
-                 sample_one, sample_lanes):
+def _sample_leaf(tree: FlatLdlTree, node: int, er, br, bi, sample_lanes):
     """Sample leaf ``node`` for every lane: ``(z0s, z1s)``.
 
     ``er`` are the lanes' ``t0`` real parts, ``br``/``bi`` their ``t1``
@@ -375,39 +373,28 @@ def _sample_leaf(tree: FlatLdlTree, node: int, er, br, bi,
     """
     l10 = tree.leaf_l10[node]
     lr, li = l10.real, l10.imag
-    sigma0 = tree.leaf_sigma0[node]
-    sigma1 = tree.leaf_sigma1[node]
-    if sample_lanes is not None:
-        z1s = sample_lanes(br, sigma1)
-        centers = [a + ((b - z) * lr - c * li)
-                   for a, b, c, z in zip(er, br, bi, z1s)]
-        return sample_lanes(centers, sigma0), z1s
-    z0s = []
-    z1s = []
-    for a, b, c in zip(er, br, bi):
-        z1 = sample_one(b, sigma1)
-        z0s.append(sample_one(a + ((b - z1) * lr - c * li), sigma0))
-        z1s.append(z1)
-    return z0s, z1s
+    z1s = sample_lanes(br, tree.leaf_sigma1[node])
+    centers = [a + ((b - z) * lr - c * li)
+               for a, b, c, z in zip(er, br, bi, z1s)]
+    return sample_lanes(centers, tree.leaf_sigma0[node]), z1s
 
 
 @secret_params("er", "br", "bi")
 def _sample_leaves(leaves: list, node: int, er, br, bi):
     """Sample leaf ``node`` for every lane, key group by key group.
 
-    ``leaves`` holds ``(tree, sample_one, sample_lanes, lanes)`` per
-    group, in lane order; each group's lanes go through its own
-    sampler (z1, then z0), and the results are concatenated.
+    ``leaves`` holds ``(tree, sample_lanes, lanes)`` per group, in lane
+    order; each group's lanes go through its own sampler (z1, then z0),
+    and the results are concatenated.
     """
     if len(leaves) == 1:  # one key: its sampler takes the lists as is
-        tree, sample_one, sample_lanes, _ = leaves[0]
-        return _sample_leaf(tree, node, er, br, bi, sample_one,
-                            sample_lanes)
+        tree, sample_lanes, _ = leaves[0]
+        return _sample_leaf(tree, node, er, br, bi, sample_lanes)
     z0s: list = []
     z1s: list = []
-    for tree, sample_one, sample_lanes, lanes in leaves:
+    for tree, sample_lanes, lanes in leaves:
         z0, z1 = _sample_leaf(tree, node, er[lanes], br[lanes],
-                              bi[lanes], sample_one, sample_lanes)
+                              bi[lanes], sample_lanes)
         z0s += z0
         z1s += z1
     return z0s, z1s
@@ -532,12 +519,9 @@ def ff_sampling_batch(t0, t1, tree: FlatLdlTree | None = None,
     ``L10``, then samples child0.  At each leaf the lanes are sampled
     in batch order, so both spines issue identical sampler calls.
 
-    ``sampler_z`` is either a plain ``(center, sigma) -> int`` callable
-    (lanes are then sampled one by one, z1 then z0) or an object
-    exposing ``sample``/``sample_lanes`` (e.g.
-    :class:`~repro.falcon.samplerz.RejectionSamplerZ`), in which case
-    each leaf bulk-draws one candidate round per pending lane — the
-    fast path the batch signer uses.
+    ``sampler_z`` exposes ``sample_lanes(centers, sigma)`` (e.g.
+    :class:`~repro.falcon.samplerz.RejectionSamplerZ`): each leaf draws
+    every lane's z1 in one call, then every lane's z0 in another.
 
     ``tree`` and ``sampler_z`` serve every lane.  To walk the lanes of
     several keys at once, pass ``groups`` instead: one
@@ -555,10 +539,8 @@ def ff_sampling_batch(t0, t1, tree: FlatLdlTree | None = None,
             raise ValueError("key groups must share one degree and cover "
                              "the lanes in order")
         start = group.lanes.stop
-        sample_lanes = getattr(group.sampler_z, "sample_lanes", None)
-        sample_one = (group.sampler_z.sample if sample_lanes is not None
-                      else group.sampler_z)
-        leaves.append((group.tree, sample_one, sample_lanes, group.lanes))
+        leaves.append((group.tree, group.sampler_z.sample_lanes,
+                       group.lanes))
     if start != len(t0):
         raise ValueError("key groups must share one degree and cover "
                          "the lanes in order")

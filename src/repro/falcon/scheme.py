@@ -222,7 +222,14 @@ class PublicKey:
         return intt([x * y % Q for x, y in zip(ntt(s2), self.h_ntt)])
 
     def verify(self, message: bytes, signature: Signature) -> bool:
-        """Spec verification: recompute s1 and check the norm bound."""
+        """Spec verification: recompute s1 and check the norm bound.
+
+        The hash input is ``salt || message``, so a salt of any other
+        length than the parameter set's would let one signature verify
+        on a related message; such a signature is rejected.
+        """
+        if len(signature.salt) != self.params.salt_bytes:
+            return False
         try:
             s2 = decompress(signature.compressed, self.n)
         except DecompressError:

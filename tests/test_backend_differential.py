@@ -151,12 +151,10 @@ def test_raw_batch_masks_bit_identical(body, width):
 
 @pytest.mark.parametrize("body", CANDIDATE_BODIES)
 def test_stream_and_prefetch_bit_identical(body):
-    """``stream``, ``sample_many`` and the prefetched ``sample`` across
-    several refills: same samples and counters on both bodies."""
+    """``sample_many`` and the prefetched ``sample`` across several
+    refills: same samples and counters on both bodies."""
     def work(sampler):
-        stream = sampler.stream(block_samples=500)
-        values = [next(stream) for _ in range(1200)]
-        values += sampler.sample_many(5000)  # two fused passes
+        values = sampler.sample_many(5000)  # two fused passes
         values += [sampler.sample() for _ in range(300)]
         return values, _counters(sampler)
 
@@ -167,12 +165,12 @@ def test_stream_and_prefetch_bit_identical(body):
 
 
 @pytest.mark.parametrize("body", CANDIDATE_BODIES)
-def test_take_across_refills_identical(body):
-    """The signing pool: per-call draws and ``take`` across 4096-lane
-    refill boundaries, with the booked operation trace."""
+def test_sample_many_across_refills_identical(body):
+    """The signing pool: per-call draws and ``sample_many`` across
+    4096-lane refill boundaries, with the booked operation trace."""
     def work(sampler):
         values = [sampler.sample() for _ in range(300)]
-        values += sampler.take(2 * DEFAULT_MAX_FUSED_BATCHES * 64)
+        values += sampler.sample_many(2 * DEFAULT_MAX_FUSED_BATCHES * 64)
         assert sampler.inner.batches_run >= 2 * DEFAULT_MAX_FUSED_BATCHES
         return (values, _counters(sampler.inner),
                 sampler.counter.counts.as_dict())

@@ -7,12 +7,15 @@ per-lane failure reasons instead of silent drops.  The ``spine``
 fixture (tests/conftest.py) runs a test once per spine.
 """
 
+import asyncio
+
 import pytest
 
 from repro.falcon import (
     HAVE_NUMPY,
     SecretKey,
     Signature,
+    hash_to_point,
     verify_batch,
     verify_batch_report,
 )
@@ -21,8 +24,10 @@ from repro.falcon.batchverify import (
     REASON_DECOMPRESS,
     REASON_NORM,
     REASON_OK,
+    REASON_SALT,
     ROWS_DECODE_MIN,
 )
+from repro.falcon.serving import ShardedKeyStore, SigningService
 
 # Session-scope keys: keygen dominates these tests otherwise.
 _KEYS: dict[tuple[int, int], SecretKey] = {}
@@ -158,6 +163,56 @@ def test_verify_batch_report_follows_platform(spine, monkeypatch):
     lanes = [_honest_lane(8, 1 + i % 3, 200 + i)
              for i in range(ROWS_DECODE_MIN + 4)]
     assert verify_batch_report(lanes).verdicts == [True] * len(lanes)
+
+
+# -- salt length -----------------------------------------------------------
+
+def _short_salt_forgeries(public_key, message, signature):
+    """An honest signature recut into two forgeries: its salt loses
+    its last byte, or all of it, and the message gains what the salt
+    lost.  ``salt || message`` and so the hashed point stay the same."""
+    forgeries = []
+    for cut in (39, 0):
+        salt, moved = signature.salt[:cut], signature.salt[cut:]
+        assert hash_to_point(moved + message, salt, public_key.n) \
+            == hash_to_point(message, signature.salt, public_key.n)
+        forgeries.append((public_key, moved + message,
+                          Signature(salt=salt,
+                                    compressed=signature.compressed)))
+    return forgeries
+
+
+def test_short_salt_forgeries_rejected(spine):
+    """Every verify entry point rejects a salt of the wrong length:
+    ``PublicKey.verify``, ``verify_many``, ``verify_batch_report``
+    (reason ``salt-length``) and an in-process ``SigningService``."""
+    sk = _secret_key(8, 1)
+    message = b"pay alice 10"
+    honest = (sk.public_key, message, sk.sign(message))
+    forgeries = _short_salt_forgeries(*honest)
+    lanes = [honest] + forgeries
+    assert [pk.verify(m, s) for pk, m, s in lanes] == [True, False, False]
+    assert sk.public_key.verify_many([m for _, m, _ in lanes],
+                                     [s for *_, s in lanes]) \
+        == [True, False, False]
+    report = verify_batch_report(lanes)
+    assert [(lane.ok, lane.reason, lane.detail) for lane in report.lanes] \
+        == [(True, REASON_OK, ""),
+            (False, REASON_SALT, "salt is 39 bytes, expected 40"),
+            (False, REASON_SALT, "salt is 0 bytes, expected 40")]
+
+    async def drive():
+        store = ShardedKeyStore(shards=1, master_seed=19)
+        async with SigningService(store, n=8, max_batch=8,
+                                  max_wait=0.05) as service:
+            signature = await service.sign("tenant-a", message)
+            forgeries = _short_salt_forgeries(
+                store.public_key("tenant-a", 8), message, signature)
+            return await asyncio.gather(
+                service.verify("tenant-a", message, signature),
+                *[service.verify("tenant-a", m, s) for _, m, s in forgeries])
+
+    assert asyncio.run(drive()) == [True, False, False]
 
 
 # -- verify_many rides the engine -----------------------------------------

@@ -151,6 +151,19 @@ BAD_NUMERIC_INPUT = {
     "falcon-n-0": ["falcon", "--n", "0"],
     "keygen-workers-0": ["keygen", "--workers", "0"],
     "keygen-n-2": ["keygen", "--n", "2"],
+    "compile-precision-0": ["compile", "--precision", "0"],
+    "compile-tail-cut-0": ["compile", "--tail-cut", "0"],
+    "compile-sigma-negative": ["compile", "--sigma", "-1"],
+    "sample-precision-1": ["sample", "--precision", "1"],
+    "sample-sigma-0": ["sample", "--sigma", "0"],
+    "sample-sigma-inf": ["sample", "--sigma", "inf"],
+    "sample-sigma-negative": ["sample", "--precision", "16", "--count",
+                              "6", "--seed", "1", "--sigma", "-2"],
+    "sample-count-negative": ["sample", "--count", "-5"],
+    "audit-precision-0": ["audit", "--backend", "cdt-binary",
+                          "--precision", "0"],
+    "serve-provision-negative": ["serve", "--provision", "-3"],
+    "serve-verify-share-negative": ["serve", "--verify-share", "-2"],
 }
 
 

@@ -22,12 +22,12 @@ def _secret_key(n=64) -> SecretKey:
 
 
 @settings(max_examples=40, deadline=None)
-@given(st.binary(min_size=0, max_size=120), st.binary(min_size=0,
-                                                      max_size=40))
-def test_verify_never_crashes_on_garbage(compressed, message):
+@given(st.binary(min_size=0, max_size=120),
+       st.binary(min_size=0, max_size=40),
+       st.binary(min_size=0, max_size=2 * SALT_BYTES))
+def test_verify_never_crashes_on_garbage(compressed, message, salt):
     sk = _secret_key()
-    garbage = Signature(salt=b"\x00" * SALT_BYTES,
-                        compressed=compressed)
+    garbage = Signature(salt=salt, compressed=compressed)
     assert sk.public_key.verify(message, garbage) in (False,)
 
 

@@ -131,14 +131,20 @@ def test_ntt_kernels_exact(n):
 
 # -- flat tree + batched walk ----------------------------------------------
 
-def _stub_sampler():
-    state = [0]
+class _StubSampler:
+    """Deterministic leaf draws: callable one lane at a time (the
+    reference recursion) and through ``sample_lanes`` (the batched
+    walk)."""
 
-    def sample(center, sigma):
-        state[0] += 1
-        return round(center) + state[0] % 3 - 1
+    def __init__(self):
+        self.calls = 0
 
-    return sample
+    def __call__(self, center, sigma):
+        self.calls += 1
+        return round(center) + self.calls % 3 - 1
+
+    def sample_lanes(self, centers, sigma):
+        return [self(center, sigma) for center in centers]
 
 
 def _assert_trees_identical(tree, reference):
@@ -177,13 +183,13 @@ def test_batched_walk_matches_legacy_recursion():
     t1 = [complex(rng.uniform(-2, 2), rng.uniform(-2, 2))
           for _ in range(64)]
     z0_ref, z1_ref = ff_sampling(list(t0), list(t1), reference_tree(sk),
-                                 _stub_sampler())
+                                 _StubSampler())
     z0, z1 = ff_sampling_batch([list(t0)], [list(t1)], sk.flat_tree,
-                               _stub_sampler())
+                               _StubSampler())
     assert z0[0] == z0_ref and z1[0] == z1_ref
     if HAVE_NUMPY:
         z0_v, z1_v = ff_sampling_batch(np.array([t0]), np.array([t1]),
-                                       sk.flat_tree, _stub_sampler())
+                                       sk.flat_tree, _StubSampler())
         assert z0_v[0].tolist() == z0_ref
         assert z1_v[0].tolist() == z1_ref
 
@@ -198,9 +204,9 @@ def test_batched_walk_lanes_identical_across_kernels():
            for _ in range(64)] for _ in range(3)]
     z_scalar = ff_sampling_batch([list(lane) for lane in t0],
                                  [list(lane) for lane in t1],
-                                 sk.flat_tree, _stub_sampler())
+                                 sk.flat_tree, _StubSampler())
     z_vector = ff_sampling_batch(np.array(t0), np.array(t1),
-                                 sk.flat_tree, _stub_sampler())
+                                 sk.flat_tree, _StubSampler())
     for side in (0, 1):
         for lane in range(3):
             assert z_vector[side][lane].tolist() == z_scalar[side][lane]
@@ -216,8 +222,8 @@ def served_key():
     return SecretKey.generate(n=SERVED_N, seed=41)
 
 
-def _leaf_sampler(seed):
-    base = make_base_sampler("bitsliced", source=ChaChaSource(seed))
+def _leaf_sampler(seed, backend="bitsliced"):
+    base = make_base_sampler(backend, source=ChaChaSource(seed))
     return RejectionSamplerZ(base, uniform_source=ChaChaSource(seed))
 
 
@@ -279,27 +285,14 @@ def test_hash_to_point_matches_pure_python_shake(n):
 
 # -- sampler batching ------------------------------------------------------
 
-def test_sample_lanes_width_one_matches_sample():
-    def sampler(seed):
-        return RejectionSamplerZ(
-            _StubBase(ChaChaSource(seed)),
-            uniform_source=ChaChaSource(1000 + seed))
-
-    centers = [0.25, -1.8, 3.1, 0.0, -0.49, 7.7]
-    reference = sampler(7)
-    sequential = [reference.sample(c, 1.5) for c in centers]
-    lanes = sampler(7)
-    one_by_one = [lanes.sample_lanes([c], 1.5)[0] for c in centers]
-    assert one_by_one == sequential
-
-
 def _round_based_reference(sampler, centers, sigma):
     """:meth:`RejectionSamplerZ.sample_lanes`' contract as a plain loop.
 
     Each round draws one base candidate per pending lane, then one
-    uniform per pending lane, lanes in lane order; a lane's decision is
-    :meth:`RejectionSamplerZ.sample`'s arithmetic.  Updates the
-    sampler's counters the way ``sample_lanes`` documents them.
+    uniform per pending lane, lanes in lane order, each by its own
+    call; a lane's decision is the acceptance arithmetic written out.
+    Updates the sampler's counters the way ``sample_lanes`` documents
+    them.
     """
     inv_target = 1.0 / (2.0 * sigma * sigma)
     inv_base = 1.0 / (2.0 * sampler.base_sigma * sampler.base_sigma)
@@ -317,7 +310,7 @@ def _round_based_reference(sampler, centers, sigma):
     while pending:
         rounds += 1
         candidates = [sampler.base.sample() for _ in pending]
-        uniforms = [sampler._uniform01() for _ in pending]
+        uniforms = [sampler._take_uniforms(1)[0] for _ in pending]
         sampler.base_draws += len(pending)
         still = []
         for lane, x, u in zip(pending, candidates, uniforms):
@@ -336,43 +329,39 @@ def _round_based_reference(sampler, centers, sigma):
 
 
 def test_sample_lanes_matches_round_based_reference():
-    """Widths 2-32 against the plain loop, across pool and queue refills.
+    """Widths 1-32 against the plain loop, across pool and queue refills.
 
-    The calls run long enough that a 4096-sample base-pool refill and
-    a 64-uniform queue refill each land inside a call that started
-    with a non-empty pool or queue, so the bulk ``take`` paths are
-    pinned across refills as well as on their in-place fast paths.
+    Candidates come from the signer's pooled bitsliced base and from a
+    per-call ``cdt-binary`` base (``IntegerSampler.sample_many``).  The
+    calls run long enough that a 4096-sample base-pool refill and a
+    64-uniform queue refill each land inside a call that started with
+    a non-empty pool or queue, so the bulk draws are pinned across
+    refills as well as on their in-place fast paths.
     """
-    tested, reference = _leaf_sampler(5), _leaf_sampler(5)
-    rng = random.Random(8)
-    refills_inside = {"pool": 0, "queue": 0}
-    for width in (2, 8, 11, 32) * 80:
-        centers = [rng.uniform(-40.0, 40.0) for _ in range(width)]
-        sigma = rng.uniform(1.2, 1.8)
-        pool = len(tested.base._buffer)
-        queue = len(tested._uniform_queue)
-        draws = tested.base_draws
-        got = tested.sample_lanes(centers, sigma)
-        want = _round_based_reference(reference, centers, sigma)
-        assert got == want
-        assert (tested.accepted, tested.base_draws, tested.attempts_last) \
-            == (reference.accepted, reference.base_draws,
-                reference.attempts_last)
-        drawn = tested.base_draws - draws
-        refills_inside["pool"] += 0 < pool < drawn
-        refills_inside["queue"] += 0 < queue < drawn
-    assert refills_inside["pool"] >= 1 and refills_inside["queue"] >= 1
-
-
-class _StubBase:
-    """Minimal sigma-2-ish base sampler reading from a source."""
-
-    def __init__(self, source):
-        self.source = source
-
-    def sample(self):
-        word = self.source.read_bytes(1)[0]
-        return (word & 7) - 4 + (word >> 7)
+    for backend in ("bitsliced", "cdt-binary"):
+        tested, reference = (_leaf_sampler(5, backend),
+                             _leaf_sampler(5, backend))
+        rng = random.Random(8)
+        refills_inside = {"pool": 0, "queue": 0}
+        for width in (1, 2, 8, 11, 32) * 80:
+            centers = [rng.uniform(-40.0, 40.0) for _ in range(width)]
+            sigma = rng.uniform(1.2, 1.8)
+            # Only the bitsliced adapter pools its base draws.
+            pool = len(getattr(tested.base, "_buffer", ()))
+            queue = len(tested._uniform_queue)
+            draws = tested.base_draws
+            got = tested.sample_lanes(centers, sigma)
+            want = _round_based_reference(reference, centers, sigma)
+            assert got == want, backend
+            assert (tested.accepted, tested.base_draws,
+                    tested.attempts_last) \
+                == (reference.accepted, reference.base_draws,
+                    reference.attempts_last)
+            drawn = tested.base_draws - draws
+            refills_inside["pool"] += 0 < pool < drawn
+            refills_inside["queue"] += 0 < queue < drawn
+        assert refills_inside["queue"] >= 1
+        assert (refills_inside["pool"] >= 1) == (backend == "bitsliced")
 
 
 # -- full signing ----------------------------------------------------------

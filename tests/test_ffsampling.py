@@ -69,11 +69,14 @@ def test_ffsampling_outputs_integer_vectors():
 
     calls = []
 
-    def sampler_z(center, sigma):
-        calls.append((center, sigma))
-        return round(center)  # deterministic Babai rounding
+    class Babai:
+        """Deterministic Babai rounding at every leaf."""
 
-    (z0,), (z1,) = ff_sampling_batch([t0], [t1], tree, sampler_z)
+        def sample_lanes(self, centers, sigma):
+            calls.extend((center, sigma) for center in centers)
+            return [round(center) for center in centers]
+
+    (z0,), (z1,) = ff_sampling_batch([t0], [t1], tree, Babai())
     assert len(calls) == 2 * n
     assert sorted(sigma for _, sigma in calls) == sorted(tree.leaf_sigmas())
     for vector in (z0, z1):

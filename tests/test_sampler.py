@@ -123,10 +123,6 @@ def test_invalid_prefetch_and_fusion_rejected():
     circuit = compile_sampler_circuit(GaussianParams.from_sigma(2, 12))
     with pytest.raises(ValueError):
         BitslicedSampler(circuit, prefetch_batches=0)
-    with pytest.raises(ValueError):
-        BitslicedSampler(circuit, max_fused_batches=0)
-    with pytest.raises(ValueError):
-        next(BitslicedSampler(circuit).stream(block_samples=0))
 
 
 # -- constant-time regression: the PRNG trace is value-independent -------

@@ -4,9 +4,15 @@ import math
 from collections import Counter
 
 import pytest
+from _samplerz_reference import ReferenceSamplerZ
 
 from repro.core import GaussianParams
-from repro.falcon import BASE_SIGMA, ReferenceSamplerZ, RejectionSamplerZ
+from repro.falcon import (
+    BASE_PRECISION,
+    BASE_SIGMA,
+    SIGMA_MAX,
+    RejectionSamplerZ,
+)
 from repro.falcon.scheme import make_base_sampler
 from repro.rng import ChaChaSource
 
@@ -19,19 +25,41 @@ def _target_pmf(center, sigma, span=30):
     return {z: w / total for z, w in weights.items()}
 
 
-def _make_sampler(seed, backend="cdt-binary"):
+def _make_sampler(seed, backend="cdt-binary", precision=64):
     base = make_base_sampler(backend, source=ChaChaSource(seed),
-                             precision=64)
+                             precision=precision)
     return RejectionSamplerZ(base, uniform_source=ChaChaSource(seed + 99))
 
 
-@pytest.mark.parametrize("center,sigma", [
-    (0.0, 1.5), (0.3, 1.3), (-0.47, 1.8), (1234.56, 1.29),
-])
-def test_distribution_matches_target(center, sigma):
-    sampler = _make_sampler(1)
+def _distribution_cases():
+    """(base, draw, center, sigma) for every leaf path and target.
+
+    ``bitsliced`` + ``sample_lanes`` is the path signers use.  The
+    per-call cdt-binary cases keep their plain ``center-sigma`` ids.
+    """
+    for base in ("cdt-binary", "bitsliced"):
+        for draw in ("sample", "sample_lanes"):
+            for center, sigma in ((0.0, 1.5), (0.3, 1.3), (-0.47, 1.8),
+                                  (1234.56, 1.29)):
+                path = ("" if (base, draw) == ("cdt-binary", "sample")
+                        else f"{base}-{draw}-")
+                yield pytest.param(base, draw, center, sigma,
+                                   id=f"{path}{center}-{sigma}")
+
+
+@pytest.mark.parametrize("base,draw,center,sigma", _distribution_cases())
+def test_distribution_matches_target(base, draw, center, sigma):
+    """chi^2 of 6,000 draws, one ``sample`` call each or one
+    ``sample_lanes`` call for all, over the 64-bit CDT or the signer's
+    bitsliced base."""
+    precision = BASE_PRECISION if base == "bitsliced" else 64
+    sampler = _make_sampler(1, base, precision)
     draws = 6000
-    counts = Counter(sampler.sample(center, sigma) for _ in range(draws))
+    if draw == "sample":
+        counts = Counter(sampler.sample(center, sigma)
+                         for _ in range(draws))
+    else:
+        counts = Counter(sampler.sample_lanes([center] * draws, sigma))
     pmf = _target_pmf(center, sigma)
     chi2 = 0.0
     dof = 0
@@ -110,29 +138,7 @@ def test_integer_center_shortcut_distribution():
 
 def test_base_sigma_documented_value():
     assert BASE_SIGMA == 2.0
+    assert SIGMA_MAX < BASE_SIGMA  # every Falcon leaf sigma fits
     gaussian = GaussianParams.from_sigma(BASE_SIGMA, 16)
     assert gaussian.support_bound == 26
 
-
-@pytest.mark.parametrize("block", [1, 7, 64])
-def test_uniform_block_size_is_output_transparent(block):
-    """With a dedicated uniform source, pre-drawing acceptance uniforms
-    in blocks consumes the same stream in the same order, so every
-    block size yields the identical sample sequence."""
-    def build(uniform_block):
-        base = make_base_sampler("cdt-binary", source=ChaChaSource(42),
-                                 precision=64)
-        return RejectionSamplerZ(base, uniform_source=ChaChaSource(77),
-                                 uniform_block=uniform_block)
-
-    reference, candidate = build(1), build(block)
-    ref = [reference.sample(0.3, 1.4) for _ in range(300)]
-    got = [candidate.sample(0.3, 1.4) for _ in range(300)]
-    assert got == ref
-    assert candidate.base_draws == reference.base_draws
-
-
-def test_uniform_block_validation():
-    base = make_base_sampler("cdt-binary", source=ChaChaSource(1))
-    with pytest.raises(ValueError):
-        RejectionSamplerZ(base, uniform_block=0)
