@@ -145,9 +145,10 @@ def _direct_batch_rate(store: ShardedKeyStore, n: int,
                        messages: list[bytes], tenants: int) -> float:
     """The spine ceiling: one ``sign_many`` per tenant, no service."""
     shares = [messages[t::tenants] for t in range(tenants)]
+    signers = [store.signer(f"tenant-{t}", n) for t in range(tenants)]
     started = time.perf_counter()
-    for tenant, share in enumerate(shares):
-        store.sign_many(f"tenant-{tenant}", n, share)
+    for signer, share in zip(signers, shares):
+        signer.sign_many(share)
     return len(messages) / (time.perf_counter() - started)
 
 
@@ -284,11 +285,10 @@ def _presigned(store: ShardedKeyStore, n: int, messages: list[bytes],
     records = []
     for tenant in range(tenants):
         name = f"tenant-{tenant}"
-        public_key = store.signer(name, n).public_key
+        signer = store.signer(name, n)
         share = messages[tenant::tenants]
-        for message, signature in zip(share,
-                                      store.sign_many(name, n, share)):
-            records.append((name, public_key, message, signature))
+        for message, signature in zip(share, signer.sign_many(share)):
+            records.append((name, signer.public_key, message, signature))
     return records
 
 
@@ -441,7 +441,7 @@ def run_sweep(n: int = 256, signs: int = 64, tenants: int = TENANTS,
     # row measures merged rounds, not each key's first-sign set-up.
     fanout_store = _fresh_store(4, n, FANOUT_TENANTS)
     for tenant in range(FANOUT_TENANTS):
-        fanout_store.sign_many(f"tenant-{tenant}", n, [b"warmup"])
+        fanout_store.signer(f"tenant-{tenant}", n).sign_many([b"warmup"])
     concurrency, window = FANOUT_CONFIG
     record(f"fanout_t{FANOUT_TENANTS}_c{concurrency}"
            f"_w{window * 1000:g}ms",

@@ -93,6 +93,15 @@ def _precision(text: str) -> int:
     return value
 
 
+def _probability(text: str) -> float:
+    """argparse type: a probability in [0, 1] (NaN refused)."""
+    value = float(text)
+    if not 0 <= value <= 1:
+        raise argparse.ArgumentTypeError(
+            f"must be a probability in [0, 1], got {text}")
+    return value
+
+
 def _non_negative_float(text: str) -> float:
     """argparse type: a float of at least 0."""
     value = float(text)
@@ -263,9 +272,6 @@ def _cmd_keygen(args: argparse.Namespace) -> int:
     from .falcon.keystore import KeyStore
     from .falcon.serialize import encode_public_key, encode_secret_key
 
-    if args.count < 1:
-        print("nothing to do: --count must be at least 1")
-        return 2
     store = KeyStore(args.keystore, master_seed=args.seed,
                      prng=args.prng, workers=args.workers)
     started = time.perf_counter()
@@ -289,149 +295,140 @@ def _cmd_keygen(args: argparse.Namespace) -> int:
     return 0
 
 
-def _run_service_load(store, *, n: int, tenants: int, clients: int,
-                      requests: int, max_batch: int, max_wait: float,
-                      queue_depth: int,
-                      verify_share: int = 0,
-                      worker_pool=None,
-                      deadline: float = 0.0,
-                      tolerate_failures: bool = False) -> dict:
-    """Drive ``requests`` sign calls (plus optional verifies) from
-    ``clients`` concurrent client coroutines through a
-    :class:`~repro.falcon.serving.SigningService`; returns rates and
-    the service metrics snapshot.  With ``tolerate_failures`` (chaos
-    runs) per-request errors are counted instead of raised, and the
-    returned dict carries availability."""
+async def _drive_clients(connections, args: argparse.Namespace,
+                         tolerate_failures: bool) -> dict:
+    """Drive ``args.requests`` sign calls (every ``verify_share``-th
+    also verified) from one client coroutine per entry of
+    ``connections`` — anything with async ``sign`` / ``verify``, a
+    :class:`~repro.falcon.serving.SigningService` or a
+    :class:`~repro.falcon.serving.NetClient`.  Returns the elapsed
+    time, rate, failed requests and availability; with
+    ``tolerate_failures`` (chaos runs) a failed request is counted
+    instead of raised."""
     import asyncio
     import time
 
-    from .falcon.serving import SigningService
+    loop = asyncio.get_running_loop()
+    requests, clients = args.requests, len(connections)
+    failed = 0
 
-    failed = [0]
+    def request_deadline():
+        return loop.time() + args.deadline if args.deadline else None
 
-    async def drive() -> dict:
-        service = SigningService(store, n=n, max_batch=max_batch,
-                                 max_wait=max_wait,
-                                 queue_depth=queue_depth,
-                                 worker_pool=worker_pool)
+    async def client(which: int, connection) -> None:
+        nonlocal failed
+        for i in range(which, requests, clients):
+            tenant = f"tenant-{i % args.tenants}"
+            message = b"serve-%d" % i
+            try:
+                signature = await connection.sign(
+                    tenant, message, deadline=request_deadline())
+                if args.verify_share and i % args.verify_share == 0:
+                    if not await connection.verify(
+                            tenant, message, signature,
+                            deadline=request_deadline()):
+                        raise RuntimeError(
+                            f"verification failed for {tenant}")
+            except Exception:
+                if not tolerate_failures:
+                    raise
+                failed += 1
 
-        async def client(which: int) -> None:
-            loop = asyncio.get_running_loop()
-            for i in range(which, requests, clients):
-                tenant = f"tenant-{i % tenants}"
-                message = b"serve-%d" % i
+    started = time.perf_counter()
+    await asyncio.gather(*[client(which, connection)
+                           for which, connection in enumerate(connections)])
+    elapsed = time.perf_counter() - started
+    return {
+        "elapsed": elapsed,
+        "rate": requests / elapsed,
+        "failed": failed,
+        "availability": (requests - failed) / requests
+        if requests else 1.0,
+    }
+
+
+async def _net_load(host: str, port: int, tokens,
+                    args: argparse.Namespace,
+                    tolerate_failures: bool) -> dict:
+    """The client load over the wire protocol: one
+    :class:`~repro.falcon.serving.NetClient` connection per client."""
+    from .falcon.serving import NetClient
+
+    connections = []
+    try:
+        for _ in range(args.clients):
+            connections.append(await NetClient.connect(host, port,
+                                                       tokens=tokens))
+        return await _drive_clients(connections, args, tolerate_failures)
+    finally:
+        for connection in connections:
+            await connection.close()
+
+
+async def _serve_load(args: argparse.Namespace, store, pool, tokens,
+                      chaos) -> dict:
+    """Run the coalescing service and drive the demo load through it:
+    in process, or with ``--listen`` through the wire-protocol server
+    over real loopback sockets (with ``--requests 0``: serve until
+    interrupted), then drain."""
+    import asyncio
+
+    from .falcon.serving import NetServer, SigningService
+
+    tolerate = chaos is not None
+    service = SigningService(
+        store, n=args.n, max_batch=args.max_batch,
+        max_wait=args.max_wait, queue_depth=args.queue_depth,
+        worker_pool=pool)
+    async with service:
+        if not args.listen:
+            outcome = await _drive_clients([service] * args.clients,
+                                           args, tolerate)
+            outcome["metrics"] = service.metrics.as_dict()
+            return outcome
+        host, port = args.listen
+        server = NetServer(service, tokens=tokens,
+                           rate_limit=args.rate_limit or None,
+                           fault_plan=chaos)
+        await server.start(host, port)
+        address = f"{host}:{server.port}"
+        print(f"listening on {address}")
+        try:
+            if args.requests:
+                outcome = await _net_load(host, server.port, tokens,
+                                          args, tolerate)
+            else:
                 try:
-                    request_deadline = (loop.time() + deadline
-                                        if deadline else None)
-                    signature = await service.sign(
-                        tenant, message, deadline=request_deadline)
-                    if verify_share and i % verify_share == 0:
-                        if not await service.verify(
-                                tenant, message, signature,
-                                deadline=(loop.time() + deadline
-                                          if deadline else None)):
-                            raise RuntimeError(
-                                f"verification failed for {tenant}")
-                except Exception:
-                    if not tolerate_failures:
-                        raise
-                    failed[0] += 1
-
-        async with service:
-            started = time.perf_counter()
-            await asyncio.gather(*[client(which)
-                                   for which in range(clients)])
-            elapsed = time.perf_counter() - started
-        return {
-            "elapsed": elapsed,
-            "rate": requests / elapsed,
-            "metrics": service.metrics.as_dict(),
-            "failed": failed[0],
-            "availability": (requests - failed[0]) / requests
-            if requests else 1.0,
-        }
-
-    return asyncio.run(drive())
+                    await asyncio.Event().wait()
+                except (KeyboardInterrupt, asyncio.CancelledError):
+                    pass
+                outcome = {"elapsed": 0.0, "rate": 0.0, "failed": 0,
+                           "availability": 1.0}
+        finally:
+            await server.stop(stop_service=False)
+        outcome.update(metrics=service.metrics.as_dict(),
+                       net=server.metrics.as_dict(), address=address)
+        return outcome
 
 
 def _parse_endpoint(text: str) -> tuple[str, int]:
     """``HOST:PORT`` → ``(host, port)`` (IPv4/hostname endpoints)."""
     host, _, port = text.rpartition(":")
-    if not host or not port.isdigit():
+    if not host or not port.isdigit() or int(port) > 65535:
         raise argparse.ArgumentTypeError(
-            f"expected HOST:PORT, got {text!r}")
+            f"expected HOST:PORT with a port in 0-65535, got {text!r}")
     return host, int(port)
 
 
 def _parse_token(text: str) -> tuple[str, bytes]:
-    """``TENANT=SECRET`` → ``(tenant, secret_bytes)``."""
+    """``TENANT=SECRET`` → ``(tenant, secret_bytes)``; an empty secret
+    is refused, as it would let a client without a token in."""
     tenant, sep, secret = text.partition("=")
-    if not sep or not tenant:
+    if not sep or not tenant or not secret:
         raise argparse.ArgumentTypeError(
-            f"expected TENANT=SECRET, got {text!r}")
+            f"expected TENANT=SECRET with a non-empty secret, "
+            f"got {text!r}")
     return tenant, secret.encode()
-
-
-def _run_net_load(host: str, port: int, *, tokens, tenants: int,
-                  clients: int, requests: int,
-                  verify_share: int = 0,
-                  deadline: float = 0.0,
-                  tolerate_failures: bool = False) -> dict:
-    """Drive ``requests`` sign calls (plus optional verifies) from
-    ``clients`` concurrent coroutines over the wire protocol; one
-    :class:`~repro.falcon.serving.NetClient` connection per client."""
-    import asyncio
-    import time
-
-    from .falcon.serving import NetClient
-
-    failed = [0]
-
-    async def drive() -> dict:
-        connections = [await NetClient.connect(host, port,
-                                               tokens=tokens)
-                       for _ in range(clients)]
-
-        async def client(which: int) -> None:
-            net = connections[which]
-            loop = asyncio.get_running_loop()
-            for i in range(which, requests, clients):
-                tenant = f"tenant-{i % tenants}"
-                message = b"serve-%d" % i
-                try:
-                    request_deadline = (loop.time() + deadline
-                                        if deadline else None)
-                    signature = await net.sign(
-                        tenant, message, deadline=request_deadline)
-                    if verify_share and i % verify_share == 0:
-                        if not await net.verify(
-                                tenant, message, signature,
-                                deadline=(loop.time() + deadline
-                                          if deadline else None)):
-                            raise RuntimeError(
-                                f"verification failed for {tenant}")
-                except Exception:
-                    if not tolerate_failures:
-                        raise
-                    failed[0] += 1
-
-        try:
-            started = time.perf_counter()
-            await asyncio.gather(*[client(which)
-                                   for which in range(clients)])
-            elapsed = time.perf_counter() - started
-        finally:
-            for net in connections:
-                await net.close()
-        return {
-            "elapsed": elapsed,
-            "rate": requests / elapsed,
-            "failed": failed[0],
-            "availability": (requests - failed[0]) / requests
-            if requests else 1.0,
-        }
-
-    return asyncio.run(drive())
 
 
 def _chaos_plan(args: argparse.Namespace):
@@ -448,6 +445,8 @@ def _chaos_plan(args: argparse.Namespace):
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:
+    import asyncio
+
     from .falcon.serving import ShardedKeyStore, ShardWorkerPool
 
     tokens = dict(args.token) if args.token else None
@@ -464,11 +463,8 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         print(f"client mode: {args.requests} requests to "
               f"{host}:{port} ({args.clients} connection(s), "
               f"{args.tenants} tenant(s)) ...")
-        outcome = _run_net_load(
-            host, port, tokens=tokens, tenants=args.tenants,
-            clients=args.clients, requests=args.requests,
-            verify_share=args.verify_share, deadline=args.deadline,
-            tolerate_failures=chaos is not None)
+        outcome = asyncio.run(_net_load(host, port, tokens, args,
+                                        chaos is not None))
         print(format_table(
             ["metric", "value"],
             [["requests/s", f"{outcome['rate']:,.1f}"],
@@ -499,18 +495,8 @@ def _cmd_serve(args: argparse.Namespace) -> int:
           f"{args.tenants} tenant(s), {args.clients} client(s), "
           f"{args.requests} requests ...")
     try:
-        if args.listen:
-            outcome = _serve_networked(args, store, pool, tokens,
-                                       chaos)
-        else:
-            outcome = _run_service_load(
-                store, n=args.n, tenants=args.tenants,
-                clients=args.clients, requests=args.requests,
-                max_batch=args.max_batch, max_wait=args.max_wait,
-                queue_depth=args.queue_depth,
-                verify_share=args.verify_share, worker_pool=pool,
-                deadline=args.deadline,
-                tolerate_failures=chaos is not None)
+        outcome = asyncio.run(_serve_load(args, store, pool, tokens,
+                                          chaos))
     finally:
         if pool is not None:
             pool.stop()
@@ -520,9 +506,8 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     rows = [
         ["requests/s", f"{outcome['rate']:,.1f}"],
         ["requests", metrics["requests"]],
-        ["availability",
-         f"{outcome.get('availability', 1.0):.3%}"],
-        ["failed requests", outcome.get("failed", 0)],
+        ["availability", f"{outcome['availability']:.3%}"],
+        ["failed requests", outcome["failed"]],
         ["signed / verified",
          f"{metrics['signed']} / {metrics['verified']}"],
         ["coalesced rounds", metrics["rounds"]],
@@ -549,105 +534,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     print(format_table(["metric", "value"], rows,
                        title="coalescing signing service"))
     return 0
-
-
-def _serve_networked(args: argparse.Namespace, store, pool,
-                     tokens, chaos=None) -> dict:
-    """Run the wire-protocol server and drive the demo load over a
-    real socket (loopback clients of our own server), then drain."""
-    import asyncio
-    import time
-
-    from .falcon.serving import NetClient, NetServer, SigningService
-
-    host, port = args.listen
-    tolerate = chaos is not None
-    deadline = args.deadline
-
-    async def drive() -> dict:
-        service = SigningService(
-            store, n=args.n, max_batch=args.max_batch,
-            max_wait=args.max_wait, queue_depth=args.queue_depth,
-            worker_pool=pool)
-        async with service:
-            server = NetServer(service, tokens=tokens,
-                               rate_limit=args.rate_limit or None,
-                               fault_plan=chaos)
-            await server.start(host, port)
-            address = f"{host}:{server.port}"
-            print(f"listening on {address}")
-            if not args.requests:
-                # No self-driven load: serve until interrupted, then
-                # drain gracefully.
-                try:
-                    await asyncio.Event().wait()
-                except (KeyboardInterrupt, asyncio.CancelledError):
-                    pass
-                finally:
-                    await server.stop(stop_service=False)
-                return {
-                    "elapsed": 0.0,
-                    "rate": 0.0,
-                    "metrics": service.metrics.as_dict(),
-                    "net": server.metrics.as_dict(),
-                    "address": address,
-                    "failed": 0,
-                    "availability": 1.0,
-                }
-            connections = [
-                await NetClient.connect(host, server.port,
-                                        tokens=tokens)
-                for _ in range(args.clients)]
-
-            loop = asyncio.get_running_loop()
-            failed = [0]
-
-            async def client(which: int) -> None:
-                net = connections[which]
-                for i in range(which, args.requests, args.clients):
-                    tenant = f"tenant-{i % args.tenants}"
-                    message = b"serve-%d" % i
-                    try:
-                        signature = await net.sign(
-                            tenant, message,
-                            deadline=(loop.time() + deadline
-                                      if deadline else None))
-                        if args.verify_share and \
-                                i % args.verify_share == 0:
-                            if not await net.verify(
-                                    tenant, message, signature,
-                                    deadline=(loop.time() + deadline
-                                              if deadline else None)):
-                                raise RuntimeError(
-                                    f"verification failed for "
-                                    f"{tenant}")
-                    except Exception:
-                        if not tolerate:
-                            raise
-                        failed[0] += 1
-
-            try:
-                started = time.perf_counter()
-                await asyncio.gather(*[
-                    client(which) for which in range(args.clients)])
-                elapsed = time.perf_counter() - started
-            finally:
-                for net in connections:
-                    await net.close()
-                await server.stop(stop_service=False)
-            return {
-                "elapsed": elapsed,
-                "rate": args.requests / elapsed,
-                "metrics": service.metrics.as_dict(),
-                "net": server.metrics.as_dict(),
-                "address": address,
-                "failed": failed[0],
-                "availability": ((args.requests - failed[0])
-                                 / args.requests
-                                 if args.requests else 1.0),
-            }
-
-    return asyncio.run(drive())
 
 
 def _ledger_signers(n: int, keys: int, seed: int) -> list:
@@ -841,7 +727,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="fill a generate-ahead key store (optionally persisted "
              "and parallel)")
     keygen_p.add_argument("--n", type=_degree, default=64)
-    keygen_p.add_argument("--count", type=int, default=4,
+    keygen_p.add_argument("--count", type=_positive_int, default=4,
                           help="keys to generate ahead")
     keygen_p.add_argument("--seed", type=int, default=0,
                           help="key-store master seed (per-key seeds "
@@ -947,17 +833,21 @@ def build_parser() -> argparse.ArgumentParser:
     run_p.add_argument("--chaos-seed", type=int, default=7,
                        help="fault-plan seed (same seed, same "
                             "faults)")
-    run_p.add_argument("--chaos-kill-rate", type=float, default=0.02,
+    run_p.add_argument("--chaos-kill-rate", type=_probability,
+                       default=0.02,
                        help="per-round worker SIGKILL probability")
-    run_p.add_argument("--chaos-drop-rate", type=float, default=0.05,
+    run_p.add_argument("--chaos-drop-rate", type=_probability,
+                       default=0.05,
                        help="per-frame drop probability at the wire")
-    run_p.add_argument("--chaos-claim-rate", type=float, default=0.02,
+    run_p.add_argument("--chaos-claim-rate", type=_probability,
+                       default=0.02,
                        help="per-claim keystore failure probability")
-    run_p.add_argument("--chaos-refill-rate", type=float,
+    run_p.add_argument("--chaos-refill-rate", type=_probability,
                        default=0.25,
                        help="per-refill background failure "
                             "probability")
-    run_p.add_argument("--chaos-max-per-site", type=int, default=0,
+    run_p.add_argument("--chaos-max-per-site", type=_non_negative_int,
+                       default=0,
                        help="cap faults per site (0 = unlimited)")
     _add_prng_option(run_p)
     run_p.set_defaults(func=_cmd_serve)

@@ -50,28 +50,23 @@ def _class_messages(label: bytes, count: int, secret: bool) -> list[bytes]:
 
 def round_shape_trace(arrivals: Sequence[tuple[str, str]],
                       messages: Sequence[bytes],
-                      max_batch: int,
-                      coalesce_verify: bool = False) -> list[float]:
+                      max_batch: int) -> list[float]:
     """The round-shape trace for one drained batch.
 
     Runs the actual serving round planner over the arrival metadata
     and returns the measurement dudect compares: one round-size value
-    per planned round, in emission order.  Sign lanes of every tenant
-    merge into shared rounds in both planning modes;
-    ``coalesce_verify`` selects whether verify lanes merge across
-    tenants too (the service's default) or stay per tenant — merged
-    round shapes are audited exactly like per-tenant ones.  A merged
-    sign round's timing also depends on how many lanes each tenant
-    brought, which is the same public arrival metadata.
-    ``messages`` is accepted — and deliberately unused — to mirror
-    what an adversarial implementation *could* see; the planner's
-    signature guarantees it sees none of it.
+    per planned round, in emission order.  Lanes of every tenant merge
+    into one round per kind (chunked at ``max_batch``); a merged sign
+    round's timing also depends on how many lanes each tenant brought,
+    which is the same public arrival metadata.  ``messages`` is
+    accepted — and deliberately unused — to mirror what an adversarial
+    implementation *could* see; the planner's signature guarantees it
+    sees none of it.
     """
     from ..falcon.serving import plan_rounds
 
     assert len(arrivals) == len(messages)
-    plans = plan_rounds(arrivals, max_batch,
-                        coalesce_verify=coalesce_verify)
+    plans = plan_rounds(arrivals, max_batch)
     return [float(len(plan.lanes)) for plan in plans]
 
 
@@ -211,14 +206,8 @@ def audit_coalescing(tenants: int = 3, requests: int = 64,
         for start in range(0, requests, max_batch):
             window = arrivals[start:start + max_batch]
             window_messages = messages[start:start + max_batch]
-            # Audit both planning modes: merged sign rounds with
-            # per-tenant verify rounds, and the service's default with
-            # verify lanes merged across tenants too.
             trace.extend(round_shape_trace(window, window_messages,
                                            max_batch))
-            trace.extend(round_shape_trace(window, window_messages,
-                                           max_batch,
-                                           coalesce_verify=True))
         round_traces.append(trace)
         frame_traces.append(frame_shape_trace(arrivals, messages, n=n))
         failure_traces.append(failure_frame_shape_trace(arrivals,

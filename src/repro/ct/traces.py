@@ -269,11 +269,11 @@ def serving_shape_traces(tenants: int = 3, requests: int = 48,
 
     Replays the coalescing audit's two request classes — identical
     arrival patterns, all-zero vs pseudorandom ("secret") message
-    bytes — through the real round planner (in both planning modes,
-    merged sign rounds included) and the real wire-frame encoder, and
-    labels every observation with its class.  Returns
-    ``(round_traces, frame_traces)``: per-window, per-mode round-shape
-    vectors and per-request frame-shape vectors.  A leak-free plane produces
+    bytes — through the real round planner (every round a
+    cross-tenant list of lanes of one kind) and the real wire-frame
+    encoder, and labels every observation with its class.  Returns
+    ``(round_traces, frame_traces)``: per-window round-shape vectors
+    and per-request frame-shape vectors.  A leak-free plane produces
     identical features for both labels, which no classifier can beat
     chance on.
     """
@@ -302,14 +302,9 @@ def serving_shape_traces(tenants: int = 3, requests: int = 48,
     for label, secret in enumerate((False, True)):
         messages = _class_messages(b"class", requests, secret)
         for window, span in windows:
-            # Both planning modes: sign lanes always merge across
-            # tenants, verify lanes only under coalesce_verify.
-            for coalesce_verify in (False, True):
-                shape = round_shape_trace(window, messages[span],
-                                          max_batch,
-                                          coalesce_verify=coalesce_verify)
-                shape = shape + [0.0] * (max_rounds - len(shape))
-                round_traces.append(shape, label)
+            shape = round_shape_trace(window, messages[span], max_batch)
+            round_traces.append(shape + [0.0] * (max_rounds - len(shape)),
+                                label)
         flat = frame_shape_trace(arrivals, messages, n=n)
         # frame_shape_trace flattens 6 observables per request.
         for start in range(0, len(flat), 6):

@@ -214,9 +214,9 @@ def _scalar_spine():
 
     Hides NumPy from the four modules that pick a spine — signing,
     batch verification, keygen and the CDT block sampler — and restores
-    it on exit.  Both spines give identical bytes; like
-    :func:`~repro.falcon.poly.mul_strategy`, this exists so tests and
-    benchmarks can force the route the platform would not take.
+    it on exit.  Both spines give identical bytes; this exists so
+    tests and benchmarks can force the route the platform would not
+    take.
     """
     from ..baselines import cdt
     from . import batchverify, ntrugen, scheme

@@ -100,9 +100,14 @@ class _Lane:
 
 
 #: Smallest same-degree group worth the batched row decoder's setup
-#: cost; below this the scalar decoder is faster (measured crossover
-#: is ~16-32 lanes at n=256).
-ROWS_DECODE_MIN = 32
+#: cost; below this the scalar decoder is faster.  Measured on a 2-core
+#: x86-64 host with NumPy 2.4 (median ms per lane, scalar / rows, same
+#: blobs): n=256 6 lanes 0.38 / 0.35, 8 lanes 0.37 / 0.28; n=512
+#: 6 lanes 0.73 / 0.42; n=1024 6 lanes 1.30 / 1.41, 8 lanes
+#: 1.52 / 1.05 — a crossover of 6-8 lanes at every degree.  A 16-key
+#: n=512 ``verify_batch`` took 16.0-17.0 ms at a threshold of 32 and
+#: 9.9-10.2 ms at 8.
+ROWS_DECODE_MIN = 8
 
 
 def _decode_rows(items: Sequence) -> dict[int, list]:

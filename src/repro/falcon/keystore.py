@@ -30,20 +30,17 @@ path.  :class:`KeyStore` is that layer:
   regenerates a fresh cohort;
 * **watermark refill**: with ``low_watermark`` set, every checkout
   that leaves the pool below the watermark triggers a refill up to
-  ``refill_target`` — on a background thread by default, so the
-  serving path never blocks on key generation (the dry-``acquire``
-  inline fallback remains as a last resort);
-* **signer cache**: :meth:`sign_many` keeps one decoded
-  :class:`~repro.falcon.scheme.SecretKey` checked out per degree, so
-  batch signing reuses its precomputed ffLDL tree instead of decoding
-  per call;
+  ``refill_target`` on a background thread, so the serving path never
+  blocks on key generation (the dry-``acquire`` inline fallback
+  remains as a last resort);
 * **metrics**: :meth:`stats` snapshots pool depth, checkout counts,
   refill counts and latency, cohort generations — the dashboard
   surface the serving layer aggregates per shard.
 
-Tenant-facing sharding (consistent hashing, per-tenant signer
-checkout, the asyncio coalescing front) lives one layer up, in
-:mod:`repro.falcon.serving`.
+Tenant-facing sharding (consistent hashing, the per-tenant signer
+cache, the asyncio coalescing front) lives one layer up, in
+:mod:`repro.falcon.serving`; its cache checks keys out through
+:meth:`KeyStore.checkout_current`.
 """
 
 from __future__ import annotations
@@ -65,7 +62,7 @@ except ImportError:  # pragma: no cover - non-POSIX fallback
     _fcntl = None
 
 from ..ctlint.annotations import secret_params
-from .scheme import PublicKey, SecretKey, Signature
+from .scheme import SecretKey
 from .serialize import (
     SECRET_KEY_SUFFIX,
     atomic_write_bytes,
@@ -233,31 +230,6 @@ class KeyStoreStats:
         }
 
 
-def fenced_signer_checkout(store: "KeyStore", n: int, *, lock, guards,
-                           cache, key) -> SecretKey:
-    """The shared signer-cache checkout loop (rotation-fenced).
-
-    Used by :meth:`KeyStore.signer` (cache keyed by degree) and the
-    sharded layer's per-tenant signer (cache keyed by tenant): a
-    per-key guard serializes cold-cache checkouts so concurrent first
-    users wait for one checkout instead of each burning a slot, and
-    the generation re-check under the cache lock discards a checkout
-    that a concurrent :meth:`KeyStore.rotate` retired mid-flight.
-    """
-    with lock:
-        guard = guards.setdefault(key, threading.Lock())
-    with guard:
-        while True:
-            with lock:
-                cached = cache.get(key)
-            if cached is not None:
-                return cached
-            acquired, generation = store.checkout_current(n)
-            with lock:
-                if store.generation(n) == generation:
-                    return cache.setdefault(key, acquired)
-
-
 class KeyStore:
     """A generate-ahead pool of Falcon secret keys.
 
@@ -280,8 +252,8 @@ class KeyStore:
 
     ``low_watermark > 0`` arms watermark refill: a checkout leaving
     fewer than ``low_watermark`` pooled keys schedules a refill up to
-    ``refill_target`` (default ``2 * low_watermark``), on a daemon
-    thread when ``refill_async`` (the default) or inline otherwise.
+    ``refill_target`` (default ``2 * low_watermark``) on a daemon
+    thread; :meth:`join_refills` waits for it.
     """
 
     def __init__(self, directory: str | Path | None = None, *,
@@ -291,7 +263,6 @@ class KeyStore:
                  workers: int = 1,
                  low_watermark: int = 0,
                  refill_target: int | None = None,
-                 refill_async: bool = True,
                  stale_claim_seconds: float = _STALE_CLAIM_SECONDS,
                  fault_plan=None) -> None:
         if workers < 1:
@@ -310,7 +281,6 @@ class KeyStore:
         self.low_watermark = low_watermark
         self.refill_target = (refill_target if refill_target is not None
                               else 2 * low_watermark)
-        self.refill_async = refill_async
         self.stale_claim_seconds = stale_claim_seconds
         # Fault injection (duck-typed: anything with an ``injector()``
         # returning claim_action/refill_should_fail/refill_stall/error
@@ -324,8 +294,6 @@ class KeyStore:
         self._next_index: dict[int, int] = {}
         self._generation: dict[int, int] = {}
         self._cohort_start: dict[int, int] = {}
-        self._signers: dict[int, SecretKey] = {}
-        self._signer_guards: dict[int, threading.Lock] = {}
         self._stats = KeyStoreStats()
         self._lock = threading.RLock()
         self._refilling: set[int] = set()
@@ -804,22 +772,17 @@ class KeyStore:
                     self._stats.refill_errors += 1
                     self._stats.last_refill_error = (
                         f"{type(error).__name__}: {error}")
-                if not self.refill_async:
-                    raise
             finally:
                 with self._lock:
                     self._refilling.discard(n)
 
-        if self.refill_async:
-            thread = threading.Thread(target=refill, daemon=True,
-                                      name=f"keystore-refill-n{n}")
-            with self._lock:
-                self._refill_threads = [t for t in self._refill_threads
-                                        if t.is_alive()]
-                self._refill_threads.append(thread)
-            thread.start()
-        else:
-            refill()
+        thread = threading.Thread(target=refill, daemon=True,
+                                  name=f"keystore-refill-n{n}")
+        with self._lock:
+            self._refill_threads = [t for t in self._refill_threads
+                                    if t.is_alive()]
+            self._refill_threads.append(thread)
+        thread.start()
 
     def join_refills(self, timeout: float | None = None) -> None:
         """Block until in-flight background refills finish (tests and
@@ -847,13 +810,13 @@ class KeyStore:
         """Retire the degree-``n`` cohort; optionally regenerate.
 
         Bumps the generation, advances the cohort start past every
-        claimed slot, discards all pooled keys of the old cohort
-        (removing their files) and drops the cached signer so the next
-        :meth:`signer` call checks out a fresh-generation key.  Retired
-        slots are burned — the monotone index sequence guarantees their
-        seeds are never derived again.  Returns the number of retired
-        pool entries; with ``regenerate`` (or a configured
-        ``refill_target``) a fresh cohort is generated immediately.
+        claimed slot and discards all pooled keys of the old cohort
+        (removing their files), so the next checkout serves a
+        fresh-generation key.  Retired slots are burned — the monotone
+        index sequence guarantees their seeds are never derived again.
+        Returns the number of retired pool entries; with
+        ``regenerate`` (or a configured ``refill_target``) a fresh
+        cohort is generated immediately.
         """
         with self._manifest_lock():
             self._reload_state()
@@ -869,7 +832,6 @@ class KeyStore:
                     entry.path.unlink(missing_ok=True)
             pool.clear()
             self._stats.retired += retired
-            self._signers.pop(n, None)
         count = (regenerate if regenerate is not None
                  else self.refill_target)
         if count > 0:
@@ -890,40 +852,16 @@ class KeyStore:
         and ended in the same generation: if :meth:`rotate` ran while
         the (slow) acquire was in flight, the possibly-old-cohort key
         is discarded — its slot stays burned — and the checkout
-        retries.  The shared primitive under every signer cache (this
-        store's and the sharded layer's), so a rotation can never be
-        undone by a racing checkout re-caching a retired key.
+        retries.  The primitive under the serving plane's signer cache
+        (:meth:`~repro.falcon.serving.ShardedKeyStore.signer_on`), so
+        a rotation can never be undone by a racing checkout re-caching
+        a retired key.
         """
         while True:
             generation = self.generation(n)
             acquired = self.acquire(n)
             if self.generation(n) == generation:
                 return acquired, generation
-
-    def signer(self, n: int) -> SecretKey:
-        """The cached signing key for degree ``n`` (acquired on first
-        use; reused so its ffLDL tree and sampler pools stay warm).
-
-        Cold-cache checkouts are serialized per degree (concurrent
-        first users wait for one checkout instead of each generating
-        and discarding a key) and generation-fenced via
-        :meth:`checkout_current`.
-        """
-        return fenced_signer_checkout(self, n, lock=self._lock,
-                                      guards=self._signer_guards,
-                                      cache=self._signers, key=n)
-
-    def sign_many(self, n: int,
-                  messages: Sequence[bytes]) -> list[Signature]:
-        """Batch-sign ``messages`` with the cached degree-``n`` signer."""
-        return self.signer(n).sign_many(messages)
-
-    def verify_many(self, n: int, messages: Sequence[bytes],
-                    signatures: Sequence[Signature]) -> list[bool]:
-        """Batch-verify against the cached degree-``n`` signer's public
-        key (the cached NTT of ``h`` is reused across rounds)."""
-        return self.signer(n).public_key.verify_many(messages,
-                                                     signatures)
 
     def stats(self) -> KeyStoreStats:
         """A point-in-time snapshot (callers may keep or mutate it

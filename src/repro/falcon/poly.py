@@ -22,7 +22,6 @@ reference Python implementation.
 
 from __future__ import annotations
 
-from contextlib import contextmanager
 from typing import Sequence
 
 try:  # Optional: exact vectorized convolution for small coefficients.
@@ -45,34 +44,6 @@ _CONVOLVE_LIMIT = 1 << 62
 #: without the packing passes, so the dispatch stays out of its way.
 _KRONECKER_MIN_DEGREE = 64
 _KRONECKER_MAX_BOUND_BITS = 768
-
-#: Multiplication strategies accepted by :func:`mul_strategy`.  ``auto``
-#: is the full dispatch; ``legacy`` is the pre-Kronecker dispatch
-#: (convolve + Karatsuba), kept addressable so benchmarks can measure the
-#: reference route; the rest force a single kernel (differential tests).
-MUL_STRATEGIES = ("auto", "legacy", "schoolbook", "karatsuba", "kronecker")
-
-_active_strategy = "auto"
-
-
-@contextmanager
-def mul_strategy(name: str):
-    """Force a :func:`mul_raw` dispatch strategy within a ``with`` block.
-
-    All strategies compute the same exact integers; this exists so
-    differential tests can pin kernel agreement and benchmarks can put a
-    number on each route (e.g. the pre-Kronecker ``legacy`` dispatch).
-    """
-    global _active_strategy
-    if name not in MUL_STRATEGIES:
-        raise ValueError(f"unknown mul strategy {name!r}; "
-                         f"choose from {MUL_STRATEGIES}")
-    previous = _active_strategy
-    _active_strategy = name
-    try:
-        yield
-    finally:
-        _active_strategy = previous
 
 
 def add(a: Sequence[int], b: Sequence[int]) -> list[int]:
@@ -181,23 +152,16 @@ def _convolve_bound(a: Sequence[int], b: Sequence[int]) -> int:
 def mul_raw(a: Sequence[int], b: Sequence[int]) -> list[int]:
     """Plain polynomial product (degree ``len(a)+len(b)-2``).
 
-    Dispatch (``auto`` strategy): one exact ``int64`` convolution while
-    the coefficients are provably too small to overflow — the common
-    case in the upper NTRUSolve tower levels — then Kronecker
-    substitution once the operands are big enough to amortize its
-    packing passes, with bigint Karatsuba/schoolbook covering the
-    remainder.  All routes produce identical integers (pinned by the
-    differential tests); :func:`mul_strategy` forces a specific one.
+    Dispatch: one exact ``int64`` convolution while the coefficients
+    are provably too small to overflow — the common case in the upper
+    NTRUSolve tower levels — then Kronecker substitution once the
+    operands are big enough to amortize its packing passes, with
+    bigint Karatsuba/schoolbook covering the remainder.  All routes
+    produce identical integers (the differential tests compare this
+    dispatch with each kernel called directly).
     """
     if not a or not b:
         return []
-    strategy = _active_strategy
-    if strategy == "schoolbook":
-        return _schoolbook(a, b)
-    if strategy == "kronecker":
-        return _kronecker(a, b)
-    if strategy == "karatsuba":
-        return _karatsuba(list(a), list(b))
     bound = None
     if _np is not None and len(a) >= 16:
         bound = _convolve_bound(a, b)
@@ -205,8 +169,7 @@ def mul_raw(a: Sequence[int], b: Sequence[int]) -> list[int]:
             return _np.convolve(
                 _np.asarray(a, dtype=_np.int64),
                 _np.asarray(b, dtype=_np.int64)).tolist()
-    if strategy == "auto" and \
-            min(len(a), len(b)) >= _KRONECKER_MIN_DEGREE:
+    if min(len(a), len(b)) >= _KRONECKER_MIN_DEGREE:
         if bound is None:
             bound = _convolve_bound(a, b)
         if _CONVOLVE_LIMIT <= bound < (1 << _KRONECKER_MAX_BOUND_BITS):

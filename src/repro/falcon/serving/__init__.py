@@ -4,17 +4,20 @@ Four layers above :class:`~repro.falcon.keystore.KeyStore`:
 
 * :class:`ShardedKeyStore` — consistent-hash tenant→shard mapping over
   per-shard generate-ahead pools (each shard has its own directory,
-  manifest, lock file and derived master seed), with per-tenant signer
-  checkout and an aggregated metrics snapshot;
+  manifest, lock file and derived master seed), with the plane's one
+  signer cache (:meth:`ShardedKeyStore.signer_on`, per tenant and
+  shard), a checkout-free public-key cache and an aggregated metrics
+  snapshot;
 * :class:`SigningService` — an asyncio facade that coalesces
   concurrent ``sign(tenant, message)`` / ``verify(tenant, message,
-  signature)`` calls into batched cross-tenant ``sign_batch`` /
-  ``verify_batch`` rounds per shard, with max-batch / max-wait knobs
-  and back-pressure through bounded queues;
+  signature)`` calls into batched rounds per shard — every round one
+  cross-tenant list of lanes of one kind, run by one ``sign_batch`` or
+  ``verify_batch`` call — with max-batch / max-wait knobs and
+  back-pressure through bounded queues;
 * :class:`ShardWorkerPool` — one dedicated worker *process* per shard
-  with warm per-tenant spines, so rounds escape the GIL and a
-  multi-core host signs truly in parallel (plug into
-  ``SigningService(worker_pool=...)``);
+  with warm per-tenant spines, running the same per-lane tenant lists,
+  so rounds escape the GIL and a multi-core host signs truly in
+  parallel (plug into ``SigningService(worker_pool=...)``);
 * :class:`NetServer` / :class:`NetClient` — the wire: length-prefixed
   asyncio socket frames (``MAGIC | version | kind | req-id | body``)
   with per-tenant authentication tokens, token-bucket rate limits and
@@ -51,7 +54,6 @@ from .sharded import ConsistentHashRing, ShardedKeyStore, derive_shard_seed
 from .service import (
     KIND_SIGN,
     KIND_VERIFY,
-    MERGED_TENANT,
     CircuitBreaker,
     RoundPlan,
     ServiceMetrics,
@@ -71,7 +73,6 @@ __all__ = [
     "InjectedFault",
     "KIND_SIGN",
     "KIND_VERIFY",
-    "MERGED_TENANT",
     "NetClient",
     "NetServer",
     "RetryPolicy",

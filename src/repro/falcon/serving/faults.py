@@ -56,14 +56,22 @@ def _decide(seed: int, site: str, counter: int, rate: float) -> bool:
     return draw < int(rate * 2.0**64)
 
 
+#: The :class:`FaultPlan` fields that are firing probabilities.
+_RATES = ("kill_worker", "drop_frame", "truncate_frame", "delay_frame",
+          "fail_claim", "crash_claim", "fail_refill")
+
+
 @dataclass(frozen=True)
 class FaultPlan:
     """A seeded, picklable description of which faults to inject where.
 
-    Every ``*_rate`` is a probability in [0, 1] evaluated by the
+    Every rate is a probability in [0, 1] evaluated by the
     deterministic coin above; ``max_per_site`` caps how many times any
     single site may fire (0 = unlimited), which is how tests arrange
-    "exactly one SIGKILL" without racing on timing.
+    "exactly one SIGKILL" without racing on timing.  A rate outside
+    [0, 1] (NaN included), a negative cap or a negative delay raises
+    ``ValueError``: each would otherwise silently disarm or distort
+    the plan (a negative cap reads as already reached).
     """
 
     seed: int = 0
@@ -89,22 +97,19 @@ class FaultPlan:
     # Cap on fires per site (0 = unlimited).
     max_per_site: int = 0
 
+    def __post_init__(self) -> None:
+        for name in _RATES:
+            if not 0.0 <= getattr(self, name) <= 1.0:
+                raise ValueError(f"{name} must be a probability in "
+                                 f"[0, 1], got {getattr(self, name)}")
+        for name in ("delay_seconds", "stall_refill_seconds",
+                     "max_per_site"):
+            if not getattr(self, name) >= 0:
+                raise ValueError(f"{name} must be non-negative, got "
+                                 f"{getattr(self, name)}")
+
     def injector(self) -> "FaultInjector":
         return FaultInjector(self)
-
-    def any_armed(self) -> bool:
-        return any(
-            rate > 0.0
-            for rate in (
-                self.kill_worker,
-                self.drop_frame,
-                self.truncate_frame,
-                self.delay_frame,
-                self.fail_claim,
-                self.crash_claim,
-                self.fail_refill,
-            )
-        ) or self.stall_refill_seconds > 0.0
 
 
 @dataclass

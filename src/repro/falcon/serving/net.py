@@ -21,9 +21,9 @@ Frame layout (all integers big-endian)::
 * ``REQ_ID`` correlates responses with requests: a client may keep
   many requests in flight on one connection and responses return in
   completion order.
-* ``BODY_LEN`` is capped (``max_frame_bytes``): an adversarial length
-  prefix is rejected with one error frame and a clean close instead
-  of an unbounded allocation.
+* ``BODY_LEN`` is capped (:data:`MAX_FRAME_BYTES`): an adversarial
+  length prefix is rejected with one error frame and a clean close
+  instead of an unbounded allocation.
 
 **Authentication** is per tenant: the server holds a ``tenant →
 token`` map and every request carries the tenant's token, compared
@@ -96,9 +96,13 @@ ERROR_NAMES = {
 _HEADER = struct.Struct(">4sBBII")
 HEADER_BYTES = _HEADER.size
 
-#: Default cap on one frame's body.  Generous for any sane message,
-#: tiny against a hostile 4 GiB length prefix.
+#: Cap on one frame's body.  Generous for any sane message, tiny
+#: against a hostile 4 GiB length prefix.
 MAX_FRAME_BYTES = 1 << 20
+
+#: Sign responses the server keeps for req_id dedup; the least
+#: recently used is dropped first.
+DEDUP_CACHE = 1024
 
 
 class FrameError(Exception):
@@ -274,9 +278,11 @@ class NetServer:
     ``tokens`` maps tenant name to its authentication token; when
     provided, every request frame must carry the matching token
     (unknown tenants are refused with the same ``auth-failed`` error
-    as wrong tokens — the error does not reveal which).  ``None``
-    disables authentication (loopback demos).  ``rate_limit`` arms a
-    per-tenant token bucket (``burst`` defaults to twice the rate).
+    as wrong tokens — the error does not reveal which), and an empty
+    token is refused at construction: it would admit a client that
+    sends none.  ``None`` disables authentication (loopback demos).
+    ``rate_limit`` arms a per-tenant token bucket (``burst`` defaults
+    to twice the rate).
 
     Lifecycle::
 
@@ -296,12 +302,12 @@ class NetServer:
                  tokens: dict[str, bytes] | None = None,
                  rate_limit: float | None = None,
                  burst: float | None = None,
-                 max_frame_bytes: int = MAX_FRAME_BYTES,
                  clock=time.monotonic,
-                 fault_plan=None,
-                 dedup_cache: int = 1024) -> None:
-        if max_frame_bytes < HEADER_BYTES:
-            raise ValueError("max_frame_bytes too small to frame")
+                 fault_plan=None) -> None:
+        # An empty token matches the empty token a client without one
+        # sends, which would switch authentication off for its tenant.
+        if tokens is not None and not all(tokens.values()):
+            raise ValueError("tenant tokens must not be empty")
         if burst is not None and rate_limit is None:
             raise ValueError("burst needs rate_limit")
         # A bucket needs a positive rate and burst.  TokenBucket checks
@@ -318,7 +324,6 @@ class NetServer:
         self.rate_limit = rate_limit
         self.burst = (burst if burst is not None
                       else (2.0 * rate_limit if rate_limit else None))
-        self.max_frame_bytes = max_frame_bytes
         self.metrics = NetServerMetrics()
         self._clock = clock
         self._buckets: dict[str, TokenBucket] = {}
@@ -336,7 +341,6 @@ class NetServer:
         # again — exactly-once effect over an at-least-once wire.
         # Keyed by (tenant, req_id, payload hash) so one client's
         # req_ids cannot collide with another's for different work.
-        self._dedup_cap = dedup_cache
         self._dedup: OrderedDict = OrderedDict()
 
     # -- lifecycle ---------------------------------------------------------
@@ -455,7 +459,7 @@ class NetServer:
                                            ERR_UNSUPPORTED,
                                            f"version {version}")
                     return
-                if body_len > self.max_frame_bytes:
+                if body_len > MAX_FRAME_BYTES:
                     # An adversarial length prefix: refuse before
                     # buffering a byte of it.
                     await self._send_error(writer, lock, req_id,
@@ -505,8 +509,7 @@ class NetServer:
         and send its response frame.  Any failure answers with an
         error frame — a poison request never takes the connection
         (let alone the server) down with it."""
-        dedup_key = None
-        if kind == FRAME_SIGN and self._dedup_cap > 0:
+        if kind == FRAME_SIGN:
             dedup_key = (tenant, req_id,
                          hashlib.sha256(payload).digest()[:8])
             cached = self._dedup.get(dedup_key)
@@ -524,12 +527,11 @@ class NetServer:
                 response = encode_frame(
                     FRAME_SIGN_OK, req_id, b"", b"",
                     encode_signature(signature, self.service.n))
-                if dedup_key is not None:
-                    # Cache BEFORE sending: a response lost on the
-                    # wire must still be replayable.
-                    self._dedup[dedup_key] = response
-                    while len(self._dedup) > self._dedup_cap:
-                        self._dedup.popitem(last=False)
+                # Cache BEFORE sending: a response lost on the wire
+                # must still be replayable.
+                self._dedup[dedup_key] = response
+                while len(self._dedup) > DEDUP_CACHE:
+                    self._dedup.popitem(last=False)
             else:
                 signature, _n, message = decode_verify_payload(payload)
                 verdict = await self.service.verify(tenant, message,
@@ -793,21 +795,6 @@ class NetClient:
         payload = encode_verify_payload(signature, n, message)
         return await self._request(FRAME_VERIFY, tenant, payload,
                                    deadline)
-
-    async def verify_all(self, items, *,
-                         deadline: float | None = None) -> list[bool]:
-        """Concurrent convenience: verify ``(tenant, message,
-        signature)`` triples, gathered in order.
-
-        The requests go out pipelined on the one connection, so the
-        server's coalescer can merge them — across tenants — into
-        maximal cross-key verify rounds; this is the client shape the
-        ledger workload drives.
-        """
-        return list(await asyncio.gather(
-            *[self.verify(tenant, message, signature,
-                          deadline=deadline)
-              for tenant, message, signature in items]))
 
 
 def _degree_from_signature(signature: Signature) -> int:

@@ -12,8 +12,8 @@ calls that must *become* rounds to ride the batched spine.  :class:`SigningServi
   of a round has arrived (the classic batch-window trade: larger
   windows coalesce more, at latency cost);
 * the drained batch is partitioned into rounds by :func:`plan_rounds`
-  — sign lanes of every tenant share rounds, verify lanes too by
-  default — and each round runs one cross-key
+  — one list of lanes per request kind, whatever tenants they belong
+  to — and each round runs one cross-key
   :func:`~repro.falcon.scheme.sign_batch` or
   :func:`~repro.falcon.batchverify.verify_batch` call on a worker
   thread, so the event loop stays responsive while the CPU-bound
@@ -50,11 +50,6 @@ from .sharded import ShardedKeyStore, sign_tenant_lanes
 #: Request kinds the coalescer schedules.
 KIND_SIGN = "sign"
 KIND_VERIFY = "verify"
-
-#: The ``RoundPlan.tenant`` sentinel for a cross-tenant merged round:
-#: each lane still signs under, or checks against, its own tenant's
-#: key.
-MERGED_TENANT = "*"
 
 
 class CircuitBreaker:
@@ -126,44 +121,42 @@ class RoundPlan:
     :func:`plan_rounds`).
     """
 
-    tenant: str
     kind: str
     lanes: tuple[int, ...]
 
 
 def plan_rounds(arrivals: Sequence[tuple[str, str]],
-                max_batch: int, *,
-                coalesce_verify: bool = False) -> list[RoundPlan]:
+                max_batch: int) -> list[RoundPlan]:
     """Partition drained requests into rounds.
 
     ``arrivals`` is the drained batch's metadata — ``(tenant, kind)``
-    per request, in arrival order.  Sign lanes of **every** tenant
-    share rounds under the :data:`MERGED_TENANT` sentinel: the
-    cross-key signer runs each lane under its own tenant's key, and
-    since every key signs from its own stream, a tenant's signatures
-    equal a direct ``sign_many`` over its lanes of the round in
-    arrival order.  Verify lanes form per-tenant rounds, or with
-    ``coalesce_verify=True`` merge the same way (the cross-key engine
-    checks every lane against its own tenant's public key).  Rounds
-    are chunked at ``max_batch``, emitted in first-arrival order, and
-    keep arrival order within.
+    per request, in arrival order.  Lanes of one kind share rounds
+    whatever their tenants: the cross-key signer runs each lane under
+    its own tenant's key, and since every key signs from its own
+    stream, a tenant's signatures equal a direct ``sign_many`` over its
+    lanes of the round in arrival order; the cross-key verify engine
+    checks every lane against its own tenant's public key.  Rounds are
+    chunked at ``max_batch``, emitted in first-arrival order of their
+    kind, and keep arrival order within::
+
+        plans = plan_rounds([("a", "sign"), ("b", "verify"),
+                             ("b", "sign")], max_batch=8)
+        # [RoundPlan(kind="sign", lanes=(0, 2)),
+        #  RoundPlan(kind="verify", lanes=(1,))]
 
     This function is deliberately *blind*: it receives no message
-    bytes, no signatures, no key material.  Round composition —
-    merged or not — is secret-independent by construction, and the
-    type signature is the contract (checked by
-    :mod:`repro.ct.coalesce` in both planning modes).
+    bytes, no signatures, no key material.  Round composition is
+    secret-independent by construction, and the type signature is the
+    contract (checked by :mod:`repro.ct.coalesce`).
     """
     if max_batch < 1:
         raise ValueError("max_batch must be at least 1")
-    groups: dict[tuple[str, str], list[int]] = {}
-    for lane, (tenant, kind) in enumerate(arrivals):
-        if kind == KIND_SIGN or coalesce_verify:
-            tenant = MERGED_TENANT
-        groups.setdefault((tenant, kind), []).append(lane)
-    return [RoundPlan(tenant=tenant, kind=kind,
+    groups: dict[str, list[int]] = {}
+    for lane, (_tenant, kind) in enumerate(arrivals):
+        groups.setdefault(kind, []).append(lane)
+    return [RoundPlan(kind=kind,
                       lanes=tuple(lanes[start:start + max_batch]))
-            for (tenant, kind), lanes in groups.items()
+            for kind, lanes in groups.items()
             for start in range(0, len(lanes), max_batch)]
 
 
@@ -251,27 +244,29 @@ class SigningService:
     tenant→shard routing); the service does not own the pool's
     lifecycle — start it before and stop it after the service.
 
-    Sign lanes of every tenant on a shard merge into shared rounds
-    (see :func:`plan_rounds`): one ffSampling walk serves them all,
-    each lane on its own tenant's key.  ``coalesce_verify=True``
-    (default) merges verify lanes across tenants the same way:
-    verification needs no secret key, so verify rounds skip signer
-    checkout entirely (each lane checks against its tenant's cached
-    public key through the cross-key batch engine).
+    Every round is a cross-tenant list of lanes (see
+    :func:`plan_rounds`): one ffSampling walk serves a sign round,
+    each lane on its own tenant's key, and one cross-key engine pass
+    checks a verify round, each lane against its own tenant's cached
+    public key — verify rounds never check a signer out.
 
-    Failure isolation in a merged sign round: each tenant's signer is
-    checked out separately (its home shard, or ``signer_on`` for a
-    tenant shed off its home shard), and a failed checkout fails only
-    that tenant's requests — the circuit breaker books one failure per
-    such tenant and one success per tenant that signed, as separate
-    per-tenant rounds would.  An exception inside the shared walk
-    itself, or a worker process dying under it, fails every request
-    of the round.
+    Failure isolation in a sign round: each tenant's signer is checked
+    out separately, through :meth:`ShardedKeyStore.signer_on` on the
+    shard the round runs on (the home shard, or the fallback a tenant
+    was shed to), and a failed checkout fails only that tenant's
+    requests — the circuit breaker books one failure per such tenant
+    and one success per tenant that signed, as separate per-tenant
+    rounds would.  An exception inside the shared walk itself, or a
+    worker process dying under it, fails every request of the round.
+    ``breaker_failures`` consecutive failures open a shard's breaker
+    for ``breaker_reset`` seconds.
     """
 
-    #: Rounds always run off the loop; a constant the repository
-    #: benchmark's config line reports.
+    #: Rounds always run off the loop, and verify lanes always merge
+    #: across tenants; constants the repository benchmark's config
+    #: line reports.
     offload = True
+    coalesce_verify = True
 
     def __init__(self, store: ShardedKeyStore, *,
                  n: int = 64,
@@ -281,8 +276,7 @@ class SigningService:
                  worker_pool=None,
                  record_rounds: bool = False,
                  breaker_failures: int = 5,
-                 breaker_reset: float = 1.0,
-                 coalesce_verify: bool = True) -> None:
+                 breaker_reset: float = 1.0) -> None:
         if max_batch < 1:
             raise ValueError("max_batch must be at least 1")
         if max_wait < 0:
@@ -295,18 +289,10 @@ class SigningService:
         self.max_wait = max_wait
         self.queue_depth = queue_depth
         self.worker_pool = worker_pool
-        # Verify lanes merge across tenants into maximal rounds by
-        # default (they need no secret key; the cross-key engine
-        # checks each lane against its own tenant's public key).
-        self.coalesce_verify = coalesce_verify
         self.metrics = ServiceMetrics()
         self._record_rounds = record_rounds
-        # Per-shard circuit breakers (breaker_failures=0 disables
-        # breaking entirely — every request stays on its home shard).
-        self.breakers: list[CircuitBreaker] = (
-            [CircuitBreaker(breaker_failures, breaker_reset)
-             for _ in range(store.shards)]
-            if breaker_failures > 0 else [])
+        self.breakers = [CircuitBreaker(breaker_failures, breaker_reset)
+                         for _ in range(store.shards)]
         self._queues: list[asyncio.Queue] = []
         self._workers: list[asyncio.Task] = []
         self._started = False
@@ -372,8 +358,6 @@ class SigningService:
         """Pick the shard for one request: the home shard unless its
         circuit breaker refuses, then the first healthy shard along
         the tenant's ring preference (shedding), else fail fast."""
-        if not self.breakers:
-            return self.store.shard_for(tenant)
         preference = self.store.shard_preference(tenant)
         if self.breakers[preference[0]].allow():
             return preference[0]
@@ -442,15 +426,6 @@ class SigningService:
         return await self._submit(_Request(
             tenant=tenant, kind=KIND_VERIFY, message=message,
             signature=signature, future=future, deadline=deadline))
-
-    async def sign_all(self, tenant: str,
-                       messages: Sequence[bytes], *,
-                       deadline: float | None = None
-                       ) -> list[Signature]:
-        """Concurrent convenience: ``sign`` every message, gathered."""
-        return list(await asyncio.gather(
-            *[self.sign(tenant, message, deadline=deadline)
-              for message in messages]))
 
     # -- the coalescing loop -----------------------------------------------
 
@@ -525,8 +500,7 @@ class SigningService:
         if not batch:
             return
         plans = plan_rounds([(r.tenant, r.kind) for r in batch],
-                            self.max_batch,
-                            coalesce_verify=self.coalesce_verify)
+                            self.max_batch)
         for plan in plans:
             requests = [batch[lane] for lane in plan.lanes]
             self.metrics.rounds += 1
@@ -553,13 +527,6 @@ class SigningService:
         tenants = [r.tenant for r in requests]
         messages = [r.message for r in requests]
 
-        def checkout(tenant):
-            # A shed tenant (routed off its home shard by an open
-            # breaker) checks out of the fallback shard explicitly.
-            if shard == self.store.shard_for(tenant):
-                return self.store.signer(tenant, self.n)
-            return self.store.signer_on(shard, tenant, self.n)
-
         def run_round():
             if self.worker_pool is not None:
                 # One IPC round-trip per round: the shard's dedicated
@@ -574,18 +541,23 @@ class SigningService:
                 # public key comes from the store's verify-plane cache
                 # (no checkout, no cohort fence — sign load cannot be
                 # contended by verify load), and the whole round —
-                # merged tenants included — rides one cross-key
-                # engine pass.
+                # every tenant's lanes — rides one cross-key engine
+                # pass.
                 return verify_batch(
                     [(self.store.public_key(r.tenant, self.n),
                       r.message, r.signature) for r in requests])
             # One worker-thread hop per round: the signer checkouts
             # (cached after first use) plus the batched kernel call
             # together, so the event loop stays free while the
-            # CPU-bound spine runs.
-            return sign_tenant_lanes(checkout, tenants, messages)
+            # CPU-bound spine runs.  Checkouts come from the round's
+            # shard: the tenant's home, or the fallback an open
+            # breaker shed it to.
+            return sign_tenant_lanes(
+                lambda tenant: self.store.signer_on(shard, tenant,
+                                                    self.n),
+                tenants, messages)
 
-        breaker = self.breakers[shard] if self.breakers else None
+        breaker = self.breakers[shard]
         try:
             results = await asyncio.to_thread(run_round)
             if len(results) != len(requests):  # a broken backend
@@ -594,12 +566,11 @@ class SigningService:
                     f"{len(requests)} requests")
             failed = {tenant for tenant, result in zip(tenants, results)
                       if isinstance(result, Exception)}
-            if breaker is not None:
-                for tenant in dict.fromkeys(tenants):
-                    if tenant in failed:
-                        breaker.record_failure()
-                    else:
-                        breaker.record_success()
+            for tenant in dict.fromkeys(tenants):
+                if tenant in failed:
+                    breaker.record_failure()
+                else:
+                    breaker.record_success()
             done = len(requests) - sum(
                 isinstance(result, Exception) for result in results)
             if plan.kind == KIND_SIGN:
@@ -616,8 +587,7 @@ class SigningService:
                 else:
                     request.future.set_result(result)
         except Exception as error:  # fail THIS round's awaiters only
-            if breaker is not None:
-                breaker.record_failure()
+            breaker.record_failure()
             self.metrics.failed_rounds += 1
             for request in requests:
                 if not request.future.done():

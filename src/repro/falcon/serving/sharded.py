@@ -21,8 +21,8 @@ from hashlib import sha256
 from pathlib import Path
 from typing import Sequence
 
-from ..keystore import KeyStore, fenced_signer_checkout
-from ..scheme import PublicKey, SecretKey, Signature, sign_batch
+from ..keystore import KeyStore
+from ..scheme import PublicKey, SecretKey, sign_batch
 
 
 def derive_shard_seed(master_seed: int | bytes, shard: int) -> bytes:
@@ -134,11 +134,12 @@ class ShardedKeyStore:
     (every keyword flows through to the per-shard stores); with a
     ``directory``, each shard persists under ``directory/shard-NN``.
 
-    Per-tenant signer checkout: :meth:`signer` checks a dedicated key
-    out of the tenant's shard on first use and caches it, so every
-    tenant signs under its own key while sharing the shard's batched
-    pipeline.  :meth:`sign_many` / :meth:`verify_many` are the batch
-    primitives the asyncio coalescing front drives.
+    Per-tenant signer checkout: :meth:`signer_on` checks a dedicated
+    key out of a shard on a tenant's first use there and caches it —
+    the serving plane's one signer cache — so every tenant signs under
+    its own key while sharing the shard's batched pipeline;
+    :meth:`signer` is its home-shard call.  :meth:`public_key` serves
+    verify rounds from a checkout-free cache.
     """
 
     def __init__(self, directory: str | Path | None = None, *,
@@ -224,31 +225,42 @@ class ShardedKeyStore:
     # -- serving -----------------------------------------------------------
 
     def signer(self, tenant: str | bytes, n: int) -> SecretKey:
-        """The tenant's dedicated signing key (checked out of the
-        tenant's shard on first use, cached thereafter).
-
-        Cold-cache checkouts are serialized per ``(tenant, n)`` —
-        concurrent first requests wait for one checkout instead of
-        each burning a slot — and rotation-fenced through
-        :meth:`KeyStore.checkout_current`, so a freshly rotated
-        tenant can never be re-pinned to a retired cohort.
-        """
+        """The tenant's dedicated signing key on its home shard (see
+        :meth:`signer_on`)."""
         return self.signer_on(self.shard_for(tenant), tenant, n)
 
     def signer_on(self, shard: int, tenant: str | bytes,
                   n: int) -> SecretKey:
-        """The tenant's signing key on an explicit shard.
+        """The tenant's signing key on ``shard``: checked out of that
+        shard on first use, cached thereafter.
 
         Failover routing (a circuit breaker shedding a tenant off its
         home shard) checks a key out of the fallback shard the first
         time the tenant lands there; the cache is keyed per shard so a
         recovered home shard serves the tenant's original key again.
+
+        Cold-cache checkouts are serialized per ``(tenant, n, shard)``
+        — concurrent first requests wait for one checkout instead of
+        each burning a slot — and rotation-fenced: a checkout that a
+        concurrent :meth:`rotate` retired mid-flight (its generation
+        no longer current) is discarded and retried, so a freshly
+        rotated tenant can never be re-pinned to a retired cohort.
         """
         key = (_tenant_bytes(tenant).decode("latin-1"), n, shard)
-        signer = fenced_signer_checkout(self.stores[shard], n,
-                                        lock=self._signer_lock,
-                                        guards=self._signer_guards,
-                                        cache=self._signers, key=key)
+        store = self.stores[shard]
+        with self._signer_lock:
+            guard = self._signer_guards.setdefault(key, threading.Lock())
+        with guard:
+            while True:
+                with self._signer_lock:
+                    signer = self._signers.get(key)
+                if signer is not None:
+                    break
+                acquired, generation = store.checkout_current(n)
+                with self._signer_lock:
+                    if store.generation(n) == generation:
+                        signer = self._signers.setdefault(key, acquired)
+                        break
         if shard == self.shard_for(tenant):
             # Sign traffic warms the verify plane: the home shard's
             # key is the tenant's canonical identity, so its public
@@ -274,20 +286,6 @@ class ShardedKeyStore:
         if public_key is not None:
             return public_key
         return self.signer(tenant, n).public_key
-
-    def sign_many(self, tenant: str | bytes, n: int,
-                  messages: Sequence[bytes]) -> list[Signature]:
-        """Batch-sign under the tenant's checked-out key (byte-
-        identical to ``self.signer(tenant, n).sign_many(...)``)."""
-        return self.signer(tenant, n).sign_many(messages)
-
-    def verify_many(self, tenant: str | bytes, n: int,
-                    messages: Sequence[bytes],
-                    signatures: Sequence[Signature]) -> list[bool]:
-        """Batch-verify against the tenant's public key (checkout-free
-        once the verify-plane cache is warm)."""
-        return self.public_key(tenant, n).verify_many(
-            messages, signatures)
 
     # -- metrics -----------------------------------------------------------
 

@@ -21,8 +21,9 @@ Design points:
   amortization that made one-task-per-key process pools lose to
   single-process keygen.
 * **Batched task submission.**  The unit of IPC is a whole coalesced
-  round — one pickled ``(tenants, kind, messages)`` message per round,
-  one reply with the round's results — never one task per request.
+  round — one pickled ``(kind, n, tenants, messages, signatures)``
+  message per round, with one tenant per lane, and one reply with the
+  round's results — never one task per request.
 * **Byte identity.**  A worker signs with the very keys the in-process
   path would have checked out for those tenants (same derived shard
   seed, same checkout order), through the very same cross-key
@@ -31,9 +32,9 @@ Design points:
   bytes == direct bytes.
 * **Failure isolation and supervision.**  A raising round travels back
   as an error reply and re-raises in the submitting process for that
-  round only; the worker's loop keeps serving.  In a merged sign round
-  each tenant's signer is checked out separately, and a failed
-  checkout fails only that tenant's lanes.  A *dead* worker
+  round only; the worker's loop keeps serving.  In a sign round each
+  tenant's signer is checked out separately, and a failed checkout
+  fails only that tenant's lanes.  A *dead* worker
   (SIGKILL, crash, pipe EOF) fails only the in-flight round with
   :class:`ShardWorkerError`; the pool then **respawns** the shard's
   worker on the next round — within a bounded restart budget with
@@ -124,24 +125,21 @@ def _worker_main(connection, shard: int, config: dict) -> None:
             break
         if task is None:
             break
-        tenant, kind, n, messages, signatures = task
+        # ``tenants`` has one entry per lane: each lane signs under, or
+        # verifies against, its own tenant's key in one cross-key pass.
+        kind, n, tenants, messages, signatures = task
         if kind == _KIND_DIE:
             # Simulate SIGKILL: no reply, no cleanup, no atexit — the
             # parent sees pipe EOF with the round still in flight.
             os._exit(FAULT_EXIT_CODE)
-        # ``tenant`` is a per-lane list for cross-tenant merged rounds:
-        # each lane signs under, or verifies against, its own tenant's
-        # key in one cross-key pass.
-        lane_tenants = (list(tenant) if isinstance(tenant, (list, tuple))
-                        else [tenant] * len(messages or ()))
         try:
             if kind == _KIND_WARM:
-                signer(tenant, n)
+                for tenant in tenants:
+                    signer(tenant, n)
                 reply = ("ok", None)
             elif kind == _KIND_SIGN:
                 signed = sign_tenant_lanes(
-                    lambda lane_tenant: signer(lane_tenant, n),
-                    lane_tenants, messages)
+                    lambda tenant: signer(tenant, n), tenants, messages)
                 reply = ("ok", [_portable(s) if isinstance(s, Exception)
                                 else (s.salt, s.compressed)
                                 for s in signed])
@@ -149,9 +147,9 @@ def _worker_main(connection, shard: int, config: dict) -> None:
                 rebuilt = [Signature(salt=salt, compressed=compressed)
                            for salt, compressed in signatures]
                 verdicts = verify_batch(
-                    [(signer(t, n).public_key, message, signature)
-                     for t, message, signature
-                     in zip(lane_tenants, messages, rebuilt)])
+                    [(signer(tenant, n).public_key, message, signature)
+                     for tenant, message, signature
+                     in zip(tenants, messages, rebuilt)])
                 reply = ("ok", list(verdicts))
             else:
                 raise ValueError(f"unknown round kind {kind!r}")
@@ -179,8 +177,8 @@ class ShardWorkerPool:
 
         with ShardWorkerPool(shards=2, master_seed=7) as pool:
             signatures = pool.run_round(
-                shard=0, tenant="tenant-a", kind="sign", n=64,
-                messages=[b"hello"])
+                0, ["tenant-a", "tenant-b", "tenant-a"], "sign", 64,
+                [b"hello", b"hi", b"again"])
 
     ``run_round`` is thread-safe per shard (a per-shard lock
     serializes the pipe round-trip — rounds for one shard are
@@ -200,7 +198,6 @@ class ShardWorkerPool:
                  directory: str | Path | None = None,
                  prng: str = "chacha20",
                  base_backend: str = "bitsliced",
-                 mp_context: str | None = None,
                  fault_plan=None,
                  max_restarts: int = 3,
                  restart_backoff: float = 0.05) -> None:
@@ -223,8 +220,6 @@ class ShardWorkerPool:
                         if fault_plan is not None else None)
         self._directory = Path(directory) if directory is not None \
             else None
-        self._context = (mp.get_context(mp_context) if mp_context
-                         else mp.get_context())
         self._processes: list = []
         self._connections: list = []
         self._locks = [threading.Lock() for _ in range(shards)]
@@ -254,8 +249,8 @@ class ShardWorkerPool:
         config["directory"] = (
             str(self._directory / f"shard-{shard:02d}")
             if self._directory is not None else None)
-        parent_end, worker_end = self._context.Pipe()
-        process = self._context.Process(
+        parent_end, worker_end = mp.Pipe()
+        process = mp.Process(
             target=_worker_main, args=(worker_end, shard, config),
             daemon=True, name=f"falcon-shard-worker-{shard}")
         process.start()
@@ -355,7 +350,7 @@ class ShardWorkerPool:
         connection = self._connections[shard]
         for tenant, n in self._warm_order[shard]:
             try:
-                connection.send((tenant, _KIND_WARM, n, None, None))
+                connection.send((_KIND_WARM, n, [tenant], None, None))
                 status, _ = connection.recv()
             except (EOFError, BrokenPipeError, OSError) as error:
                 raise ShardWorkerError(
@@ -379,31 +374,29 @@ class ShardWorkerPool:
 
     # -- round execution ---------------------------------------------------
 
-    def run_round(self, shard: int, tenant, kind: str, n: int,
-                  messages: Sequence[bytes],
-                  signatures: Sequence[Signature] | None = None):
+    def run_round(self, shard: int, tenants: Sequence[str], kind: str,
+                  n: int, messages: Sequence[bytes],
+                  signatures: Sequence[Signature] | None = None) -> list:
         """Run one coalesced round on ``shard``'s worker process.
 
-        ``tenant`` is one tenant id, or — for a cross-tenant merged
-        round — a list of per-lane tenant ids aligned with
-        ``messages``.
+        ``tenants`` holds one tenant id per lane, aligned with
+        ``messages`` (and, in a verify round, ``signatures``).
 
         Blocking (call from a thread); returns what the in-process
-        round would have — a ``Signature`` list for sign rounds, a
-        bool list for verify rounds.  In a sign round under a per-lane
-        list, a tenant whose signer checkout failed in the worker gets
-        that exception as its lanes' results while the other lanes
-        sign; under one tenant id the exception is raised.  A round
-        that raised in the worker re-raises here; a worker that died
-        mid-round raises
-        :class:`ShardWorkerError` for **this round only** — the next
-        round respawns the worker (warm re-derivation, bounded restart
-        budget, exponential backoff).
+        round would have — one ``Signature`` per lane for a sign
+        round, one bool per lane for a verify round.  In a sign round a
+        tenant whose signer checkout failed in the worker gets that
+        exception as its lanes' results while the other lanes sign.  A
+        round that raised in the worker re-raises here; a worker that
+        died mid-round raises :class:`ShardWorkerError` for **this
+        round only** — the next round respawns the worker (warm
+        re-derivation, bounded restart budget, exponential backoff).
         """
         if not self._started or self._stopped:
             raise ShardWorkerError("worker pool is not running")
         if not 0 <= shard < self.shards:
             raise ValueError(f"no such shard {shard}")
+        tenants = list(tenants)
         payload = ([(s.salt, s.compressed) for s in signatures]
                    if signatures is not None else None)
         with self._locks[shard]:
@@ -416,11 +409,11 @@ class ShardWorkerPool:
                 # hard-exits on it, and the round below dies with a
                 # pipe EOF — exactly a SIGKILL landing mid-round.
                 try:
-                    connection.send((tenant, _KIND_DIE, n, None, None))
+                    connection.send((_KIND_DIE, n, None, None, None))
                 except (BrokenPipeError, OSError):
                     pass
             try:
-                connection.send((tenant, kind, n, list(messages),
+                connection.send((kind, n, tenants, list(messages),
                                  payload))
                 reply = connection.recv()
             except (EOFError, BrokenPipeError, OSError) as error:
@@ -429,27 +422,18 @@ class ShardWorkerPool:
                 raise ShardWorkerError(
                     f"shard {shard} worker died mid-round") from error
             # Record first-seen (tenant, n) checkouts in lane order —
-            # merged rounds carry a per-lane tenant list, and the
-            # worker checks each lane's tenant out in that order, so
-            # the warm-replay list must match it exactly (checkout
+            # the worker checks each lane's tenant out in that order,
+            # so the warm-replay list must match it exactly (checkout
             # order determines key bytes for memory-only stores).
-            lane_tenants = (list(tenant)
-                            if isinstance(tenant, (list, tuple))
-                            else [tenant])
-            for lane_tenant in lane_tenants:
-                if (lane_tenant, n) not in self._warm_seen[shard]:
-                    self._warm_seen[shard].add((lane_tenant, n))
-                    self._warm_order[shard].append((lane_tenant, n))
+            for tenant in tenants:
+                if (tenant, n) not in self._warm_seen[shard]:
+                    self._warm_seen[shard].add((tenant, n))
+                    self._warm_order[shard].append((tenant, n))
         status, result = reply
         if status == "error":
             raise result
         if kind != _KIND_SIGN:
             return result
-        signed = [lane if isinstance(lane, Exception)
-                  else Signature(salt=lane[0], compressed=lane[1])
-                  for lane in result]
-        if not isinstance(tenant, (list, tuple)):
-            for lane in signed:
-                if isinstance(lane, Exception):
-                    raise lane
-        return signed
+        return [lane if isinstance(lane, Exception)
+                else Signature(salt=lane[0], compressed=lane[1])
+                for lane in result]

@@ -165,6 +165,20 @@ def test_verify_batch_report_follows_platform(spine, monkeypatch):
     assert verify_batch_report(lanes).verdicts == [True] * len(lanes)
 
 
+@pytest.mark.skipif(not HAVE_NUMPY,
+                    reason="row decoder needs the numpy spine")
+def test_eight_lane_group_takes_the_row_decoder(monkeypatch):
+    """The measured crossover is 6-8 lanes at n=256, 512 and 1024, so
+    an 8-lane same-degree group decodes through ``decompress_rows``:
+    the per-lane decoder never runs."""
+    def fail(*args):
+        raise AssertionError("the per-lane decoder ran")
+
+    lanes = [_honest_lane(8, 1 + i % 3, 300 + i) for i in range(8)]
+    monkeypatch.setattr(batchverify, "decompress", fail)
+    assert verify_batch_report(lanes).verdicts == [True] * 8
+
+
 # -- salt length -----------------------------------------------------------
 
 def _short_salt_forgeries(public_key, message, signature):

@@ -87,6 +87,18 @@ def test_max_per_site_caps_fires_exactly():
     assert injector.stats.evaluated["kill-worker:0"] == 10
 
 
+@pytest.mark.parametrize("field,value", [
+    ("fail_claim", 2.5), ("drop_frame", -0.1),
+    ("kill_worker", float("nan")), ("max_per_site", -1),
+    ("delay_seconds", -1.0), ("stall_refill_seconds", -0.5)])
+def test_fault_plan_refuses_values_that_disarm_or_distort_it(field,
+                                                             value):
+    """A negative cap used to read as already reached (every fault
+    off), and rates outside [0, 1] were taken as they came."""
+    with pytest.raises(ValueError, match=field):
+        FaultPlan(**{field: value})
+
+
 def test_retry_policy_delay_is_deterministic_and_bounded():
     policy = RetryPolicy(attempts=3, backoff=0.05, multiplier=2.0,
                          jitter=0.5, seed=9)
@@ -124,8 +136,8 @@ def test_worker_sigkill_fails_only_that_round_then_respawns():
                     await service.sign("tenant-a", b"doomed")
                 # Only the doomed round failed; the next rounds ride
                 # the respawned worker.
-                signatures = await service.sign_all("tenant-a",
-                                                    messages)
+                signatures = await asyncio.gather(
+                    *[service.sign("tenant-a", m) for m in messages])
                 metrics = service.metrics.as_dict()
             stats = pool.stats()
         return signatures, stats, metrics
@@ -156,12 +168,12 @@ def test_restart_budget_exhaustion_fails_fast():
                          max_restarts=1,
                          restart_backoff=0.01) as pool:
         with pytest.raises(ShardWorkerError):
-            pool.run_round(0, "tenant-a", "sign", 8, [b"one"])
+            pool.run_round(0, ["tenant-a"], "sign", 8, [b"one"])
         with pytest.raises(ShardWorkerError):  # the one respawn, dies
-            pool.run_round(0, "tenant-a", "sign", 8, [b"two"])
+            pool.run_round(0, ["tenant-a"], "sign", 8, [b"two"])
         with pytest.raises(ShardWorkerError,
                            match="restart budget exhausted"):
-            pool.run_round(0, "tenant-a", "sign", 8, [b"three"])
+            pool.run_round(0, ["tenant-a"], "sign", 8, [b"three"])
         stats = pool.stats()
     assert stats["restarts"] == [1]
     assert stats["rounds_failed"] == [2]
@@ -363,13 +375,14 @@ def test_breaker_sheds_tenant_to_ring_neighbour():
     async def drive():
         store = ShardedKeyStore(shards=2, master_seed=55)
         home = store.shard_for("tenant-a")
+        real_signer_on = store.signer_on
 
-        def broken_home_signer(tenant, n):
-            raise RuntimeError("injected home-shard checkout failure")
+        def broken_home_signer_on(shard, tenant, n):
+            if shard == home:
+                raise RuntimeError("injected home-shard checkout failure")
+            return real_signer_on(shard, tenant, n)
 
-        store.signer = broken_home_signer  # home path only; the
-        #                                    failover path uses
-        #                                    signer_on and stays live
+        store.signer_on = broken_home_signer_on
         async with SigningService(store, n=8, max_wait=0.0,
                                   breaker_failures=1,
                                   breaker_reset=30.0) as service:
@@ -379,7 +392,7 @@ def test_breaker_sheds_tenant_to_ring_neighbour():
             fallback = next(s for s in
                             store.shard_preference("tenant-a")
                             if s != home)
-            verdict = store.signer_on(fallback, "tenant-a", 8) \
+            verdict = real_signer_on(fallback, "tenant-a", 8) \
                 .public_key.verify(b"sheds", signature)
             state = service.breakers[home].state
             shed = service.metrics.shed_requests
@@ -395,10 +408,10 @@ def test_every_breaker_open_fails_fast():
     async def drive():
         store = ShardedKeyStore(shards=1, master_seed=56)
 
-        def broken_signer(tenant, n):
+        def broken_signer_on(shard, tenant, n):
             raise RuntimeError("injected checkout failure")
 
-        store.signer = broken_signer
+        store.signer_on = broken_signer_on
         async with SigningService(store, n=8, max_wait=0.0,
                                   breaker_failures=1,
                                   breaker_reset=30.0) as service:
@@ -419,13 +432,13 @@ def test_service_deadline_is_never_outlived():
 
     async def drive():
         store = ShardedKeyStore(shards=1, master_seed=57)
-        real_signer = store.signer
+        real_signer_on = store.signer_on
 
-        def slow_signer(tenant, n):
+        def slow_signer_on(shard, tenant, n):
             time.sleep(0.4)
-            return real_signer(tenant, n)
+            return real_signer_on(shard, tenant, n)
 
-        store.signer = slow_signer
+        store.signer_on = slow_signer_on
         async with SigningService(store, n=8, max_wait=0.0) as service:
             loop = asyncio.get_running_loop()
             started = loop.time()

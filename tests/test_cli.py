@@ -164,6 +164,18 @@ BAD_NUMERIC_INPUT = {
                           "--precision", "0"],
     "serve-provision-negative": ["serve", "--provision", "-3"],
     "serve-verify-share-negative": ["serve", "--verify-share", "-2"],
+    "serve-chaos-max-per-site-negative": ["serve", "--chaos",
+                                          "--chaos-max-per-site", "-1"],
+    "serve-chaos-claim-rate-above-1": ["serve", "--chaos",
+                                       "--chaos-claim-rate", "2.5"],
+    "serve-chaos-drop-rate-nan": ["serve", "--chaos",
+                                  "--chaos-drop-rate", "nan"],
+    "serve-token-empty-secret": ["serve", "--listen", "127.0.0.1:0",
+                                 "--token", "alice="],
+    "serve-listen-port-99999": ["serve", "--listen", "127.0.0.1:99999"],
+    "serve-connect-port-65536": ["serve", "--connect",
+                                 "127.0.0.1:65536"],
+    "keygen-count-0": ["keygen", "--count", "0"],
 }
 
 
@@ -231,6 +243,71 @@ def test_serve_command_persists(capsys, tmp_path):
     assert store_dir in out
     assert (tmp_path / "serving" / "shard-00").is_dir()
     assert (tmp_path / "serving" / "shard-01").is_dir()
+
+
+def test_serve_listen_drives_the_load_over_the_wire(capsys):
+    assert main(["serve", "--n", "8", "--requests", "6", "--clients",
+                 "2", "--tenants", "2", "--verify-share", "2",
+                 "--listen", "127.0.0.1:0"]) == 0
+    out = capsys.readouterr().out
+    assert "listening on 127.0.0.1:" in out
+    rows = _table_rows(out)
+    assert rows["net frames / served"] == "9 / 9"  # 6 signs, 3 verifies
+    assert rows["availability"] == "100.000%"
+
+
+def test_serve_connect_drives_an_external_server(capsys):
+    """Client mode against a server this test runs on a thread of its
+    own (stdlib only); the load must reach that server."""
+    import asyncio
+    import threading
+
+    from repro.falcon.serving import (NetServer, ShardedKeyStore,
+                                      SigningService)
+
+    ready = threading.Event()
+    state = {}
+
+    async def serve():
+        store = ShardedKeyStore(shards=1, master_seed=5)
+        async with SigningService(store, n=8) as service:
+            server = NetServer(service, tokens={"tenant-0": b"zero",
+                                                "tenant-1": b"one"})
+            await server.start("127.0.0.1", 0)
+            state["port"], state["stop"] = server.port, asyncio.Event()
+            state["loop"] = asyncio.get_running_loop()
+            ready.set()
+            await state["stop"].wait()
+            await server.stop(stop_service=False)
+            state["served"] = server.metrics.served
+
+    thread = threading.Thread(target=asyncio.run, args=(serve(),))
+    thread.start()
+    try:
+        assert ready.wait(30)
+        code = main(["serve", "--n", "8", "--requests", "4",
+                     "--clients", "2", "--tenants", "2",
+                     "--verify-share", "0",
+                     "--token", "tenant-0=zero", "--token", "tenant-1=one",
+                     "--connect", f"127.0.0.1:{state['port']}"])
+    finally:
+        if "loop" in state:
+            state["loop"].call_soon_threadsafe(state["stop"].set)
+        thread.join(30)
+    assert code == 0
+    rows = _table_rows(capsys.readouterr().out)
+    assert rows["availability"] == "100.000%"
+    assert state["served"] == 4
+
+
+def test_serve_chaos_with_every_claim_failing(capsys):
+    """Every keystore claim fails, so no request is served; the run
+    reports that instead of raising."""
+    assert main(["serve", "--n", "8", "--requests", "4", "--tenants",
+                 "2", "--chaos", "--chaos-claim-rate", "1.0"]) == 0
+    out = capsys.readouterr().out
+    assert out.startswith("chaos: seeded fault plan")
+    assert _table_rows(out)["availability"] == "0.000%"
 
 
 def _ledger(tmp_path, action, *extra):

@@ -115,21 +115,15 @@ def test_batched_invertibility_matches_scalar():
 # -- multiplication kernels -------------------------------------------------
 
 @pytest.mark.parametrize("strategy", ["schoolbook", "karatsuba",
-                                      "kronecker", "legacy"])
+                                      "kronecker"])
 def test_mul_strategies_identical(strategy):
+    """``mul_raw``'s dispatch agrees with each kernel called directly."""
+    kernel = getattr(poly, "_" + strategy)
     rng = random.Random(31)
     for n, bits in [(2, 300), (16, 9), (16, 700), (64, 60), (256, 14)]:
         a = [rng.getrandbits(bits) - (1 << (bits - 1)) for _ in range(n)]
         b = [rng.getrandbits(bits) - (1 << (bits - 1)) for _ in range(n)]
-        reference = poly.mul_raw(a, b)  # auto dispatch
-        with poly.mul_strategy(strategy):
-            assert poly.mul_raw(a, b) == reference
-
-
-def test_mul_strategy_rejects_unknown():
-    with pytest.raises(ValueError):
-        with poly.mul_strategy("fft"):
-            pass
+        assert kernel(a, b) == poly.mul_raw(a, b)
 
 
 def test_adjoint_is_fft_conjugate():

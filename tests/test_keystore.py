@@ -99,16 +99,6 @@ def test_worker_pool_matches_inline_generation():
         assert a.keys.f == b.keys.f and a.keys.F == b.keys.F
 
 
-def test_sign_many_uses_cached_signer():
-    store = KeyStore(master_seed=11)
-    messages = [b"store msg 0", b"store msg 1", b"store msg 2"]
-    signatures = store.sign_many(8, messages)
-    signer = store.signer(8)
-    assert signer is store.signer(8)  # cached, not re-acquired
-    verdicts = signer.public_key.verify_many(messages, signatures)
-    assert verdicts == [True] * len(messages)
-
-
 def test_generate_encoded_key_round_trips():
     encoded = generate_encoded_key(8, derive_key_seed(0, 8, 0))
     from repro.falcon import decode_secret_key
@@ -304,10 +294,10 @@ def test_close_is_idempotent_and_store_survives_it():
 
 
 def test_watermark_refill_inline():
-    store = KeyStore(master_seed=41, low_watermark=2, refill_target=3,
-                     refill_async=False)
+    store = KeyStore(master_seed=41, low_watermark=2, refill_target=3)
     store.generate_ahead(8, 2)
-    store.acquire(8)  # leaves 1 < watermark: refills inline to 3
+    store.acquire(8)  # leaves 1 < watermark: refills to 3
+    store.join_refills()  # waited out, the refill counts exactly once
     assert store.available(8) == 3
     stats = store.stats()
     assert stats.watermark_triggers == 1
@@ -337,15 +327,6 @@ def test_rotation_retires_cohort_and_regenerates(tmp_path):
     stats = store.stats()
     assert stats.retired == 2
     assert stats.generation[8] == 1
-
-
-def test_rotation_drops_cached_signer():
-    store = KeyStore(master_seed=44)
-    old_signer = store.signer(8)
-    store.rotate(8)
-    fresh = store.signer(8)
-    assert fresh is not old_signer
-    assert fresh.keys.f != old_signer.keys.f
 
 
 def test_restart_after_rotation_discards_retired_files(tmp_path):
@@ -389,13 +370,6 @@ def test_rotation_during_refill_discards_inflight_cohort(tmp_path,
     assert store.stats().retired == 1
     assert not list(tmp_path.glob("*.skey"))
     assert store.generation(8) == 1
-
-
-def test_verify_many_through_store():
-    store = KeyStore(master_seed=46)
-    messages = [b"vm-0", b"vm-1"]
-    signatures = store.sign_many(8, messages)
-    assert store.verify_many(8, messages, signatures) == [True, True]
 
 
 def test_stats_as_dict_round_trips_to_json():

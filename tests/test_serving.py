@@ -12,7 +12,6 @@ import pytest
 from repro.ct import T_THRESHOLD, audit_coalescing, round_shape_trace
 from repro.falcon import KeyStore
 from repro.falcon.serving import (
-    MERGED_TENANT,
     ConsistentHashRing,
     ShardedKeyStore,
     SigningService,
@@ -172,15 +171,15 @@ def test_sharded_stats_aggregate():
 def test_sign_and_verify_many_through_store():
     store = ShardedKeyStore(shards=2, master_seed=7)
     messages = [b"m0", b"m1", b"m2"]
-    signatures = store.sign_many("tenant", 8, messages)
-    assert store.verify_many("tenant", 8, messages, signatures) == \
-        [True, True, True]
+    signatures = store.signer("tenant", 8).sign_many(messages)
+    assert store.public_key("tenant", 8).verify_many(
+        messages, signatures) == [True, True, True]
 
 
 def test_public_key_cache_skips_signer_checkout():
     """The verify plane stays off the keystore: a cold tenant costs
     exactly one checkout to learn its key, and every later
-    ``public_key`` / ``verify_many`` is served from the cache."""
+    ``public_key`` is served from the cache."""
     store = ShardedKeyStore(shards=2, master_seed=8)
     cold = store.public_key("tenant-v", 8)
     assert store.stats()["totals"]["served"] == 1
@@ -188,8 +187,8 @@ def test_public_key_cache_skips_signer_checkout():
         assert store.public_key("tenant-v", 8) is cold
     message = b"cache-check"
     signature = store.signer("tenant-v", 8).sign(message)
-    assert store.verify_many("tenant-v", 8, [message],
-                             [signature]) == [True]
+    assert store.public_key("tenant-v", 8).verify_many(
+        [message], [signature]) == [True]
     snapshot = store.stats()["totals"]
     assert snapshot["served"] == 1  # still just the cold checkout
     assert snapshot["tenants_checked_out"] == 1
@@ -207,57 +206,39 @@ def test_sign_traffic_warms_the_verify_cache():
 
 # -- round planning ----------------------------------------------------------
 
-def test_plan_rounds_groups_by_tenant_and_kind_in_arrival_order():
-    """Sign lanes of every tenant share one round; by default verify
-    lanes stay per tenant.  Rounds come in first-arrival order and
-    lanes keep arrival order."""
+def test_plan_rounds_groups_by_kind_in_arrival_order():
+    """Lanes of one kind share a round whatever their tenants; rounds
+    come in first-arrival order and lanes keep arrival order."""
     plans = plan_rounds([("a", "sign"), ("b", "sign"), ("a", "sign"),
                          ("a", "verify"), ("b", "sign"),
                          ("b", "verify")], 8)
-    assert [(p.tenant, p.kind, p.lanes) for p in plans] == [
-        (MERGED_TENANT, "sign", (0, 1, 2, 4)),
-        ("a", "verify", (3,)),
-        ("b", "verify", (5,)),
+    assert [(p.kind, p.lanes) for p in plans] == [
+        ("sign", (0, 1, 2, 4)),
+        ("verify", (3, 5)),
     ]
 
 
 def test_plan_rounds_merges_verify_lanes_across_tenants():
-    """``coalesce_verify=True``: every verify lane — any tenant —
-    shares one merged round under the sentinel tenant, as sign lanes
-    always do."""
+    """Every verify lane — any tenant — shares one round, as sign
+    lanes do."""
     arrivals = [("a", "sign"), ("b", "verify"), ("a", "verify"),
                 ("b", "sign"), ("c", "verify")]
-    plans = plan_rounds(arrivals, 8, coalesce_verify=True)
-    assert [(p.tenant, p.kind, p.lanes) for p in plans] == [
-        (MERGED_TENANT, "sign", (0, 3)),
-        (MERGED_TENANT, "verify", (1, 2, 4)),
+    assert [(p.kind, p.lanes) for p in plan_rounds(arrivals, 8)] == [
+        ("sign", (0, 3)),
+        ("verify", (1, 2, 4)),
     ]
-    # Default planning keeps per-tenant verify rounds.
-    default = plan_rounds(arrivals, 8)
-    assert [(p.tenant, p.kind) for p in default] == [
-        (MERGED_TENANT, "sign"), ("b", "verify"), ("a", "verify"),
-        ("c", "verify")]
 
 
 def test_plan_rounds_merged_sign_chunks_at_max_batch():
     arrivals = [("t%d" % (i % 3), "sign") for i in range(5)]
-    for coalesce_verify in (False, True):
-        plans = plan_rounds(arrivals, 2, coalesce_verify=coalesce_verify)
-        assert [(p.tenant, p.lanes) for p in plans] == [
-            (MERGED_TENANT, (0, 1)),
-            (MERGED_TENANT, (2, 3)),
-            (MERGED_TENANT, (4,)),
-        ]
+    assert [p.lanes for p in plan_rounds(arrivals, 2)] == [
+        (0, 1), (2, 3), (4,)]
 
 
 def test_plan_rounds_merged_verify_still_chunks_at_max_batch():
     arrivals = [("t%d" % i, "verify") for i in range(5)]
-    plans = plan_rounds(arrivals, 2, coalesce_verify=True)
-    assert [(p.tenant, p.lanes) for p in plans] == [
-        (MERGED_TENANT, (0, 1)),
-        (MERGED_TENANT, (2, 3)),
-        (MERGED_TENANT, (4,)),
-    ]
+    assert [p.lanes for p in plan_rounds(arrivals, 2)] == [
+        (0, 1), (2, 3), (4,)]
 
 
 def test_plan_rounds_chunks_at_max_batch():
@@ -272,10 +253,16 @@ def test_plan_rounds_validation():
 
 # -- the coalescing service --------------------------------------------------
 
+async def _sign_each(service, tenant, messages):
+    """One concurrent ``sign`` per message, results in message order."""
+    return await asyncio.gather(*[service.sign(tenant, message)
+                                  for message in messages])
+
+
 def _sign_all(service_kwargs, store, messages, tenant="tenant-a"):
     async def drive():
         async with SigningService(store, **service_kwargs) as service:
-            return await service.sign_all(tenant, messages)
+            return await _sign_each(service, tenant, messages)
     return asyncio.run(drive())
 
 
@@ -285,7 +272,7 @@ def test_service_sign_verify_round_trip():
         messages = [b"round-trip-%d" % i for i in range(5)]
         async with SigningService(store, n=8, max_batch=8,
                                   max_wait=0.05) as service:
-            signatures = await service.sign_all("tenant-a", messages)
+            signatures = await _sign_each(service, "tenant-a", messages)
             verdicts = await asyncio.gather(
                 *[service.verify("tenant-a", m, s)
                   for m, s in zip(messages, signatures)])
@@ -297,9 +284,9 @@ def test_service_sign_verify_round_trip():
 
 
 def test_cross_tenant_merged_verify_keeps_per_tenant_verdicts():
-    """Verify lanes from different tenants share rounds (the default
-    ``coalesce_verify=True``), and each lane still checks against its
-    *own* tenant's key: swapping a signature across tenants fails."""
+    """Verify lanes from different tenants share rounds, and each lane
+    still checks against its *own* tenant's key: swapping a signature
+    across tenants fails."""
     async def drive():
         # One shard: both tenants drain through the same queue, so
         # their verify lanes can land in one merged round.
@@ -350,7 +337,7 @@ def test_multi_round_coalescing_matches_chunked_direct_calls():
         service = SigningService(store, n=8, max_batch=3,
                                  max_wait=0.2, record_rounds=True)
         async with service:
-            signatures = await service.sign_all("tenant-a", messages)
+            signatures = await _sign_each(service, "tenant-a", messages)
         return signatures, [size for _, _, size
                             in service.metrics.round_log]
 
@@ -408,7 +395,7 @@ def test_back_pressure_bounded_queue():
         async with SigningService(store, n=8, max_batch=4,
                                   max_wait=0.0,
                                   queue_depth=3) as service:
-            signatures = await service.sign_all("tenant-a", messages)
+            signatures = await _sign_each(service, "tenant-a", messages)
         assert len(signatures) == 24
         assert service.metrics.queue_high_water <= 3
         assert service.metrics.requests == 24
@@ -431,14 +418,14 @@ def test_poisoned_round_fails_only_its_own_futures():
     the batch completes, and the shard worker keeps serving."""
     async def drive():
         store = ShardedKeyStore(shards=1, master_seed=41)
-        real_signer = store.signer
+        real_signer_on = store.signer_on
 
-        def signer(tenant, n):
+        def signer_on(shard, tenant, n):
             if tenant == "tenant-poison":
                 raise RuntimeError("poisoned checkout")
-            return real_signer(tenant, n)
+            return real_signer_on(shard, tenant, n)
 
-        store.signer = signer
+        store.signer_on = signer_on
         async with SigningService(store, n=8, max_batch=16,
                                   max_wait=0.2) as service:
             tenants = ["tenant-poison" if i % 3 == 0
@@ -504,6 +491,8 @@ def test_service_knob_validation():
         SigningService(store, max_wait=-1)
     with pytest.raises(ValueError):
         SigningService(store, queue_depth=0)
+    with pytest.raises(ValueError):  # every shard has a breaker
+        SigningService(store, breaker_failures=0)
 
 
 def test_concurrency_stress_many_clients_many_tenants():
@@ -539,8 +528,8 @@ def test_concurrency_stress_many_clients_many_tenants():
         # Every signature verifies under its tenant's key (and the
         # batched verify path agrees with per-request verdicts).
         for tenant, message, signature in outcomes:
-            assert store.verify_many(tenant, 8, [message],
-                                     [signature]) == [True]
+            assert store.public_key(tenant, 8).verify_many(
+                [message], [signature]) == [True]
         store.join_refills()
 
     asyncio.run(drive())

@@ -93,6 +93,13 @@ def test_server_rejects_rate_limits_no_bucket_can_serve(limits):
         NetServer(None, **limits)
 
 
+def test_server_refuses_an_empty_token():
+    """An empty token equals the empty token a client without one
+    sends, so it would switch authentication off for its tenant."""
+    with pytest.raises(ValueError, match="must not be empty"):
+        NetServer(None, tokens={"alice": b"", "bob": b"b0b"})
+
+
 # -- loopback helpers --------------------------------------------------------
 
 def _serve(test_body, *, master_seed=21, n=8, tokens=None,
@@ -387,10 +394,10 @@ def test_worker_pool_signatures_byte_identical_to_direct():
     with ShardWorkerPool(shards=2, master_seed=31) as pool:
         store = ShardedKeyStore(shards=2, master_seed=31)
         shard = store.shard_for("tenant-a")
-        outcome = pool.run_round(shard, "tenant-a", "sign", 8,
-                                 messages)
-        verdicts = pool.run_round(shard, "tenant-a", "verify", 8,
-                                  messages, signatures=outcome)
+        lanes = ["tenant-a"] * len(messages)
+        outcome = pool.run_round(shard, lanes, "sign", 8, messages)
+        verdicts = pool.run_round(shard, lanes, "verify", 8, messages,
+                                  signatures=outcome)
     assert verdicts == [True] * len(messages)
     direct = ShardedKeyStore(shards=2, master_seed=31) \
         .signer("tenant-a", 8).sign_many(messages)
@@ -403,18 +410,19 @@ def test_worker_pool_runs_merged_cross_tenant_verify_round():
     per-lane tenant list; each lane checks against its own tenant's
     key inside the worker."""
     with ShardWorkerPool(shards=1, master_seed=34) as pool:
-        sig_a = pool.run_round(0, "tenant-a", "sign", 8, [b"a"])[0]
-        sig_b = pool.run_round(0, "tenant-b", "sign", 8, [b"b"])[0]
+        sig_a, sig_b = pool.run_round(0, ["tenant-a", "tenant-b"],
+                                      "sign", 8, [b"a", b"b"])
         verdicts = pool.run_round(
             0, ["tenant-a", "tenant-b", "tenant-b"], "verify", 8,
             [b"a", b"b", b"a"],
             signatures=[sig_a, sig_b, sig_a])
     assert verdicts == [True, True, False]
     with ShardWorkerPool(shards=1, master_seed=32) as pool:
-        with pytest.raises(Exception):
-            pool.run_round(0, "tenant-a", "sign", 7, [b"bad-n"])
+        # No key exists at n=7: the checkout fails that lane.
+        failed = pool.run_round(0, ["tenant-a"], "sign", 7, [b"bad-n"])
+        assert isinstance(failed[0], ValueError)
         # The worker survives the failed round.
-        outcome = pool.run_round(0, "tenant-a", "sign", 8, [b"ok"])
+        outcome = pool.run_round(0, ["tenant-a"], "sign", 8, [b"ok"])
         assert len(outcome) == 1
         assert pool.running
 
@@ -453,7 +461,8 @@ def test_worker_pool_poisoned_tenant_fails_only_its_own_lanes():
     with ShardWorkerPool(shards=1, master_seed=38,
                          fault_plan=plan) as pool:
         results = pool.run_round(0, tenants, "sign", 8, messages)
-        retry = pool.run_round(0, "tenant-poison", "sign", 8, [b"retry"])
+        retry = pool.run_round(0, ["tenant-poison"], "sign", 8,
+                               [b"retry"])
         assert pool.running
     assert [type(r) for r in results[::2]] == [InjectedFault] * 2
     store = ShardedKeyStore(shards=1, master_seed=38, fault_plan=plan)
@@ -468,11 +477,11 @@ def test_worker_pool_poisoned_tenant_fails_only_its_own_lanes():
 def test_worker_pool_lifecycle_guards():
     pool = ShardWorkerPool(shards=1, master_seed=33)
     with pytest.raises(ShardWorkerError):
-        pool.run_round(0, "tenant-a", "sign", 8, [b"not-started"])
+        pool.run_round(0, ["tenant-a"], "sign", 8, [b"not-started"])
     pool.start()
     try:
         with pytest.raises(ValueError):
-            pool.run_round(5, "tenant-a", "sign", 8, [b"no-shard"])
+            pool.run_round(5, ["tenant-a"], "sign", 8, [b"no-shard"])
     finally:
         pool.stop()
     assert not pool.running
@@ -492,8 +501,8 @@ def test_service_over_worker_pool_end_to_end():
             async with SigningService(store, n=8, max_batch=8,
                                       max_wait=0.3,
                                       worker_pool=pool) as service:
-                signatures = await service.sign_all("tenant-a",
-                                                    messages)
+                signatures = await asyncio.gather(
+                    *[service.sign("tenant-a", m) for m in messages])
                 verdicts = await asyncio.gather(
                     *[service.verify("tenant-a", m, s)
                       for m, s in zip(messages, signatures)])
