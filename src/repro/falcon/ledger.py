@@ -93,6 +93,12 @@ class SignedRecord:
                           self.signature_bytes)
 
     def decode(self) -> tuple[PublicKey, Signature, int]:
+        """The live ``(public key, signature, n)``.  Raises
+        :class:`RecordError` on a malformed public key, a signature
+        that fails its framing checks (header, degree, salt, payload
+        width) or a degree mismatch.  The signature's compressed ``s2``
+        is decoded by the verification engine, which rejects a
+        non-canonical one with reason ``decompress``."""
         try:
             public_key = decode_public_key(self.public_key_bytes)
             signature, n = decode_signature(self.signature_bytes)
@@ -392,8 +398,12 @@ class Ledger:
 
         The entire drained batch — arbitrary mixed keys and degrees —
         rides one cross-key engine pass; lanes that fail are returned
-        in ``rejected`` with the engine's per-lane reason and never
-        block their batch.  No block is written when nothing verifies.
+        in ``rejected`` with the engine's per-lane reason
+        (``salt-length``, ``decompress`` or ``norm-bound``, plus
+        detail) and never block their batch.  Records rejected before
+        the pass read ``duplicate`` or ``decode: <why>`` (see
+        :meth:`SignedRecord.decode`).  No block is written when
+        nothing verifies.
         """
         limit = self.max_block_records
         if max_records is not None:

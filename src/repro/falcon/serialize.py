@@ -13,8 +13,9 @@ Follows the shape of the specification's encodings:
 * **signature**: header ``0x30 | log2(n)``, the 40-byte salt, then the
   compressed ``s2`` (already fixed-length per parameter set).
 
-Encodings are canonical: every field is range-checked on decode and
-trailing padding must be zero.
+Key encodings are canonical: every field is range-checked on decode
+and trailing padding must be zero.  A signature decode checks framing
+only; the verifier decodes ``s2`` (see :func:`decode_signature`).
 """
 
 from __future__ import annotations
@@ -23,7 +24,6 @@ from hashlib import sha256
 from pathlib import Path
 
 from ..rng.source import make_source
-from .encoding import DecompressError
 from .ntrugen import NtruKeys
 from .ntt import Q, div_ntt
 from .params import SALT_BYTES, falcon_params
@@ -263,6 +263,18 @@ def encode_signature(signature: Signature, n: int) -> bytes:
 
 
 def decode_signature(data: bytes) -> tuple[Signature, int]:
+    """Split an encoded signature into ``(Signature, n)``.
+
+    Checks the framing only: the header nibble, a supported degree,
+    the 40-byte salt and the exact payload width for that degree.  The
+    compressed ``s2`` is returned as it came: verification decodes it
+    as its first step (:meth:`PublicKey.verify`,
+    :func:`~repro.falcon.batchverify.verify_batch_report`), and that
+    decode is the canonicity check — a well-framed but non-canonical
+    payload verifies False there, with reason ``decompress`` and the
+    decoder's message.  So the Golomb–Rice decode runs once per
+    signature, in the code that needs the coefficients.
+    """
     if len(data) < 1 + SALT_BYTES:
         raise SerializeError("signature too short")
     header = data[0]
@@ -277,10 +289,4 @@ def decode_signature(data: bytes) -> tuple[Signature, int]:
         raise SerializeError(
             f"bad signature length {len(compressed)}, "
             f"expected {expected_len}")
-    try:
-        from .encoding import decompress
-        decompress(compressed, n)
-    except DecompressError as error:
-        raise SerializeError(f"bad signature payload: {error}") \
-            from error
     return Signature(salt=salt, compressed=compressed), n

@@ -18,12 +18,23 @@ Frame layout (all integers big-endian)::
   :func:`~repro.falcon.serialize.encode_signature` bytes — **fixed
   length per ring degree**, so response sizes cannot leak signature
   content), ``verify-ok`` and ``error`` responses.
+* A signature on the wire is checked for its **framing** only —
+  header, supported degree, 40-byte salt and the payload width for
+  that degree (:func:`~repro.falcon.serialize.decode_signature`); a
+  framing failure in a ``verify`` request earns a ``bad-frame`` error.
+  The verify round decodes the compressed ``s2`` canonically, once per
+  lane, so a well-framed but non-canonical signature is answered
+  ``verify-ok`` false, as :meth:`~repro.falcon.PublicKey.verify`
+  answers it.  The client returns a ``sign-ok`` signature after the
+  same framing checks, without decoding ``s2``: a caller that needs
+  assurance verifies it.
 * ``REQ_ID`` correlates responses with requests: a client may keep
   many requests in flight on one connection and responses return in
   completion order.
-* ``BODY_LEN`` is capped (:data:`MAX_FRAME_BYTES`): an adversarial
-  length prefix is rejected with one error frame and a clean close
-  instead of an unbounded allocation.
+* ``BODY_LEN`` is capped (:data:`MAX_FRAME_BYTES`) both ways: an
+  adversarial request length prefix is rejected with one error frame
+  and a clean close instead of an unbounded allocation, and a client
+  treats an oversized response prefix as a garbled stream.
 
 **Authentication** is per tenant: the server holds a ``tenant →
 token`` map and every request carries the tenant's token, compared
@@ -179,6 +190,12 @@ def encode_verify_payload(signature: Signature, n: int,
 
 
 def decode_verify_payload(payload: bytes) -> tuple[Signature, int, bytes]:
+    """Split a verify payload into ``(signature, n, message)``.
+
+    The signature gets :func:`decode_signature`'s framing checks (a
+    failure is a ``bad-frame`` :class:`FrameError`); its compressed
+    ``s2`` is left for the verify round to decode.
+    """
     if len(payload) < 4:
         raise FrameError(ERR_BAD_FRAME, "truncated signature length")
     sig_len = int.from_bytes(payload[:4], "big")
@@ -571,10 +588,11 @@ class NetClient:
                                        signature)
 
     Server-side refusals raise :class:`FrameError` with the wire code
-    (``auth-failed``, ``rate-limited``, ``draining``, ...); a dropped
-    connection fails every pending request with
-    :class:`ServingUnavailable` (a ``ConnectionError``) — a client
-    never hangs on a dead peer.
+    (``auth-failed``, ``rate-limited``, ``draining``, ...), and so
+    does a response whose body fails to decode (``bad-frame``, that
+    request only); a dropped connection or a garbled response stream
+    fails every pending request with :class:`ServingUnavailable` (a
+    ``ConnectionError``) — a client never hangs on a dead peer.
 
     **Timeouts and retries.**  ``connect_timeout`` bounds dialing,
     ``request_timeout`` bounds each round-trip; on transport failure
@@ -684,26 +702,19 @@ class NetClient:
                 header = await self._reader.readexactly(HEADER_BYTES)
                 magic, version, kind, req_id, body_len = \
                     _HEADER.unpack(header)
-                if magic != MAGIC or version != VERSION:
+                if (magic != MAGIC or version != VERSION
+                        or body_len > MAX_FRAME_BYTES):
                     raise FrameError(ERR_BAD_FRAME,
                                      "garbled response stream")
                 body = await self._reader.readexactly(body_len)
                 future = self._pending.pop(req_id, None)
                 if future is None or future.done():
                     continue  # response to a forgotten request
-                _tenant, _token, payload = decode_body(body)
-                if kind == FRAME_SIGN_OK:
-                    signature, _n = decode_signature(payload)
-                    future.set_result(signature)
-                elif kind == FRAME_VERIFY_OK:
-                    future.set_result(payload == b"\x01")
-                elif kind == FRAME_ERROR:
-                    code = int.from_bytes(payload[:2], "big")
-                    future.set_exception(FrameError(
-                        code, payload[2:].decode("utf-8", "replace")))
+                outcome = _response_outcome(kind, body)
+                if isinstance(outcome, FrameError):
+                    future.set_exception(outcome)
                 else:
-                    future.set_exception(FrameError(
-                        ERR_BAD_FRAME, f"response kind 0x{kind:02x}"))
+                    future.set_result(outcome)
         except (asyncio.IncompleteReadError, ConnectionError,
                 asyncio.CancelledError, FrameError):
             writer.close()
@@ -781,7 +792,9 @@ class NetClient:
 
     async def sign(self, tenant: str, message: bytes, *,
                    deadline: float | None = None) -> Signature:
-        """Sign ``message`` under ``tenant``'s key, over the wire."""
+        """Sign ``message`` under ``tenant``'s key, over the wire.  The
+        signature is framing-checked, not verified: a caller that needs
+        assurance verifies it."""
         return await self._request(FRAME_SIGN, tenant, message,
                                    deadline)
 
@@ -795,6 +808,27 @@ class NetClient:
         payload = encode_verify_payload(signature, n, message)
         return await self._request(FRAME_VERIFY, tenant, payload,
                                    deadline)
+
+
+def _response_outcome(kind: int, body: bytes):
+    """What one response frame answers: a :class:`Signature`, a
+    verdict, or the :class:`FrameError` its request fails with.  A body
+    that does not decode fails that one request with ``bad-frame``: the
+    frame was length-delimited, so the stream is still aligned."""
+    try:
+        _tenant, _token, payload = decode_body(body)
+        if kind == FRAME_SIGN_OK:
+            return decode_signature(payload)[0]
+    except FrameError as error:
+        return error
+    except SerializeError as error:
+        return FrameError(ERR_BAD_FRAME, str(error))
+    if kind == FRAME_VERIFY_OK:
+        return payload == b"\x01"
+    if kind == FRAME_ERROR:
+        return FrameError(int.from_bytes(payload[:2], "big"),
+                          payload[2:].decode("utf-8", "replace"))
+    return FrameError(ERR_BAD_FRAME, f"response kind 0x{kind:02x}")
 
 
 def _degree_from_signature(signature: Signature) -> int:

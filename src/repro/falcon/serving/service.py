@@ -15,9 +15,9 @@ calls that must *become* rounds to ride the batched spine.  :class:`SigningServi
   — one list of lanes per request kind, whatever tenants they belong
   to — and each round runs one cross-key
   :func:`~repro.falcon.scheme.sign_batch` or
-  :func:`~repro.falcon.batchverify.verify_batch` call on a worker
-  thread, so the event loop stays responsive while the CPU-bound
-  spine runs.
+  :func:`~repro.falcon.batchverify.verify_batch` call on the shard's
+  one round thread, so the event loop stays responsive while the
+  CPU-bound spine runs.
 
 **Byte identity**: each tenant's key signs from its own stream, so a
 tenant's signatures from a merged round equal a direct
@@ -39,6 +39,7 @@ from __future__ import annotations
 
 import asyncio
 import time
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -231,9 +232,11 @@ class SigningService:
     window (seconds the first request of a round waits for company; 0
     drains only what is already queued), ``queue_depth`` bounds each
     shard queue — a full queue suspends callers (back-pressure)
-    instead of buffering without limit.  Each round runs on a worker
-    thread so the event loop stays responsive while the CPU-bound
-    spine runs.
+    instead of buffering without limit.  Each round runs on its
+    shard's round thread so the event loop stays responsive while the
+    CPU-bound spine runs: one thread per shard, so a shard's rounds,
+    which run one at a time anyway, never spread over threads (each
+    with its own allocator arena).
 
     ``worker_pool`` escapes the GIL entirely: rounds are submitted to
     a :class:`~repro.falcon.serving.ShardWorkerPool` — one dedicated
@@ -295,6 +298,7 @@ class SigningService:
                          for _ in range(store.shards)]
         self._queues: list[asyncio.Queue] = []
         self._workers: list[asyncio.Task] = []
+        self._executors: list[ThreadPoolExecutor] = []
         self._started = False
         self._stopping = False
 
@@ -311,6 +315,9 @@ class SigningService:
             raise RuntimeError("service already started")
         self._queues = [asyncio.Queue(maxsize=self.queue_depth)
                         for _ in range(self.store.shards)]
+        self._executors = [
+            ThreadPoolExecutor(1, thread_name_prefix=f"falcon-shard-{shard}")
+            for shard in range(self.store.shards)]
         self._workers = [
             asyncio.ensure_future(self._shard_worker(shard))
             for shard in range(self.store.shards)]
@@ -330,7 +337,11 @@ class SigningService:
         for queue in queues:
             await queue.put(None)
         await asyncio.gather(*self._workers)
+        # The shard workers are done, so no round is running.
+        for executor in self._executors:
+            executor.shutdown(wait=False)
         self._workers = []
+        self._executors = []
         self._queues = []
         self._started = False
         self._stopping = False
@@ -546,7 +557,7 @@ class SigningService:
                 return verify_batch(
                     [(self.store.public_key(r.tenant, self.n),
                       r.message, r.signature) for r in requests])
-            # One worker-thread hop per round: the signer checkouts
+            # One round-thread hop per round: the signer checkouts
             # (cached after first use) plus the batched kernel call
             # together, so the event loop stays free while the
             # CPU-bound spine runs.  Checkouts come from the round's
@@ -559,7 +570,8 @@ class SigningService:
 
         breaker = self.breakers[shard]
         try:
-            results = await asyncio.to_thread(run_round)
+            results = await asyncio.get_running_loop().run_in_executor(
+                self._executors[shard], run_round)
             if len(results) != len(requests):  # a broken backend
                 raise RuntimeError(
                     f"round returned {len(results)} results for "

@@ -293,6 +293,11 @@ class ShardedKeyStore:
         """Aggregated metrics snapshot: per-shard stores plus totals
         (pool depth, checkout counts, refill latency, generations)."""
         per_shard = [store.stats() for store in self.stores]
+        # Under the lock: a round thread may insert a signer while
+        # this runs.  A tenant checked out on its home and a fallback
+        # shard (what a breaker shed does) counts once.
+        with self._signer_lock:
+            tenants = {tenant for tenant, _n, _shard in self._signers}
         totals = {
             "generated": sum(s.generated for s in per_shard),
             "served": sum(s.served for s in per_shard),
@@ -301,7 +306,7 @@ class ShardedKeyStore:
                                       for s in per_shard),
             "retired": sum(s.retired for s in per_shard),
             "available": {},
-            "tenants_checked_out": len(self._signers),
+            "tenants_checked_out": len(tenants),
             "public_keys_cached": len(self._public_keys),
         }
         for snapshot in per_shard:

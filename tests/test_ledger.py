@@ -96,13 +96,34 @@ def test_rejected_lanes_never_block_the_batch():
     assert sorted(result.accepted) == sorted(r.record_id for r in good)
     reasons = dict(result.rejected)
     assert reasons[forged.record_id].startswith("norm-bound")
-    # Wire decoding re-runs decompress, so a truncated blob is caught
-    # at decode time rather than inside the engine.
+    # A truncated blob has the wrong payload width for its degree, so
+    # the record's framing check catches it before the engine.
     assert reasons[truncated.record_id].startswith("decode")
     assert ledger.rejected_total["norm-bound"] == 1
     assert ledger.rejected_total["decode"] == 1
     # The rejected records are not committed and may not re-enter.
     assert forged.record_id not in ledger._committed
+
+
+def test_noncanonical_record_is_rejected_by_the_engine():
+    """A well-framed record whose compressed s2 is not canonical (a
+    set padding bit) passes the record decode; the engine's decoder
+    rejects it at commit with reason ``decompress``."""
+    ledger = Ledger()
+    good = _fill(ledger, 2)
+    pk, message, signature = _record(3, 7)
+    blob = bytearray(signature.compressed)
+    blob[-1] |= 1
+    bad = SignedRecord.make(pk, message, Signature(
+        salt=signature.salt, compressed=bytes(blob)))
+    assert bad.decode()[1].compressed == bytes(blob)
+    ledger.submit(bad)
+    result = ledger.commit()
+    assert sorted(result.accepted) == sorted(r.record_id for r in good)
+    reasons = dict(result.rejected)
+    assert reasons[bad.record_id].startswith("decompress: ")
+    assert "padding" in reasons[bad.record_id]
+    assert ledger.rejected_total == {"decompress": 1}
 
 
 def test_commit_without_valid_records_writes_no_block():

@@ -5,12 +5,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.falcon import (
+    DecompressError,
     PublicKey,
     SecretKey,
     SerializeError,
+    Signature,
     decode_public_key,
     decode_secret_key,
     decode_signature,
+    decompress,
     encode_public_key,
     encode_secret_key,
     encode_signature,
@@ -159,6 +162,27 @@ def test_signature_decode_rejects_bad_header_and_length():
         decode_signature(encode_signature(signature, sk.n)[:-3])
     with pytest.raises(SerializeError):
         decode_signature(b"\x36")
+
+
+def test_signature_decode_leaves_canonicity_to_the_verifier():
+    """decode_signature checks framing only: a well-framed payload
+    with a set padding bit comes back unchanged, and verification,
+    whose first step is the canonical decode, rejects it."""
+    sk = _secret_key()
+    message = b"padding"
+    signature = sk.sign(message)
+    blob = bytearray(signature.compressed)
+    blob[-1] |= 1
+    encoded = encode_signature(
+        Signature(salt=signature.salt, compressed=bytes(blob)), sk.n)
+    decoded, n = decode_signature(encoded)
+    assert n == sk.n
+    assert decoded.salt == signature.salt
+    assert decoded.compressed == bytes(blob)
+    with pytest.raises(DecompressError, match="padding"):
+        decompress(decoded.compressed, n)
+    assert sk.public_key.verify(message, decoded) is False
+    assert sk.public_key.verify(message, signature) is True
 
 
 @settings(max_examples=40, deadline=None)

@@ -5,6 +5,7 @@ drives its own ``asyncio.run``.
 """
 
 import asyncio
+import sys
 import threading
 
 import pytest
@@ -166,6 +167,52 @@ def test_sharded_stats_aggregate():
     assert snapshot["totals"]["generated"] >= 2
     assert snapshot["totals"]["served"] == 1
     assert snapshot["totals"]["tenants_checked_out"] == 1
+
+
+def test_stats_snapshot_survives_concurrent_checkouts():
+    """stats() snapshots the signer cache under its lock while other
+    threads insert into it.  More checkout threads than cores and a
+    short switch interval: no snapshot raises, and every tenant counts
+    once although each is checked out on both shards (what a breaker
+    shed does)."""
+    store = ShardedKeyStore(shards=2, master_seed=19)
+    tenants = [f"race-{i}" for i in range(24)]
+    store.generate_ahead(8, len(tenants))
+    errors: list[Exception] = []
+    done = threading.Event()
+
+    def check_out(offset: int) -> None:
+        try:
+            for index, tenant in enumerate(tenants):
+                store.signer_on((index + offset) % 2, tenant, 8)
+        except Exception as error:
+            errors.append(error)
+
+    def snapshot() -> None:
+        try:
+            while not done.is_set():
+                store.stats()
+        except Exception as error:
+            errors.append(error)
+
+    workers = [threading.Thread(target=check_out, args=(offset,))
+               for offset in range(4)]
+    reader = threading.Thread(target=snapshot)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        reader.start()
+        for worker in workers:
+            worker.start()
+        for worker in workers:
+            worker.join(timeout=60)
+        done.set()
+        reader.join(timeout=10)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(w.is_alive() for w in workers + [reader])
+    assert errors == []
+    assert store.stats()["totals"]["tenants_checked_out"] == len(tenants)
 
 
 def test_sign_and_verify_many_through_store():
@@ -382,6 +429,37 @@ def test_merged_sign_round_matches_direct_sign_many_per_tenant():
             [messages[i] for i in lanes])
         assert [(signatures[i].salt, signatures[i].compressed)
                 for i in lanes] == [(s.salt, s.compressed) for s in direct]
+
+
+def test_each_shard_runs_its_rounds_on_one_thread():
+    """Concurrent rounds on a 2-shard service: every round of a shard
+    runs on that shard's one round thread.  A shared pool would hand a
+    round submitted before the last one's thread was idle again to a
+    second thread, with its own allocator arena."""
+    store = ShardedKeyStore(shards=2, master_seed=13)
+    names = [f"tenant-{i}" for i in range(32)]
+    tenants = ([t for t in names if store.shard_for(t) == 0][:2]
+               + [t for t in names if store.shard_for(t) == 1][:2])
+    ran_on: dict[int, set] = {0: set(), 1: set()}
+    checkout = store.signer_on
+
+    def recording_checkout(shard, tenant, n):
+        ran_on[shard].add(threading.current_thread().name)
+        return checkout(shard, tenant, n)
+
+    store.signer_on = recording_checkout
+
+    async def drive():
+        async with SigningService(store, n=8, max_batch=2,
+                                  max_wait=0.0) as service:
+            await asyncio.gather(
+                *[service.sign(tenant, b"thread-%d" % i)
+                  for i in range(12) for tenant in tenants])
+        assert service.metrics.rounds >= 24
+
+    asyncio.run(drive())
+    assert all(len(threads) == 1 for threads in ran_on.values())
+    assert ran_on[0] != ran_on[1]
 
 
 def test_back_pressure_bounded_queue():

@@ -13,12 +13,16 @@ import struct
 
 import pytest
 
+from repro.falcon import DecompressError, Signature, decompress
+from repro.falcon.params import falcon_params
 from repro.falcon.serving import (
     FaultPlan,
     FrameError,
     InjectedFault,
     NetClient,
     NetServer,
+    RetryPolicy,
+    ServingUnavailable,
     ShardedKeyStore,
     ShardWorkerError,
     ShardWorkerPool,
@@ -36,11 +40,15 @@ from repro.falcon.serving.net import (
     ERR_UNSUPPORTED,
     FRAME_ERROR,
     FRAME_SIGN,
+    FRAME_SIGN_OK,
+    FRAME_VERIFY_OK,
     HEADER_BYTES,
     MAGIC,
+    MAX_FRAME_BYTES,
     VERSION,
     _HEADER,
     decode_body,
+    encode_frame,
 )
 
 
@@ -336,6 +344,175 @@ def test_unknown_kind_is_an_error_but_keeps_the_connection():
         assert any(code != FRAME_ERROR for code in codes)  # the sign
 
     _serve(body)
+
+
+# -- one decode per signature ------------------------------------------------
+
+def test_noncanonical_signature_verifies_false_over_the_wire():
+    """A well-framed but non-canonical signature is a verify lane like
+    any other: the round's decoder refuses it and the answer is
+    verify-ok false, as ``PublicKey.verify`` says.  The lane counts as
+    verified and books no breaker failure; a framing failure still
+    earns bad-frame."""
+    async def body(service, server):
+        async with await NetClient.connect(
+                "127.0.0.1", server.port) as client:
+            signature = await client.sign("tenant-a", b"canonical")
+            blob = bytearray(signature.compressed)
+            blob[-1] |= 1  # a padding bit: well framed, not canonical
+            bad = Signature(salt=signature.salt, compressed=bytes(blob))
+            with pytest.raises(DecompressError, match="padding"):
+                decompress(bad.compressed, 8)
+            verdict = await client.verify("tenant-a", b"canonical", bad)
+            assert verdict is False
+            assert service.store.public_key("tenant-a", 8).verify(
+                b"canonical", bad) is False
+            assert service.metrics.verified == 1
+            assert service.metrics.failed_rounds == 0
+            assert [breaker.state for breaker in service.breakers] == \
+                ["closed", "closed"]
+            assert server.metrics.rejected == {}
+            short = Signature(salt=signature.salt,
+                              compressed=signature.compressed[:-1])
+            with pytest.raises(FrameError) as refused:
+                await client.verify("tenant-a", b"canonical", short, n=8)
+            assert refused.value.code == ERR_BAD_FRAME
+            assert await client.verify("tenant-a", b"canonical",
+                                       signature)
+
+    _serve(body)
+
+
+def test_networked_verify_decodes_each_lane_once_and_sign_none(
+        monkeypatch):
+    """The Golomb–Rice decode runs once per signature, in the verify
+    round: k verify lanes over the wire decode k signatures (the frame
+    decode used to decode each one first), and a sign over the wire
+    decodes none (the client used to decode every sign-ok)."""
+    from repro.falcon import batchverify, encoding, scheme
+
+    decoded = [0]
+
+    def count(owner, name, lanes):
+        original = getattr(owner, name)
+
+        def counted(*args, **kwargs):
+            decoded[0] += lanes(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, counted)
+
+    for owner in (encoding, batchverify, scheme):
+        count(owner, "decompress", lambda args: 1)
+    count(batchverify, "decompress_rows", lambda args: len(args[0]))
+    messages = [b"decode-once-%d" % i for i in range(10)]
+
+    async def body(service, server):
+        async with await NetClient.connect(
+                "127.0.0.1", server.port) as client:
+            signatures = await asyncio.gather(
+                *[client.sign("tenant-a", m) for m in messages])
+            assert decoded[0] == 0
+            verdicts = await asyncio.gather(
+                *[client.verify("tenant-a", m, s)
+                  for m, s in zip(messages, signatures)])
+        assert verdicts == [True] * len(messages)
+        assert decoded[0] == len(messages)
+
+    _serve(body, max_batch=16, max_wait=0.2)
+
+
+# -- responses the client cannot use -----------------------------------------
+
+async def _raw_server(answer, seen: list):
+    """A bare asyncio server that answers each request frame with the
+    bytes ``answer(kind, req_id)`` returns; ``seen`` gets one entry
+    per connection, set to ``"eof"`` when the peer hangs up."""
+    async def handle(reader, writer):
+        seen.append("open")
+        index = len(seen) - 1
+        try:
+            while True:
+                header = await reader.readexactly(HEADER_BYTES)
+                *_rest, kind, req_id, body_len = _HEADER.unpack(header)
+                await reader.readexactly(body_len)
+                writer.write(answer(kind, req_id))
+                await writer.drain()
+        except (asyncio.IncompleteReadError, ConnectionError):
+            seen[index] = "eof"
+        finally:
+            writer.close()
+
+    return await asyncio.start_server(handle, "127.0.0.1", 0)
+
+
+def test_undecodable_response_fails_only_its_own_request():
+    """A sign-ok whose signature header is bad fails that sign with
+    bad-frame.  The frame was length-delimited, so the stream is still
+    aligned: the other request in flight on the connection gets its
+    own answer."""
+    def answer(kind, req_id):
+        if kind == FRAME_SIGN:
+            return encode_frame(FRAME_SIGN_OK, req_id, b"", b"",
+                                b"\x77" + bytes(80))
+        return encode_frame(FRAME_VERIFY_OK, req_id, b"", b"", b"\x01")
+
+    width = (falcon_params(8).sig_payload_bits + 7) // 8
+    unchecked = Signature(salt=bytes(40), compressed=bytes(width))
+
+    async def drive():
+        seen: list = []
+        server = await _raw_server(answer, seen)
+        port = server.sockets[0].getsockname()[1]
+        try:
+            async with await NetClient.connect("127.0.0.1",
+                                               port) as client:
+                signed, verified = await asyncio.wait_for(
+                    asyncio.gather(
+                        client.sign("tenant-a", b"m"),
+                        client.verify("tenant-a", b"m", unchecked),
+                        return_exceptions=True), 3.0)
+        finally:
+            server.close()
+            await server.wait_closed()
+        assert isinstance(signed, FrameError)
+        assert signed.code == ERR_BAD_FRAME
+        assert "bad signature header" in str(signed)
+        assert verified is True
+        assert len(seen) == 1  # one connection served both
+
+    asyncio.run(drive())
+
+
+def test_oversized_response_length_is_a_garbled_stream():
+    """A response BODY_LEN above MAX_FRAME_BYTES is refused like a bad
+    magic: the client fails its pending request and hangs up instead
+    of buffering the body."""
+    def answer(kind, req_id):
+        return _HEADER.pack(MAGIC, VERSION, FRAME_SIGN_OK, req_id,
+                            MAX_FRAME_BYTES + 1)
+
+    async def drive():
+        seen: list = []
+        server = await _raw_server(answer, seen)
+        port = server.sockets[0].getsockname()[1]
+        try:
+            async with await NetClient.connect(
+                    "127.0.0.1", port,
+                    retry=RetryPolicy(attempts=1)) as client:
+                with pytest.raises(ServingUnavailable):
+                    await asyncio.wait_for(client.sign("tenant-a", b"m"),
+                                           3.0)
+                for _ in range(300):
+                    if seen == ["eof"]:
+                        break
+                    await asyncio.sleep(0.01)
+        finally:
+            server.close()
+            await server.wait_closed()
+        assert seen == ["eof"]
+
+    asyncio.run(drive())
 
 
 # -- graceful drain ----------------------------------------------------------
