@@ -17,7 +17,12 @@ the whole mixed-key batch through a single vectorized
   batch verification → hash-chained committed blocks, with per-commit
   p50/p99 latency;
 * **chain_audit_full** — re-verifying the committed chain: linkage,
-  roots and one engine pass per block.
+  roots and one engine pass per block;
+* **decode** — the first step of every verify round, the Golomb–Rice
+  decode of ``s2``: ms per lane of the batched row decoder
+  (``decompress_rows``) at 1, 10 and 32 lanes, and of the scalar
+  ``decompress``, at the sweep's degree (the scalar decoder only
+  without NumPy).
 
 The acceptance gate (recorded in the JSON): at 64 distinct keys the
 cross-key batch must verify records at >= 2x the per-key
@@ -34,6 +39,7 @@ from __future__ import annotations
 import argparse
 import json
 import platform
+import statistics
 import sys
 import time
 
@@ -42,6 +48,7 @@ import pytest
 from repro.analysis import format_table
 from repro.falcon import HAVE_NUMPY, Ledger
 from repro.falcon.batchverify import verify_batch
+from repro.falcon.encoding import decompress, decompress_rows
 from repro.falcon.scheme import SecretKey
 
 from _report import REPORT_DIR, once, report
@@ -52,6 +59,11 @@ JSON_NAME = "BENCH_ledger.json"
 #: per-key loop by 2x when the records span this many distinct keys.
 GATE_KEYS = 64
 GATE_SPEEDUP = 2.0
+
+#: Lane counts of the decode row: a lone lane, a typical verify round
+#: (perfbench's verify-ledger rounds average about 10 lanes) and a full
+#: round (the service's default ``max_batch``).
+DECODE_LANES = (1, 10, 32)
 
 
 def _signers(n: int, keys: int, seed: int = 0) -> list[SecretKey]:
@@ -142,6 +154,35 @@ def _audit_rate(ledger: Ledger) -> float:
     return audit.records / elapsed if elapsed else 0.0
 
 
+def _decode_ms_per_lane(decode, blobs: list[bytes],
+                        repeats: int = 7) -> float:
+    """Median ms per lane of ``decode(blobs)``; each timing decodes at
+    least 32 lanes, so a lone lane is not one clock tick."""
+    calls = -(-32 // len(blobs))
+    timings = []
+    for _ in range(repeats):
+        started = time.perf_counter()
+        for _ in range(calls):
+            decode(blobs)
+        timings.append(time.perf_counter() - started)
+    return 1e3 * statistics.median(timings) / (calls * len(blobs))
+
+
+def _decode_row(lanes: list[tuple], n: int) -> dict:
+    """ms per lane of the signature decode: the scalar decoder, and the
+    row decoder at each of :data:`DECODE_LANES` when NumPy imports."""
+    blobs = [signature.compressed for _, _, signature in lanes]
+    row = {"decompress": _decode_ms_per_lane(
+        lambda batch: [decompress(blob, n) for blob in batch],
+        blobs[:DECODE_LANES[-1]])}
+    if HAVE_NUMPY:
+        for count in DECODE_LANES:
+            batch = [blobs[i % len(blobs)] for i in range(count)]
+            row[f"decompress_rows_{count}"] = _decode_ms_per_lane(
+                lambda batch: decompress_rows(batch, n), batch)
+    return {label: round(ms, 4) for label, ms in row.items()}
+
+
 def run_sweep(n: int = 256, keys: int = GATE_KEYS, records: int = 128,
               block_size: int = 64, quick: bool = False) -> dict:
     if quick:
@@ -180,6 +221,7 @@ def run_sweep(n: int = 256, keys: int = GATE_KEYS, records: int = 128,
         "records_per_sec": {label: round(rate, 2)
                             for label, rate in rates.items()},
         "commit_latency": _latency_summary(commit_latencies),
+        "decode_ms_per_lane": _decode_row(lanes, n),
         "commits": len(commit_latencies),
         "chain_height": ledger.height,
         "cross_key_speedup_vs_per_key": round(speedup, 2),
@@ -215,6 +257,12 @@ def render_report(payload: dict) -> str:
                  + ("PASS" if payload["cross_key_2x_at_64_keys"]
                     else "FAIL") + ")")
     lines.append(line)
+    decode_rows = [[label, f"{ms:.4f}"]
+                   for label, ms in payload["decode_ms_per_lane"].items()]
+    lines += ["", format_table(
+        ["decoder", "ms/lane"], decode_rows,
+        title="signature decode, the first step of a verify round "
+              "(decompress_rows_<k>: one batch of k lanes)")]
     return "\n".join(lines)
 
 

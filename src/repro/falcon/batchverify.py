@@ -93,31 +93,21 @@ class _Lane:
 
     index: int
     public_key: object
-    s2: list
+    s2: object  # a list, or a row of the NumPy decoder's matrix
     hashed: list
     # Filled by the arithmetic pass:
     verdict: LaneVerdict | None = None
 
 
-#: Smallest same-degree group worth the batched row decoder's setup
-#: cost; below this the scalar decoder is faster.  Measured on a 2-core
-#: x86-64 host with NumPy 2.4 (median ms per lane, scalar / rows, same
-#: blobs): n=256 6 lanes 0.38 / 0.35, 8 lanes 0.37 / 0.28; n=512
-#: 6 lanes 0.73 / 0.42; n=1024 6 lanes 1.30 / 1.41, 8 lanes
-#: 1.52 / 1.05 — a crossover of 6-8 lanes at every degree.  A 16-key
-#: n=512 ``verify_batch`` took 16.0-17.0 ms at a threshold of 32 and
-#: 9.9-10.2 ms at 8.
-ROWS_DECODE_MIN = 8
-
-
-def _decode_rows(items: Sequence) -> dict[int, list]:
-    """Batched phase-1 decode: lanes grouped by (degree, blob width)
-    through :func:`decompress_rows`, one vectorized Golomb–Rice walk
-    per group.  Returns ``{item index: s2}`` for the lanes it decoded;
-    failed or too-small groups are left to the scalar decoder (which
-    also supplies the canonical error message on failure).  Needs
-    NumPy; without it every lane takes the scalar decoder."""
-    decoded: dict[int, list] = {}
+def _decode_rows(items: Sequence) -> dict[int, object]:
+    """Batched phase-1 decode: lanes grouped by (degree, blob width),
+    each group through one :func:`decompress_rows` call whatever its
+    size.  Returns ``{item index: s2 row}`` for the lanes it decoded,
+    each row a view into its group's coefficient matrix; a failed lane
+    is left to the scalar decoder, which supplies the canonical error
+    message.  Needs NumPy; without it every lane takes the scalar
+    decoder."""
+    decoded: dict[int, object] = {}
     if _np is None:
         return decoded
     groups: dict[tuple[int, int], list[int]] = {}
@@ -125,13 +115,11 @@ def _decode_rows(items: Sequence) -> dict[int, list]:
         blob = item[2].compressed
         groups.setdefault((item[0].n, len(blob)), []).append(index)
     for (n, _width), indexes in groups.items():
-        if len(indexes) < ROWS_DECODE_MIN:
-            continue
         coefficients, failed = decompress_rows(
             [items[index][2].compressed for index in indexes], n)
         for row, index in enumerate(indexes):
             if not failed[row]:
-                decoded[index] = coefficients[row].tolist()
+                decoded[index] = coefficients[row]
     return decoded
 
 
@@ -143,9 +131,10 @@ def _decode_lanes(items: Sequence
     is ``salt || message``, so any other length would verify a related
     message) or whose signature fails canonical decompression gets its
     verdict here, with the length found or the decoder's message as
-    detail, and never blocks the rest of the batch.  With NumPy, big
-    same-degree groups decode through the vectorized row decoder;
-    accept/reject stays bit-identical either way.
+    detail, and never blocks the rest of the batch.  With NumPy, every
+    lane decodes through the row decoder and the scalar decoder runs
+    only for a lane it failed; accept/reject stays bit-identical
+    either way.
     """
     verdicts: list[LaneVerdict | None] = [None] * len(items)
     live: list[_Lane] = []
@@ -182,7 +171,7 @@ def _full_pass_numpy(group: list[_Lane], n: int) -> None:
     the stacked per-key ``ntt(h)`` rows, one batched inverse NTT and
     one vectorized norm reduction."""
     bound = falcon_params(n).sig_bound
-    s2_mat = _np.asarray([lane.s2 for lane in group], dtype=_np.int64)
+    s2_mat = _np.stack([lane.s2 for lane in group])
     h_mat = _np.stack([lane.public_key.h_ntt_row for lane in group])
     s2h = mul_ntt_rows_array(s2_mat, h_mat).astype(_np.int64)
     c_mat = _np.asarray([lane.hashed for lane in group],

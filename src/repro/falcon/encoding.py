@@ -18,10 +18,22 @@ must be all-zero, ``-0`` is rejected, and every magnitude must lie
 within the parameter set's coefficient range (any valid signature's
 coefficients satisfy ``c^2 <= beta^2``, so a longer unary run can only
 come from a malformed or forged blob).
+
+Two decoders share that contract.  :func:`decompress` parses one blob
+record by record; it is the decoder without NumPy, the reference the
+tests compare against, and the source of every error message.
+:func:`decompress_rows` decodes a whole batch of equal-width blobs,
+the first step of every NumPy verify round: a byte automaton finds
+every record terminator of the batch in chunk-parallel table passes
+(the paper's move of replacing a sequential, data-dependent bit walk
+by table-driven passes that serve every lane at once), and the records
+are gathered from there.  Both accept exactly the same blobs and
+return the same coefficients.
 """
 
 from __future__ import annotations
 
+from functools import cache
 from math import isqrt
 
 from .params import falcon_params
@@ -169,25 +181,120 @@ def decompress(data: bytes, n: int) -> list[int]:
     return out
 
 
+# -- the batched row decoder: a chunk-parallel byte automaton ----------------
+#
+# Before each bit, a parse of the stream is in one of nine states:
+# ``k`` in 1..8 (k literal bits, the sign then the 7 low bits, left to
+# read) or 0 (inside the unary run).  Every record starts in state 8,
+# and a 1-bit read in state 0 is the record's terminator.
+
+#: State at a record start: 8 literal bits to read.
+_RECORD_START = 8
+#: Terminator offset meaning "this byte holds none".
+_NO_TERMINATOR = 8
+
+
+@cache
+def _automaton_tables():
+    """The automaton's byte tables, built once on first use.
+
+    For entry state ``s`` and ``byte``, ``next_state[(s << 8) | byte]``
+    is the state after the byte, stored as ``state << 8`` so that it
+    indexes the next lookup directly, and ``terminator[(s << 8) |
+    byte]`` is the bit offset (0 = most significant) of the terminator
+    the byte holds, or :data:`_NO_TERMINATOR`.  A record spans at least
+    9 bits, so a byte holds at most one terminator.  ``last_set[byte]``
+    is the offset of the byte's last set bit (0 for a zero byte).
+    """
+    state = _np.repeat(_np.arange(9), 256).reshape(9, 256)
+    byte = _np.arange(256)
+    terminator = _np.full((9, 256), _NO_TERMINATOR)
+    last_set = _np.zeros(256, dtype=_np.intp)
+    for offset in range(8):
+        bit = (byte >> (7 - offset)) & 1
+        ends = (state == 0) & (bit == 1)
+        terminator[ends] = offset
+        state = _np.where(state == 0, ends * _RECORD_START, state - 1)
+        last_set[bit == 1] = offset
+    return ((state << 8).astype(_np.intp).ravel(),
+            terminator.astype(_np.intp).ravel(), last_set)
+
+
+def _chunk_length(width: int) -> int:
+    """Bytes per automaton chunk: about ``sqrt(width)``, which balances
+    the steps of a pass (one per byte of a chunk) against the steps of
+    the composition (one per chunk)."""
+    return max(1, isqrt(width))
+
+
+def _terminators(data):
+    """Every record terminator in the rows of the byte matrix ``data``.
+
+    Returns ``(padded, lanes, positions)``: ``data`` widened with zero
+    bytes to whole chunks (at least one past the end; zero bytes hold
+    no terminator), and each terminator's lane and bit position, lane
+    by lane in stream order.  These are exactly the terminators the
+    scalar parse finds: both read each record as 8 literal bits, then a
+    unary run up to the first 1-bit.
+
+    Each row is cut into chunks of about ``sqrt(width)`` bytes.  Pass 1
+    runs all nine entry states through every chunk at once, giving
+    each chunk's state map; composing those maps from state 8 gives
+    each chunk's true entry state; pass 2 reruns every chunk from that
+    state.  Each step of a pass is one table lookup over the whole
+    batch, so a call takes about ``3 sqrt(width)`` steps whatever the
+    batch size; only the arrays grow with it.
+    """
+    next_state, terminator, _ = _automaton_tables()
+    batch, width = data.shape
+    length = _chunk_length(width)
+    chunks = width // length + 1
+    padded = _np.zeros((batch, chunks * length), dtype=_np.intp)
+    padded[:, :width] = data
+    # steps[j] holds byte j of every chunk of every lane.
+    steps = _np.ascontiguousarray(
+        padded.reshape(batch, chunks, length).transpose(2, 0, 1))
+    maps = _np.broadcast_to(_np.arange(9, dtype=_np.intp) << 8,
+                            (batch, chunks, 9))
+    for byte in steps:
+        maps = next_state.take(maps + byte[:, :, None])
+    maps = (maps >> 8).ravel()
+    map_base = (_np.arange(chunks, dtype=_np.intp)[:, None] * 9
+                + _np.arange(batch, dtype=_np.intp) * (chunks * 9))
+    entry = _np.empty((chunks, batch), dtype=_np.intp)
+    state = _np.full(batch, _RECORD_START, dtype=_np.intp)
+    for chunk in range(chunks):
+        entry[chunk] = state
+        state = maps.take(map_base[chunk] + state)
+    before = _np.empty_like(steps)
+    state = entry.T << 8
+    for index, byte in enumerate(steps):
+        before[index] = state
+        state = next_state.take(state + byte)
+    offsets = terminator.take(before + steps).transpose(1, 2, 0).reshape(
+        batch, -1)
+    lanes, columns = _np.nonzero(offsets != _NO_TERMINATOR)
+    return padded, lanes, (columns << 3) + offsets[lanes, columns]
+
+
 def decompress_rows(blobs: list[bytes], n: int):
     """Decode a whole batch of equal-width compressed signatures at once.
 
-    The per-degree payload width is fixed, so a batch's bit streams
-    stack into one ``(batch, total_bits)`` matrix and the Golomb–Rice
-    walk vectorizes *across lanes*: precompute, per lane, the
-    next-set-bit index for every position and the 8-bit window value at
-    every position, then run the ``n``-step record walk with one gather
-    per step over the whole batch.  Per-lane decode cost amortizes with
-    batch size exactly like the engine's batched NTT pass does.
+    :func:`_terminators` finds every record terminator of the batch
+    with a chunk-parallel byte automaton; record ``i + 1`` starts one
+    past terminator ``i``, and each record's sign and 7 low bits are
+    gathered from its start.  A lane is canonical exactly when scalar
+    :func:`decompress` accepts it: it holds ``n`` terminators (fewer
+    means truncated), the ``n``-th is its last set bit (else non-zero
+    padding or extra records), and no record breaks the unary-run,
+    magnitude or negative-zero checks.
 
     Returns ``(coefficients, failed)``: an ``(batch, n)`` int64 matrix
-    and a boolean lane mask.  Accept/reject agrees with the scalar
-    :func:`decompress` bit for bit — a flagged lane fails every check
-    the scalar decoder enforces (truncation, over-long unary runs,
-    out-of-range magnitudes, negative zero, non-zero padding) and rows
-    of failed lanes are garbage; callers wanting the canonical error
-    message re-run :func:`decompress` on just those lanes.  Requires
-    NumPy and blobs of one shared byte width.
+    and a boolean lane mask.  Accept/reject and coefficients agree with
+    :func:`decompress` lane by lane; rows of failed lanes are garbage,
+    and callers wanting the canonical error message re-run
+    :func:`decompress` on just those lanes.  Requires NumPy and blobs
+    of one shared byte width.
     """
     if _np is None:  # pragma: no cover - numpy baked into the CI image
         raise RuntimeError("decompress_rows requires NumPy")
@@ -197,31 +304,15 @@ def decompress_rows(blobs: list[bytes], n: int):
         raise ValueError("decompress_rows needs equal-width blobs")
     limit = max_coefficient(n)
     max_high = limit >> 7
-    total = width * 8
     data = _np.frombuffer(b"".join(blobs),
                           _np.uint8).reshape(batch, width)
-    bits = _np.unpackbits(data, axis=1)
-    # next_one[l, j] = smallest set-bit index >= j (sentinel: total).
-    # Padded so the record walk below never needs a bounds clamp: the
-    # walk's lookahead index tops out at total + 9.
-    index_of_one = _np.where(bits != 0,
-                             _np.arange(total, dtype=_np.int32),
-                             _np.int32(total))
-    next_one = _np.full((batch, total + 10), _np.int32(total))
-    next_one[:, :total] = _np.minimum.accumulate(
-        index_of_one[:, ::-1], axis=1)[:, ::-1]
-    # The record walk: only the terminator chain is sequential (record
-    # i + 1 starts one past record i's terminating 1-bit), so the loop
-    # carries just the lookahead cursor — 3 vectorized ops per step
-    # over the whole batch — and everything else is gathered after.
-    rows = _np.arange(batch)
-    terms = _np.empty((batch, n), dtype=_np.int32)
-    look = _np.full(batch, 8, dtype=_np.int32)  # start + 8, start = 0
-    for i in range(n):
-        terminator = next_one[rows, look]
-        terms[:, i] = terminator
-        look = terminator + _np.int32(9)
-    starts = _np.empty((batch, n), dtype=_np.int32)
+    padded, lanes, positions = _terminators(data)
+    # A lane with n terminators gets its row of them; any other lane
+    # fails, and its row of -1s keeps the gathers below in bounds.
+    whole = _np.bincount(lanes, minlength=batch) == n
+    terms = _np.full((batch, n), -1, dtype=_np.intp)
+    terms[whole] = positions[whole[lanes]].reshape(-1, n)
+    starts = _np.empty_like(terms)
     starts[:, 0] = 0
     starts[:, 1:] = terms[:, :-1] + 1
     # Each record's leading 8 bits (sign | 7 low bits) straddle at most
@@ -229,16 +320,19 @@ def decompress_rows(blobs: list[bytes], n: int):
     pairs = _np.zeros((batch, width + 1), dtype=_np.int32)
     pairs[:, :width] = data.astype(_np.int32) << 8
     pairs[:, :width - 1] |= data[:, 1:]
+    rows = _np.arange(batch)
     words = (pairs[rows[:, None], starts >> 3]
              >> (8 - (starts & 7))) & 0xFF
     high = terms - starts - 8
     sign = words >> 7
-    magnitude = (_np.maximum(high, 0) << 7) | (words & 0x7F)
-    failed = ((starts + 8 > total).any(axis=1)
-              | (terms >= total).any(axis=1)
+    magnitude = (high << 7) | (words & 0x7F)
+    _, _, last_set = _automaton_tables()
+    last_byte = padded.shape[1] - 1 - (padded[:, ::-1] != 0).argmax(axis=1)
+    last_bit = (last_byte << 3) + last_set[padded[rows, last_byte]]
+    failed = (~whole
               | (high > max_high).any(axis=1)
               | (magnitude > limit).any(axis=1)
               | ((sign == 1) & (magnitude == 0)).any(axis=1)
-              | (next_one[rows, terms[:, -1] + 1] < total))
+              | (last_bit != terms[:, -1]))
     coefficients = _np.where(sign == 1, -magnitude, magnitude)
     return coefficients, failed

@@ -92,15 +92,25 @@ class SignedRecord:
         return _record_id(self.public_key_bytes, self.message,
                           self.signature_bytes)
 
-    def decode(self) -> tuple[PublicKey, Signature, int]:
+    def decode(self, public_keys: dict | None = None
+               ) -> tuple[PublicKey, Signature, int]:
         """The live ``(public key, signature, n)``.  Raises
         :class:`RecordError` on a malformed public key, a signature
         that fails its framing checks (header, degree, salt, payload
         width) or a degree mismatch.  The signature's compressed ``s2``
         is decoded by the verification engine, which rejects a
-        non-canonical one with reason ``decompress``."""
+        non-canonical one with reason ``decompress``.
+
+        ``public_keys`` maps key encodings to keys already decoded (a
+        commit or an audit passes one per call, so each distinct key
+        is decoded, and its ``ntt(h)`` computed, once); a key decoded
+        here is added to it."""
+        keys = {} if public_keys is None else public_keys
         try:
-            public_key = decode_public_key(self.public_key_bytes)
+            public_key = keys.get(self.public_key_bytes)
+            if public_key is None:
+                public_key = decode_public_key(self.public_key_bytes)
+                keys[self.public_key_bytes] = public_key
             signature, n = decode_signature(self.signature_bytes)
         except SerializeError as error:
             raise RecordError(str(error)) from error
@@ -411,13 +421,14 @@ class Ledger:
         drained = self.mempool.drain(limit)
         rejected: list[tuple[str, str]] = []
         lanes: list[tuple[SignedRecord, PublicKey, Signature]] = []
+        public_keys: dict[bytes, PublicKey] = {}
         for record in drained:
             record_id = record.record_id
             if record_id in self._committed:
                 rejected.append((record_id, "duplicate"))
                 continue
             try:
-                public_key, signature, _ = record.decode()
+                public_key, signature, _ = record.decode(public_keys)
             except RecordError as error:
                 rejected.append((record_id, f"decode: {error}"))
                 continue
@@ -470,6 +481,7 @@ class Ledger:
             raise ValueError(f"unknown audit mode {mode!r}; "
                              f"only 'full' is supported")
         audit = ChainAudit(ok=True, blocks=len(self.blocks), records=0)
+        public_keys: dict[bytes, PublicKey] = {}
         prev_hash = GENESIS_HASH
         for index, block in enumerate(self.blocks):
             header = block.header
@@ -491,7 +503,7 @@ class Ledger:
             lane_records = []
             for record in block.records:
                 try:
-                    public_key, signature, _ = record.decode()
+                    public_key, signature, _ = record.decode(public_keys)
                 except RecordError as error:
                     audit.failures.append(
                         (index, record.record_id, f"decode: {error}"))

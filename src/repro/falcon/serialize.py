@@ -13,9 +13,17 @@ Follows the shape of the specification's encodings:
 * **signature**: header ``0x30 | log2(n)``, the 40-byte salt, then the
   compressed ``s2`` (already fixed-length per parameter set).
 
-Key encodings are canonical: every field is range-checked on decode
-and trailing padding must be zero.  A signature decode checks framing
-only; the verifier decodes ``s2`` (see :func:`decode_signature`).
+Key encodings are canonical: each has exactly one length per degree
+(a public key is ``1 + ceil(14 n / 8)`` bytes; a secret key is the
+header byte, the F-width byte and ``ceil((2 n w + n F_width) / 8)``
+bytes, for f and g at ``w`` bits and F at ``F_width`` bits), every
+field is range-checked on decode, and the padding bits must be zero.
+So one key has one encoding: a ledger record cannot reappear under a
+padded copy of its key, and a secret key's signing stream (seeded by
+a hash of the encoding) cannot be forked by one.
+Both key decoders read their fixed-width fields through one
+:class:`_FieldReader`.  A signature decode checks framing only; the
+verifier decodes ``s2`` (see :func:`decode_signature`).
 """
 
 from __future__ import annotations
@@ -80,35 +88,40 @@ class _BitPacker:
         return bytes(out)
 
 
-class _BitUnpacker:
+class _FieldReader:
+    """Fixed-width big-endian fields read off a byte string.
+
+    The whole string becomes one text of ``0``/``1`` characters up
+    front, so a run of fields is one C-speed ``int(text, 2)`` per field
+    instead of a loop over bits, as
+    :func:`~repro.falcon.encoding.decompress` reads signatures.
+    """
+
     def __init__(self, data: bytes) -> None:
-        self._data = data
+        self._bits = bin((1 << (8 * len(data)))
+                         | int.from_bytes(data, "big"))[3:]
         self._pos = 0
 
-    def take(self, width: int) -> int:
-        value = 0
-        for _ in range(width):
-            byte_index, bit_index = divmod(self._pos, 8)
-            if byte_index >= len(self._data):
-                raise SerializeError("truncated stream")
-            value = (value << 1) | \
-                ((self._data[byte_index] >> (7 - bit_index)) & 1)
-            self._pos += 1
-        return value
+    def take(self, width: int, count: int = 1) -> list[int]:
+        """The next ``count`` unsigned ``width``-bit fields."""
+        start = self._pos
+        end = start + width * count
+        if end > len(self._bits):
+            raise SerializeError("truncated stream")
+        self._pos = end
+        bits = self._bits
+        return [int(bits[at:at + width], 2)
+                for at in range(start, end, width)]
 
-    def take_signed(self, width: int) -> int:
-        raw = self.take(width)
-        if raw >= 1 << (width - 1):
-            raw -= 1 << width
-        return raw
+    def take_signed(self, width: int, count: int) -> list[int]:
+        """The next ``count`` two's-complement ``width``-bit fields."""
+        half = 1 << (width - 1)
+        return [raw - (half << 1) if raw >= half else raw
+                for raw in self.take(width, count)]
 
     def expect_zero_padding(self) -> None:
-        total = len(self._data) * 8
-        while self._pos < total:
-            byte_index, bit_index = divmod(self._pos, 8)
-            if (self._data[byte_index] >> (7 - bit_index)) & 1:
-                raise SerializeError("non-zero padding")
-            self._pos += 1
+        if "1" in self._bits[self._pos:]:
+            raise SerializeError("non-zero padding")
 
 
 def _log2_checked(n: int) -> int:
@@ -131,19 +144,22 @@ def encode_public_key(public_key: PublicKey) -> bytes:
 
 
 def decode_public_key(data: bytes) -> PublicKey:
-    unpacker = _BitUnpacker(data)
-    header = unpacker.take(8)
+    """Rebuild a public key; the encoding must be exactly
+    ``1 + ceil(14 n / 8)`` bytes with zero padding bits."""
+    reader = _FieldReader(data)
+    header, = reader.take(8)
     if header & 0xF0:
         raise SerializeError("bad public-key header")
     n = 1 << (header & 0x0F)
     _log2_checked(n)
-    h = []
-    for _ in range(n):
-        coefficient = unpacker.take(14)
-        if coefficient >= Q:
-            raise SerializeError("public coefficient >= q")
-        h.append(coefficient)
-    unpacker.expect_zero_padding()
+    expected = 1 + (14 * n + 7) // 8
+    if len(data) != expected:
+        raise SerializeError(
+            f"bad public-key length {len(data)}, expected {expected}")
+    h = reader.take(14, n)
+    if max(h) >= Q:
+        raise SerializeError("public coefficient >= q")
+    reader.expect_zero_padding()
     return PublicKey(n, h)
 
 
@@ -186,20 +202,24 @@ def decode_secret_key(data: bytes,
     distinct per key, and the same on every decode, so a re-loaded key
     (a respawned worker, a second store instance) signs the same bytes.
     """
-    unpacker = _BitUnpacker(data)
-    header = unpacker.take(8)
+    reader = _FieldReader(data)
+    header, = reader.take(8)
     if header & 0xF0 != 0x50:
         raise SerializeError("bad secret-key header")
     n = 1 << (header & 0x0F)
     _log2_checked(n)
-    f_width = unpacker.take(8)
+    f_width, = reader.take(8)
     if not _MIN_F_WIDTH <= f_width <= _MAX_F_WIDTH:
         raise SerializeError(f"bad F field width {f_width}")
     width = _fg_width(n)
-    f = [unpacker.take_signed(width) for _ in range(n)]
-    g = [unpacker.take_signed(width) for _ in range(n)]
-    big_f = [unpacker.take_signed(f_width) for _ in range(n)]
-    unpacker.expect_zero_padding()
+    expected = 2 + (2 * n * width + n * f_width + 7) // 8
+    if len(data) != expected:
+        raise SerializeError(
+            f"bad secret-key length {len(data)}, expected {expected}")
+    f = reader.take_signed(width, n)
+    g = reader.take_signed(width, n)
+    big_f = reader.take_signed(f_width, n)
+    reader.expect_zero_padding()
 
     from .ntt import center_mod_q, mul_ntt
     from . import poly as poly_ops
@@ -208,7 +228,10 @@ def decode_secret_key(data: bytes,
     # ct: allow(secret-ternary): selects on the public coefficient position (index 0 holds the ring constant q), not on key values
     numerator = [(Q if index == 0 else 0) + value
                  for index, value in enumerate(gf_product)]
-    big_g = [center_mod_q(c) for c in div_ntt(numerator, f)]
+    try:
+        big_g = [center_mod_q(c) for c in div_ntt(numerator, f)]
+    except ZeroDivisionError as error:
+        raise SerializeError("f is not invertible mod q") from error
     keys = NtruKeys(f=f, g=g, F=big_f, G=big_g, h=div_ntt(g, f))
     # ct: allow(secret-early-exit): decode integrity check — a corrupted key file failing canonically is a public event
     if not keys.verify_ntru_equation():

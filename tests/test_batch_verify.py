@@ -25,7 +25,6 @@ from repro.falcon.batchverify import (
     REASON_NORM,
     REASON_OK,
     REASON_SALT,
-    ROWS_DECODE_MIN,
 )
 from repro.falcon.serving import ShardedKeyStore, SigningService
 
@@ -122,10 +121,10 @@ def test_failure_reasons_reported_not_dropped(spine):
 @pytest.mark.skipif(not HAVE_NUMPY,
                     reason="row decoder needs the numpy spine")
 def test_large_batch_row_decoder_matches_scalar(scalar_spine):
-    """A same-degree batch past ROWS_DECODE_MIN rides the vectorized
-    row decoder; verdicts and reasons must not change."""
+    """A 12-lane same-degree batch rides the vectorized row decoder;
+    verdicts and reasons must not change."""
     lanes = []
-    for i in range(ROWS_DECODE_MIN + 4):
+    for i in range(12):
         sk = _secret_key(8, 1 + i % 3)
         message = b"row-%d" % i
         lanes.append((sk.public_key, message, sk.sign(message)))
@@ -147,9 +146,9 @@ def test_large_batch_row_decoder_matches_scalar(scalar_spine):
 
 
 def test_verify_batch_report_follows_platform(spine, monkeypatch):
-    """With NumPy, a same-degree batch past ``ROWS_DECODE_MIN`` takes
-    the row decoder and the NumPy full pass; inside the switch it
-    takes the scalar bodies — never the other spine's."""
+    """With NumPy, a 12-lane same-degree batch takes the row decoder
+    and the NumPy full pass; inside the switch it takes the scalar
+    bodies — never the other spine's."""
     if spine == "numpy":
         banned = ("_full_pass_scalar", "decompress", "ntt", "intt")
     else:
@@ -160,23 +159,44 @@ def test_verify_batch_report_follows_platform(spine, monkeypatch):
             raise AssertionError(f"{name} ran on the {spine} spine")
 
         monkeypatch.setattr(batchverify, name, fail)
-    lanes = [_honest_lane(8, 1 + i % 3, 200 + i)
-             for i in range(ROWS_DECODE_MIN + 4)]
+    lanes = [_honest_lane(8, 1 + i % 3, 200 + i) for i in range(12)]
     assert verify_batch_report(lanes).verdicts == [True] * len(lanes)
 
 
 @pytest.mark.skipif(not HAVE_NUMPY,
                     reason="row decoder needs the numpy spine")
-def test_eight_lane_group_takes_the_row_decoder(monkeypatch):
-    """The measured crossover is 6-8 lanes at n=256, 512 and 1024, so
-    an 8-lane same-degree group decodes through ``decompress_rows``:
-    the per-lane decoder never runs."""
-    def fail(*args):
-        raise AssertionError("the per-lane decoder ran")
+@pytest.mark.parametrize("size", [1, 3])
+def test_small_groups_take_the_row_decoder(monkeypatch, size):
+    """Every same-degree group decodes through ``decompress_rows``,
+    whatever its size, and the per-lane decoder runs only for a lane
+    the row decoder failed, to give that lane its message."""
+    rows_calls, lane_calls = [], []
+    decode_rows = batchverify.decompress_rows
+    decode_lane = batchverify.decompress
 
-    lanes = [_honest_lane(8, 1 + i % 3, 300 + i) for i in range(8)]
-    monkeypatch.setattr(batchverify, "decompress", fail)
-    assert verify_batch_report(lanes).verdicts == [True] * 8
+    def counted_rows(blobs, n):
+        rows_calls.append(len(blobs))
+        return decode_rows(blobs, n)
+
+    def counted_lane(blob, n):
+        lane_calls.append(blob)
+        return decode_lane(blob, n)
+
+    monkeypatch.setattr(batchverify, "decompress_rows", counted_rows)
+    monkeypatch.setattr(batchverify, "decompress", counted_lane)
+    lanes = [_honest_lane(8, 1 + i % 3, 300 + i) for i in range(size)]
+    assert verify_batch_report(lanes).verdicts == [True] * size
+    assert rows_calls == [size] and lane_calls == []
+    pk, message, signature = lanes[-1]
+    padded = bytearray(signature.compressed)
+    padded[-1] |= 1
+    lanes[-1] = (pk, message, Signature(salt=signature.salt,
+                                        compressed=bytes(padded)))
+    report = verify_batch_report(lanes)
+    assert report.verdicts == [True] * (size - 1) + [False]
+    assert (report.lanes[-1].reason, report.lanes[-1].detail) \
+        == (REASON_DECOMPRESS, "non-zero padding")
+    assert rows_calls == [size, size] and lane_calls == [bytes(padded)]
 
 
 # -- salt length -----------------------------------------------------------

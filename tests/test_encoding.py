@@ -6,12 +6,21 @@ inside ``max_coefficient(n) = floor(sqrt(beta^2))``, the largest value
 any norm-passing signature could carry.
 """
 
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.falcon import CompressError, DecompressError, compress, decompress
-from repro.falcon.encoding import max_coefficient
+from repro.falcon import (
+    CompressError,
+    DecompressError,
+    SecretKey,
+    compress,
+    decompress,
+)
+from repro.falcon.encoding import _chunk_length, max_coefficient
+from repro.falcon.params import falcon_params
 
 
 def _bits_to_bytes(bits: str) -> bytes:
@@ -234,3 +243,112 @@ def test_rows_require_equal_widths():
              compress([0] * 4, payload_bits=72)]
     with pytest.raises(ValueError, match="equal-width"):
         decompress_rows(blobs, 4)
+
+
+# -- the row decoder against the scalar decoder on real signatures --------
+
+def _signature_corpus(n: int, count: int) -> list[bytes]:
+    """``count`` real Falcon-``n`` signatures' compressed ``s2``."""
+    secret_key = SecretKey.generate(n=n, seed=40 + n)
+    return [signature.compressed for signature in secret_key.sign_many(
+        [b"corpus-%d-%d" % (n, i) for i in range(count)])]
+
+
+def _mutate(blob: bytes, rng: random.Random) -> bytes:
+    """One corruption of an honest blob, keeping its width: a bit flip,
+    set padding bits, a zeroed run across a chunk boundary, a
+    truncation (zero-filled to the width) or random bytes."""
+    data = bytearray(blob)
+    width = len(data)
+    kind = rng.randrange(5)
+    if kind == 0:
+        bit = rng.randrange(8 * width)
+        data[bit >> 3] ^= 0x80 >> (bit & 7)
+    elif kind == 1:  # a padding bit, most often in the 8 bits after
+        value = int.from_bytes(blob, "big")  # the last record
+        last = 8 * width - (value & -value).bit_length()
+        bit = min(8 * width - 1, last + rng.randint(1, 16))
+        data[bit >> 3] |= 0x80 >> (bit & 7)
+    elif kind == 2:
+        length = _chunk_length(width)
+        boundary = length * rng.randrange(1, (width - 1) // length + 1)
+        start = boundary - rng.randrange(1, length + 1)
+        stop = min(width, boundary + rng.randrange(1, length + 1))
+        data[start:stop] = bytes(stop - start)
+    elif kind == 3:
+        cut = rng.randrange(width)
+        data[cut:] = bytes(width - cut)
+    else:
+        data = bytearray(rng.randbytes(width))
+    return bytes(data)
+
+
+def _assert_rows_match_scalar(blobs: list[bytes], n: int) -> int:
+    """Lane by lane, the row decoder accepts exactly what the scalar
+    decoder accepts, with the same coefficients; returns the rejects."""
+    coefficients, failed = decompress_rows(blobs, n)
+    rejects = 0
+    for row, blob in enumerate(blobs):
+        try:
+            reference = decompress(blob, n)
+        except DecompressError:
+            assert failed[row]
+            rejects += 1
+        else:
+            assert not failed[row]
+            assert coefficients[row].tolist() == reference
+    return rejects
+
+
+@pytest.mark.parametrize("n", [512, 1024])
+def test_rows_match_scalar_on_mutated_real_signatures(n):
+    """Mixed batches of 1-32 lanes of honest and corrupted Falcon-n
+    signatures: the row decoder and the scalar decoder agree lane by
+    lane, on accept/reject and on every coefficient."""
+    rng = random.Random(n)
+    corpus = _signature_corpus(n, 24)
+    width = len(corpus[0])
+    assert width == (falcon_params(n).sig_payload_bits + 7) // 8
+    rejects = lanes = 0
+    for _ in range(12):
+        batch = [blob if rng.random() < 0.3 else _mutate(blob, rng)
+                 for blob in rng.choices(corpus, k=rng.randint(1, 32))]
+        rejects += _assert_rows_match_scalar(batch, n)
+        lanes += len(batch)
+    short = [blob[:rng.randrange(1, width)] for blob in corpus[:3]]
+    for blob in short:  # truncated blobs: a narrower width group each
+        rejects += _assert_rows_match_scalar([blob], n)
+    assert 0 < rejects < lanes
+
+
+@pytest.mark.parametrize("n", [512, 1024])
+def test_rows_find_terminators_at_every_chunk_boundary_offset(n):
+    """For each chunk boundary of an ``n``-degree blob and each of the
+    16 bit offsets around it (the last byte before it and the first
+    byte after it), a record's terminator falls exactly there; every
+    such blob decodes as the scalar decoder decodes it."""
+    rng = random.Random(7 * n)
+    budget = falcon_params(n).sig_payload_bits
+    width = (budget + 7) // 8
+    length = _chunk_length(width)
+    blobs, expected = [], []
+    for boundary in range(length, 9 * n // 8, length):
+        for target in range(8 * boundary - 8, 8 * boundary + 8):
+            # Records of 9 bits each, except that record `index`
+            # carries the unary bits that put its terminator at target.
+            index = (target + 1) // 9 - 1
+            high = [0] * n
+            high[index] = (target + 1) % 9
+            coeffs = []
+            for h in high:
+                magnitude = (h << 7) | rng.randrange(128)
+                negative = magnitude > 0 and rng.random() < 0.5
+                coeffs.append(-magnitude if negative else magnitude)
+            blobs.append(compress(coeffs, budget))
+            expected.append(coeffs)
+    for start in range(0, len(blobs), 32):
+        coefficients, failed = decompress_rows(blobs[start:start + 32], n)
+        assert not failed.any()
+        assert coefficients.tolist() == expected[start:start + 32]
+    assert all(decompress(blob, n) == coeffs
+               for blob, coeffs in zip(blobs, expected))

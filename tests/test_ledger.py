@@ -166,6 +166,48 @@ def test_decode_failure_is_rejected_not_fatal():
     assert result.rejected[0][1].startswith("decode")
 
 
+def test_padded_public_key_record_is_rejected_not_committed_twice():
+    """A key encoding with a trailing zero byte is not canonical: the
+    padded copy of a record is rejected at decode, so one signed
+    message cannot land twice under two record ids."""
+    ledger = Ledger()
+    record = SignedRecord.make(*_record(1, 0))
+    padded = SignedRecord(public_key_bytes=record.public_key_bytes + b"\x00",
+                          message=record.message,
+                          signature_bytes=record.signature_bytes)
+    assert padded.record_id != record.record_id
+    ledger.submit(record)
+    ledger.submit(padded)
+    result = ledger.commit()
+    assert result.accepted == [record.record_id]
+    assert [record_id for record_id, _ in result.rejected] \
+        == [padded.record_id]
+    assert result.rejected[0][1].startswith("decode: bad public-key length")
+
+
+def test_commit_and_audit_decode_each_distinct_key_once(monkeypatch):
+    """A 64-record block over 16 distinct keys decodes 16 public keys
+    at commit, and 16 again when the chain is audited."""
+    from repro.falcon import ledger as ledger_module
+
+    decoded = []
+    decode = ledger_module.decode_public_key
+
+    def counted(data):
+        decoded.append(data)
+        return decode(data)
+
+    ledger = Ledger()
+    _fill(ledger, 64, keys=16)
+    monkeypatch.setattr(ledger_module, "decode_public_key", counted)
+    result = ledger.commit()
+    assert len(result.accepted) == 64
+    assert len(decoded) == len(set(decoded)) == 16
+    decoded.clear()
+    assert ledger.verify_chain().ok
+    assert len(decoded) == 16
+
+
 # -- audits ----------------------------------------------------------------
 
 def test_full_and_aggregate_audits_agree():

@@ -1,5 +1,7 @@
 """Tests for Falcon key/signature serialization."""
 
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -18,6 +20,8 @@ from repro.falcon import (
     encode_secret_key,
     encode_signature,
 )
+from repro.falcon.ntt import Q
+from repro.falcon.serialize import _fg_width, _FieldReader
 
 _CACHE: dict[int, SecretKey] = {}
 
@@ -97,7 +101,7 @@ def test_g_recomputation_is_not_a_copy(n):
     sk = SecretKey.generate(n=n, seed=200 + n)
     data = bytearray(encode_secret_key(sk))
     data[-2] ^= 0x10  # inside F's fields for every supported layout
-    with pytest.raises((SerializeError, ZeroDivisionError)):
+    with pytest.raises(SerializeError):
         decode_secret_key(bytes(data))
 
 
@@ -196,9 +200,7 @@ def test_decoders_never_crash_on_garbage(blob):
             pass
     try:
         decode_secret_key(blob)
-    except (SerializeError, ZeroDivisionError):
-        # f may decode to a non-invertible polynomial: also a clean
-        # rejection path (divider raises before any state is built).
+    except SerializeError:
         pass
 
 
@@ -209,3 +211,182 @@ def test_encoded_sizes_reported():
     sig_len = len(encode_signature(sk.sign(b"m"), sk.n))
     assert pk_len < sk_len  # h packs tighter than three polynomials
     assert sig_len > 40     # salt alone is 40 bytes
+
+
+# -- exact key lengths ------------------------------------------------------
+
+@pytest.mark.parametrize("extra", [1, 2, 7])
+def test_key_decoders_reject_trailing_zero_bytes(extra):
+    """A key encoding has exactly one length per degree: trailing zero
+    bytes would make a second encoding of the same key (and a second
+    signing stream, since the stream's seed hashes the encoding)."""
+    sk = _secret_key(8)
+    padding = b"\x00" * extra
+    with pytest.raises(SerializeError, match="public-key length"):
+        decode_public_key(encode_public_key(sk.public_key) + padding)
+    with pytest.raises(SerializeError, match="secret-key length"):
+        decode_secret_key(encode_secret_key(sk) + padding)
+    with pytest.raises(SerializeError):
+        decode_public_key(encode_public_key(sk.public_key)[:-1])
+    with pytest.raises(SerializeError):
+        decode_secret_key(encode_secret_key(sk)[:-1])
+
+
+def test_non_invertible_f_raises_serialize_error():
+    """A well-framed secret key whose f is not invertible mod q (here
+    all zero) is a malformed key: SerializeError, as load_secret_key
+    promises, not the divider's ZeroDivisionError."""
+    sk = _secret_key(8)
+    data = bytearray(encode_secret_key(sk))
+    f_bytes = 8 * _fg_width(8) // 8  # f starts on byte 2, byte-aligned
+    data[2:2 + f_bytes] = bytes(f_bytes)
+    with pytest.raises(SerializeError, match="not invertible"):
+        decode_secret_key(bytes(data))
+
+
+# -- the field reader against the bit-by-bit reference ----------------------
+
+class _BitUnpacker:
+    """The key decoders' former reader, one bit per step: the reference
+    the field reader must match."""
+
+    def __init__(self, data: bytes) -> None:
+        self._data = data
+        self._pos = 0
+
+    def take(self, width: int) -> int:
+        value = 0
+        for _ in range(width):
+            byte_index, bit_index = divmod(self._pos, 8)
+            if byte_index >= len(self._data):
+                raise SerializeError("truncated stream")
+            value = (value << 1) | \
+                ((self._data[byte_index] >> (7 - bit_index)) & 1)
+            self._pos += 1
+        return value
+
+    def take_signed(self, width: int) -> int:
+        raw = self.take(width)
+        if raw >= 1 << (width - 1):
+            raw -= 1 << width
+        return raw
+
+    def expect_zero_padding(self) -> None:
+        total = len(self._data) * 8
+        while self._pos < total:
+            byte_index, bit_index = divmod(self._pos, 8)
+            if (self._data[byte_index] >> (7 - bit_index)) & 1:
+                raise SerializeError("non-zero padding")
+            self._pos += 1
+
+
+def _outcome(read):
+    """``("ok", read())``, or ``("error", message)`` when ``read()``
+    raised SerializeError."""
+    try:
+        return ("ok", read())
+    except SerializeError as error:
+        return ("error", str(error))
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.binary(max_size=48),
+       st.lists(st.tuples(st.integers(1, 24), st.integers(1, 12),
+                          st.booleans()), max_size=6))
+def test_field_reader_matches_bit_unpacker(data, runs):
+    """Runs of fixed-width fields at any bit alignment, signed or not,
+    past the end or not, then the padding check: the field reader and
+    the bit-by-bit reference agree field for field and error for
+    error."""
+    reader, reference = _FieldReader(data), _BitUnpacker(data)
+    for width, count, signed in runs:
+        take = reference.take_signed if signed else reference.take
+        expected = _outcome(lambda: [take(width) for _ in range(count)])
+        got = _outcome(lambda: (reader.take_signed if signed
+                                else reader.take)(width, count))
+        assert got == expected
+        if expected[0] == "error":
+            return
+    assert _outcome(reader.expect_zero_padding) \
+        == _outcome(reference.expect_zero_padding)
+
+
+def _reference_public_key(data: bytes):
+    """:func:`decode_public_key`'s checks over the reference reader."""
+    unpacker = _BitUnpacker(data)
+    header = unpacker.take(8)
+    if header & 0xF0 or not 2 <= header & 0x0F <= 10:
+        raise SerializeError("bad header")
+    n = 1 << (header & 0x0F)
+    if len(data) != 1 + (14 * n + 7) // 8:
+        raise SerializeError("bad length")
+    h = [unpacker.take(14) for _ in range(n)]
+    if any(c >= Q for c in h):
+        raise SerializeError("coefficient >= q")
+    unpacker.expect_zero_padding()
+    return n, h
+
+
+def _reference_secret_fields(data: bytes):
+    """``(f, g, F)`` as :func:`decode_secret_key` frames them, over the
+    reference reader."""
+    unpacker = _BitUnpacker(data)
+    header = unpacker.take(8)
+    if header & 0xF0 != 0x50 or not 2 <= header & 0x0F <= 10:
+        raise SerializeError("bad header")
+    n = 1 << (header & 0x0F)
+    f_width = unpacker.take(8)
+    if not 9 <= f_width <= 24:
+        raise SerializeError("bad width")
+    width = _fg_width(n)
+    if len(data) != 2 + (2 * n * width + n * f_width + 7) // 8:
+        raise SerializeError("bad length")
+    fields = [[unpacker.take_signed(w) for _ in range(n)]
+              for w in (width, width, f_width)]
+    unpacker.expect_zero_padding()
+    return fields
+
+
+def _corruptions(data: bytes, rng: random.Random) -> list[bytes]:
+    """The canonical encoding and corrupted copies of it: bit flips,
+    set padding bits, a changed header, one byte cut or added."""
+    flips = []
+    for _ in range(6):
+        copy = bytearray(data)
+        copy[rng.randrange(len(copy))] ^= 1 << rng.randrange(8)
+        flips.append(bytes(copy))
+    padded = bytearray(data)
+    padded[-1] |= 1
+    header = bytearray(data)
+    header[0] ^= 0x01
+    return [data, *flips, bytes(padded), bytes(header), data[:-1],
+            data + b"\x00", data + b"\x01"]
+
+
+@pytest.mark.parametrize("n", [8, 64])
+def test_key_decoders_match_bit_reference(n):
+    """Canonical and corrupted key encodings: the public-key decoder
+    accepts exactly what the bit-by-bit reference accepts, with the
+    same coefficients; a secret key decodes to the reference's
+    (f, g, F), and every encoding the reference refuses is refused."""
+    rng = random.Random(n)
+    sk = SecretKey.generate(n=n, seed=300 + n)
+    for blob in _corruptions(encode_public_key(sk.public_key), rng):
+        expected = _outcome(lambda: _reference_public_key(blob))
+        got = _outcome(lambda: decode_public_key(blob))
+        if expected[0] == "error":
+            assert got[0] == "error"
+        else:
+            assert (got[1].n, got[1].h) == expected[1]
+    canonical = encode_secret_key(sk)
+    for blob in _corruptions(canonical, rng):
+        expected = _outcome(lambda: _reference_secret_fields(blob))
+        got = _outcome(lambda: decode_secret_key(blob))
+        if expected[0] == "error":
+            assert got[0] == "error"
+        elif got[0] == "ok":
+            keys = got[1].keys
+            assert [keys.f, keys.g, keys.F] == expected[1]
+    restored = decode_secret_key(canonical)
+    assert [restored.keys.f, restored.keys.g, restored.keys.F] \
+        == _reference_secret_fields(canonical)
