@@ -17,10 +17,11 @@ the coalescing front buys.  Rows per configuration:
 * **fanout_t64 …** — the coalescing service over 64 tenants (one
   lane each, about, per round): the rows above with 2 tenants, where
   sign rounds fill only because lanes merge across tenants;
-* **mp …** — the same service with a :class:`ShardWorkerPool`: each
-  shard's rounds run in a dedicated worker process with a warm spine
-  (the multi-core path — on a 1-core runner the IPC tax makes these
-  rows *slower*, which the JSON records honestly);
+* **mp …** — the same service with a :class:`ShardWorkerPool` over
+  the row's store: each shard's rounds run in a dedicated worker
+  process with warm loads of the keys the store ships (the multi-core
+  path — on a 1-core runner the IPC tax makes these rows *slower*,
+  which the JSON records honestly);
 * **net …** (``--net``) — the full wire: requests travel as
   length-prefixed frames through :class:`NetServer` /
   :class:`NetClient` over a real loopback socket;
@@ -203,12 +204,19 @@ def _service_rate(store: ShardedKeyStore, n: int,
 
         async with service:
             if worker_pool is not None:
-                # Warm the worker processes' per-tenant spines so the
-                # timed section measures serving, not first-round
-                # checkout inside the workers.
-                await asyncio.gather(*[
+                # Warm the worker processes' key loads so the timed
+                # section measures serving, not first-round key
+                # decodes inside the workers; the warm-up signatures
+                # must verify under the keys the store publishes.
+                warm = await asyncio.gather(*[
                     service.sign(f"tenant-{t}", b"warmup")
                     for t in range(tenants)])
+                for t, signature in enumerate(warm):
+                    if not store.public_key(f"tenant-{t}", n).verify(
+                            b"warmup", signature):
+                        raise RuntimeError(
+                            f"tenant-{t}: a worker signed under a key "
+                            "the store does not publish")
             started = time.perf_counter()
             await asyncio.gather(*[client(which)
                                    for which in range(concurrency)])
@@ -448,14 +456,14 @@ def run_sweep(n: int = 256, signs: int = 64, tenants: int = TENANTS,
            _service_rate(fanout_store, n, messages, FANOUT_TENANTS,
                          concurrency, window))
 
-    # Multi-process rows: dedicated worker process per shard.  Each
-    # pool gets a fresh derived key universe in its workers, so the
-    # rows measure warm serving after a tenant warm-up pass.
+    # Multi-process rows: dedicated worker process per shard, over the
+    # row's store; the rows measure warm serving after a tenant
+    # warm-up pass.
     mp_configs = [(CONCURRENCY[-1], WINDOWS[-1])]
     if quick:
         mp_configs = [(8, WINDOWS[-1])]
     for concurrency, window in mp_configs:
-        with ShardWorkerPool(shards=SHARDS, master_seed=1) as pool:
+        with ShardWorkerPool(store) as pool:
             label = f"mp_c{concurrency}_w{window * 1000:g}ms"
             record(label, _service_rate(store, n, messages, tenants,
                                         concurrency, window,

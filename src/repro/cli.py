@@ -485,10 +485,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         store.generate_ahead(args.n, args.provision)
     pool = None
     if args.process_workers:
-        pool = ShardWorkerPool(
-            shards=args.shards, master_seed=args.seed,
-            directory=args.keystore, prng=args.prng,
-            fault_plan=chaos)
+        pool = ShardWorkerPool(store, fault_plan=chaos)
         pool.start()
         print(f"shard workers: {args.shards} dedicated process(es)")
     print(f"serving Falcon-{args.n}: {args.shards} shard(s), "

@@ -12,10 +12,11 @@ path.  :class:`KeyStore` is that layer:
   ``(master_seed, n, index)`` via SHA-256, so a store can be audited or
   rebuilt bit-for-bit (the keygen spines guarantee the same seed gives
   the same key with or without NumPy);
-* **disk persistence** through the canonical ``serialize`` round-trip
-  (`save_secret_key` / `load_secret_key`): keys survive restarts, and
-  every acquisition exercises the full canonical decode — range
-  checks, G recomputation, NTRU-equation verification;
+* **disk persistence** of the canonical ``serialize`` encodings: keys
+  survive restarts, and every acquisition exercises the full canonical
+  decode — range checks, G recomputation, NTRU-equation verification —
+  and loads the key with a fresh signing stream (see
+  :func:`~repro.falcon.serialize.decode_secret_key`);
 * **a locked slot manifest**: slot indices are claimed under an
   exclusive cross-process file lock, with the manifest re-read inside
   the critical section — several store instances (or processes) may
@@ -37,10 +38,10 @@ path.  :class:`KeyStore` is that layer:
   refill counts and latency, cohort generations — the dashboard
   surface the serving layer aggregates per shard.
 
-Tenant-facing sharding (consistent hashing, the per-tenant signer
-cache, the asyncio coalescing front) lives one layer up, in
-:mod:`repro.falcon.serving`; its cache checks keys out through
-:meth:`KeyStore.checkout_current`.
+Tenant-facing sharding (consistent hashing, the per-tenant key
+custody, the asyncio coalescing front) lives one layer up, in
+:mod:`repro.falcon.serving`: a tenant's key is one checkout of its
+home shard's store, through :meth:`KeyStore.checkout_current`.
 """
 
 from __future__ import annotations
@@ -63,12 +64,7 @@ except ImportError:  # pragma: no cover - non-POSIX fallback
 
 from ..ctlint.annotations import secret_params
 from .scheme import SecretKey
-from .serialize import (
-    SECRET_KEY_SUFFIX,
-    atomic_write_bytes,
-    load_secret_key,
-    save_secret_key,
-)
+from .serialize import SECRET_KEY_SUFFIX, atomic_write_bytes
 
 _KEY_FILE_PATTERN = re.compile(
     r"falcon_n(?P<n>\d+)_(?P<index>\d+)"
@@ -243,12 +239,14 @@ class KeyStore:
     sharing the directory claim disjoint slots.  A memory-only store
     has no such memory across processes — it is deterministic from
     ``master_seed`` by design, so two memory-only stores with the same
-    seed serve the same keys.  ``workers > 1`` fans
-    :meth:`generate_ahead` out over a process pool.
+    seed serve the same keys (each load with its own signing stream).
+    ``workers > 1`` fans :meth:`generate_ahead` out over a process
+    pool.
 
     ``prng`` names the generator for key generation and for every
-    served signer, whose signing stream is seeded from its own key
-    material (see :func:`~repro.falcon.serialize.decode_secret_key`).
+    served signer, whose signing stream is seeded from fresh entropy
+    and its own key material (see
+    :func:`~repro.falcon.serialize.decode_secret_key`).
 
     ``low_watermark > 0`` arms watermark refill: a checkout leaving
     fewer than ``low_watermark`` pooled keys schedules a refill up to
@@ -259,7 +257,6 @@ class KeyStore:
     def __init__(self, directory: str | Path | None = None, *,
                  master_seed: int | bytes = 0,
                  prng: str = "chacha20",
-                 base_backend: str = "bitsliced",
                  workers: int = 1,
                  low_watermark: int = 0,
                  refill_target: int | None = None,
@@ -276,7 +273,6 @@ class KeyStore:
         self.directory = Path(directory) if directory is not None else None
         self.master_seed = master_seed
         self.prng = prng
-        self.base_backend = base_backend
         self.workers = workers
         self.low_watermark = low_watermark
         self.refill_target = (refill_target if refill_target is not None
@@ -695,9 +691,7 @@ class KeyStore:
         """
         encoded = self._pop_claimed(n)
         from .serialize import decode_secret_key
-        secret_key = decode_secret_key(encoded,
-                                       base_backend=self.base_backend,
-                                       prng=self.prng)
+        secret_key = decode_secret_key(encoded, prng=self.prng)
         with self._lock:
             self._stats.served += 1
         self._maybe_refill(n)
@@ -722,9 +716,7 @@ class KeyStore:
                 self.generate_ahead(n, 1)
                 continue
             try:
-                return decode_secret_key(head.read(),
-                                         base_backend=self.base_backend,
-                                         prng=self.prng)
+                return decode_secret_key(head.read(), prng=self.prng)
             except FileNotFoundError:
                 with self._lock:
                     if pool and pool[0] is head:

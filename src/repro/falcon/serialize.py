@@ -19,17 +19,19 @@ header byte, the F-width byte and ``ceil((2 n w + n F_width) / 8)``
 bytes, for f and g at ``w`` bits and F at ``F_width`` bits), every
 field is range-checked on decode, and the padding bits must be zero.
 So one key has one encoding: a ledger record cannot reappear under a
-padded copy of its key, and a secret key's signing stream (seeded by
-a hash of the encoding) cannot be forked by one.
+padded copy of its key.
 Both key decoders read their fixed-width fields through one
-:class:`_FieldReader`.  A signature decode checks framing only; the
-verifier decodes ``s2`` (see :func:`decode_signature`).
+:class:`_FieldReader`, and both encoders write them through its
+mirror, :class:`_FieldWriter`.  A signature decode checks framing
+only; the verifier decodes ``s2`` (see :func:`decode_signature`).
 """
 
 from __future__ import annotations
 
+import os
 from hashlib import sha256
 from pathlib import Path
+from typing import Sequence
 
 from ..rng.source import make_source
 from .ntrugen import NtruKeys
@@ -58,34 +60,36 @@ _MIN_F_WIDTH = 9
 _MAX_F_WIDTH = 24
 
 
-class _BitPacker:
+class _FieldWriter:
+    """Fixed-width big-endian fields packed into one Python int: the
+    mirror of :class:`_FieldReader`, one shift and OR per field and one
+    conversion to bytes at the end, instead of a list of bits."""
+
     def __init__(self) -> None:
-        self._bits: list[int] = []
+        self._value = self._bits = 0
 
-    def put(self, value: int, width: int) -> None:
-        if not 0 <= value < (1 << width):
-            raise SerializeError(
-                f"value {value} out of range for {width} bits")
-        for position in range(width - 1, -1, -1):
-            self._bits.append((value >> position) & 1)
+    def put(self, width: int, values: Sequence[int]) -> None:
+        """Append unsigned ``width``-bit fields."""
+        if min(values) < 0 or max(values) >> width:
+            raise SerializeError(f"value out of range for {width} bits")
+        run = 0
+        for value in values:
+            run = (run << width) | value
+        self._value = (self._value << (width * len(values))) | run
+        self._bits += width * len(values)
 
-    def put_signed(self, value: int, width: int) -> None:
-        low = -(1 << (width - 1))
-        high = (1 << (width - 1)) - 1
-        if not low <= value <= high:
+    def put_signed(self, width: int, values: Sequence[int]) -> None:
+        """Append two's-complement ``width``-bit fields."""
+        half = 1 << (width - 1)
+        if min(values) < -half or max(values) >= half:
             raise SerializeError(
-                f"signed value {value} out of range for {width} bits")
-        self.put(value & ((1 << width) - 1), width)
+                f"signed value out of range for {width} bits")
+        self.put(width, [value & ((half << 1) - 1) for value in values])
 
     def to_bytes(self) -> bytes:
-        padded = self._bits + [0] * (-len(self._bits) % 8)
-        out = bytearray()
-        for start in range(0, len(padded), 8):
-            byte = 0
-            for bit in padded[start:start + 8]:
-                byte = (byte << 1) | bit
-            out.append(byte)
-        return bytes(out)
+        pad = -self._bits % 8
+        return (self._value << pad).to_bytes((self._bits + pad) // 8,
+                                             "big")
 
 
 class _FieldReader:
@@ -134,13 +138,12 @@ def _log2_checked(n: int) -> int:
 # -- public key --------------------------------------------------------------
 
 def encode_public_key(public_key: PublicKey) -> bytes:
-    packer = _BitPacker()
-    packer.put(0x00 | _log2_checked(public_key.n), 8)
-    for coefficient in public_key.h:
-        if not 0 <= coefficient < Q:
-            raise SerializeError("public coefficient out of range")
-        packer.put(coefficient, 14)
-    return packer.to_bytes()
+    writer = _FieldWriter()
+    writer.put(8, [0x00 | _log2_checked(public_key.n)])
+    if min(public_key.h) < 0 or max(public_key.h) >= Q:
+        raise SerializeError("public coefficient out of range")
+    writer.put(14, public_key.h)
+    return writer.to_bytes()
 
 
 def decode_public_key(data: bytes) -> PublicKey:
@@ -167,8 +170,8 @@ def decode_public_key(data: bytes) -> PublicKey:
 
 def encode_secret_key(secret_key: SecretKey) -> bytes:
     n = secret_key.n
-    packer = _BitPacker()
-    packer.put(0x50 | _log2_checked(n), 8)
+    writer = _FieldWriter()
+    writer.put(8, [0x50 | _log2_checked(n)])
     width = _fg_width(n)
     largest = max((abs(c) for c in secret_key.keys.F), default=0)
     # ct: vartime(vartime-bitlength): the stored F width quantizes max|F| — a deliberate storage-format tradeoff for keys at rest, not a signing-path value
@@ -176,13 +179,11 @@ def encode_secret_key(secret_key: SecretKey) -> bytes:
     # ct: allow(secret-early-exit): encode abort on an out-of-range key — failure is public
     if f_width > _MAX_F_WIDTH:
         raise SerializeError("F coefficients unexpectedly large")
-    packer.put(f_width, 8)
-    for poly_coeffs in (secret_key.keys.f, secret_key.keys.g):
-        for coefficient in poly_coeffs:
-            packer.put_signed(coefficient, width)
-    for coefficient in secret_key.keys.F:
-        packer.put_signed(coefficient, f_width)
-    return packer.to_bytes()
+    writer.put(8, [f_width])
+    writer.put_signed(width, secret_key.keys.f)
+    writer.put_signed(width, secret_key.keys.g)
+    writer.put_signed(f_width, secret_key.keys.F)
+    return writer.to_bytes()
 
 
 def decode_secret_key(data: bytes,
@@ -197,10 +198,14 @@ def decode_secret_key(data: bytes,
     NTT-domain quotient lifted to the centered range (its coefficients
     are far below q/2 for valid keys).
 
-    The key's signing stream (salts and sampler coins) is a ``prng``
-    source seeded by a hash of the encoded key: as secret as the key,
-    distinct per key, and the same on every decode, so a re-loaded key
-    (a respawned worker, a second store instance) signs the same bytes.
+    Every decode is a new load of the key with its own signing stream
+    (salts and sampler coins): a ``prng`` source seeded by
+    ``sha256(b"falcon-sign|" + os.urandom(32) + data)``.  Falcon's
+    security argument needs a fresh salt and fresh sampler coins for
+    every signature, so no two loads of one key may share a stream: not
+    a second shard's, a respawned worker's or a restarted process's.
+    The key bytes in the hash keep the seed as secret as the key even
+    if the entropy source is weak.
     """
     reader = _FieldReader(data)
     header, = reader.take(8)
@@ -236,7 +241,7 @@ def decode_secret_key(data: bytes,
     # ct: allow(secret-early-exit): decode integrity check — a corrupted key file failing canonically is a public event
     if not keys.verify_ntru_equation():
         raise SerializeError("decoded key fails the NTRU equation")
-    seed = sha256(b"falcon-sign|" + data).digest()
+    seed = sha256(b"falcon-sign|" + os.urandom(32) + data).digest()
     return SecretKey(keys, source=make_source(prng, seed),
                      base_backend=base_backend)
 

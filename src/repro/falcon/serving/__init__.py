@@ -4,10 +4,12 @@ Four layers above :class:`~repro.falcon.keystore.KeyStore`:
 
 * :class:`ShardedKeyStore` — consistent-hash tenant→shard mapping over
   per-shard generate-ahead pools (each shard has its own directory,
-  manifest, lock file and derived master seed), with the plane's one
-  signer cache (:meth:`ShardedKeyStore.signer_on`, per tenant and
-  shard), a checkout-free public-key cache and an aggregated metrics
-  snapshot;
+  manifest, lock file and derived master seed), and the one custodian
+  of tenant keys: a tenant's key is one checkout of its home shard,
+  and the plane's one signer cache
+  (:meth:`ShardedKeyStore.signer_on`, per tenant and shard) gives
+  every other shard its own load of that key; plus a checkout-free
+  public-key cache and an aggregated metrics snapshot;
 * :class:`SigningService` — an asyncio facade that coalesces
   concurrent ``sign(tenant, message)`` / ``verify(tenant, message,
   signature)`` calls into batched rounds per shard — every round one
@@ -15,9 +17,10 @@ Four layers above :class:`~repro.falcon.keystore.KeyStore`:
   ``verify_batch`` call — with max-batch / max-wait knobs and
   back-pressure through bounded queues;
 * :class:`ShardWorkerPool` — one dedicated worker *process* per shard
-  with warm per-tenant spines, running the same per-lane tenant lists,
-  so rounds escape the GIL and a multi-core host signs truly in
-  parallel (plug into ``SigningService(worker_pool=...)``);
+  of a :class:`ShardedKeyStore`, running the same per-lane tenant
+  lists under keys the store ships with each round (kept warm between
+  rounds), so rounds escape the GIL and a multi-core host signs truly
+  in parallel (plug into ``SigningService(worker_pool=...)``);
 * :class:`NetServer` / :class:`NetClient` — the wire: length-prefixed
   asyncio socket frames (``MAGIC | version | kind | req-id | body``)
   with per-tenant authentication tokens, token-bucket rate limits and

@@ -12,14 +12,15 @@ where ``site`` names the injection point (``"kill-worker:3"``,
 ``"frame:send"``, ``"claim"``, ...) and ``counter`` is how many times
 that site has been evaluated so far.  Two runs with the same plan and
 the same sequence of operations fire the same faults — regardless of
-timing, interleaving of *other* sites, or which process asks (the plan
-is picklable and travels to shard workers with the rest of the config).
+timing or interleaving of *other* sites.
 
 A :class:`FaultPlan` is inert data; call :meth:`FaultPlan.injector` to
 get the stateful :class:`FaultInjector` that owns the per-site counters.
 Layers that inject faults accept the *plan* in their constructor and
-build their own injector, so forked/spawned workers don't share counter
-state with the parent.
+build their own injector, all in the serving process: the key store
+draws the claim and refill faults, the worker pool the kills (so one
+kill counter survives worker respawns), the server the wire faults.
+Worker processes never see the plan.
 """
 
 from __future__ import annotations
@@ -130,8 +131,8 @@ class FaultStats:
 class FaultInjector:
     """Stateful evaluator of a :class:`FaultPlan`.
 
-    Owns the per-site counters (thread-safe; shard workers are
-    single-threaded but the server side evaluates from multiple asyncio
+    Owns the per-site counters (thread-safe: the pool evaluates kills
+    from each shard's round thread, the server from multiple asyncio
     callbacks and the keystore from refill threads).
     """
 

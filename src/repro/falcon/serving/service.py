@@ -20,11 +20,12 @@ calls that must *become* rounds to ride the batched spine.  :class:`SigningServi
   CPU-bound spine runs.
 
 **Byte identity**: each tenant's key signs from its own stream, so a
-tenant's signatures from a merged round equal a direct
-``SecretKey.sign_many`` over that tenant's messages of the round, in
-arrival order, whoever else shared it (pinned by the serving test
-suite).  A round's *timing* does depend on the other tenants' lane
-counts — public arrival metadata, like the round shape itself.
+tenant's signatures from a merged round equal what a copy of its key,
+taken before the round, signs with one direct ``SecretKey.sign_many``
+over that tenant's messages of the round, in arrival order, whoever
+else shared it (pinned by the serving test suite).  A round's *timing*
+does depend on the other tenants' lane counts — public arrival
+metadata, like the round shape itself.
 
 **Constant-time discipline**: round composition — how many rounds, of
 what sizes, in what order — is computed by :func:`plan_rounds` from
@@ -239,13 +240,12 @@ class SigningService:
     with its own allocator arena).
 
     ``worker_pool`` escapes the GIL entirely: rounds are submitted to
-    a :class:`~repro.falcon.serving.ShardWorkerPool` — one dedicated
-    worker *process* per shard, with warm per-tenant spines — so a
-    multi-core host runs one round per shard truly in parallel.  The
-    pool must be built over the same ``shards`` / ``master_seed`` /
-    ``directory`` deployment as ``store`` (the store keeps doing the
-    tenant→shard routing); the service does not own the pool's
-    lifecycle — start it before and stop it after the service.
+    a :class:`~repro.falcon.serving.ShardWorkerPool` built over
+    ``store`` — one dedicated worker *process* per shard, loading the
+    keys the store ships with each round — so a multi-core host runs
+    one round per shard truly in parallel.  The service does not own
+    the pool's lifecycle — start it before and stop it after the
+    service.
 
     Every round is a cross-tenant list of lanes (see
     :func:`plan_rounds`): one ffSampling walk serves a sign round,
@@ -255,8 +255,10 @@ class SigningService:
 
     Failure isolation in a sign round: each tenant's signer is checked
     out separately, through :meth:`ShardedKeyStore.signer_on` on the
-    shard the round runs on (the home shard, or the fallback a tenant
-    was shed to), and a failed checkout fails only that tenant's
+    shard the round runs on (the home shard's custody key, or the
+    fallback's load of that same key when a breaker shed the tenant;
+    a pool round ships the custody key's encoding instead), and a
+    failed checkout fails only that tenant's
     requests — the circuit breaker books one failure per such tenant
     and one success per tenant that signed, as separate per-tenant
     rounds would.  An exception inside the shared walk itself, or a
@@ -286,6 +288,9 @@ class SigningService:
             raise ValueError("max_wait must be non-negative")
         if queue_depth < 1:
             raise ValueError("queue_depth must be at least 1")
+        if worker_pool is not None and worker_pool.store is not store:
+            raise ValueError(
+                "worker_pool must be built over the service's store")
         self.store = store
         self.n = n
         self.max_batch = max_batch
@@ -541,8 +546,9 @@ class SigningService:
         def run_round():
             if self.worker_pool is not None:
                 # One IPC round-trip per round: the shard's dedicated
-                # worker process signs/verifies with its warm spines,
-                # each lane under its own tenant's key.
+                # worker process signs/verifies with its warm loads of
+                # the keys the store ships, each lane under its own
+                # tenant's key.
                 return self.worker_pool.run_round(
                     shard, tenants, plan.kind, self.n, messages,
                     signatures=([r.signature for r in requests]

@@ -11,6 +11,11 @@ Shard master seeds derive from ``(master_seed, shard)`` via SHA-256 —
 two shards of one deployment can never derive the same per-slot seed,
 so no key material is ever duplicated across shards (asserted by the
 serving test suite's duplicate-issuance stress test).
+
+:class:`ShardedKeyStore` is the one custodian of tenant keys: a
+tenant's key is one checkout of its home shard, and every other place
+that signs for the tenant (a fallback shard, a pool worker) loads that
+same key from its encoding, with a signing stream of its own.
 """
 
 from __future__ import annotations
@@ -21,6 +26,7 @@ from hashlib import sha256
 from pathlib import Path
 from typing import Sequence
 
+from .. import serialize
 from ..keystore import KeyStore
 from ..scheme import PublicKey, SecretKey, sign_batch
 
@@ -40,29 +46,30 @@ def derive_shard_seed(master_seed: int | bytes, shard: int) -> bytes:
 
 
 def sign_tenant_lanes(checkout, tenants: Sequence[str],
-                      messages: Sequence[bytes]) -> list:
+                      messages: Sequence[bytes], sign=sign_batch) -> list:
     """Sign one merged round: lane ``i`` is ``messages[i]`` under
     ``tenants[i]``'s key.
 
-    ``checkout(tenant)`` returns a tenant's signer; it runs once per
+    ``checkout(tenant)`` returns a tenant's key; it runs once per
     tenant, in first-arrival order, and a checkout that raises fails
     only that tenant's lanes — their results are the exception.  Every
-    other lane rides one :func:`~repro.falcon.scheme.sign_batch` call,
+    other lane rides one ``sign([(key, message), ...])`` call — by
+    default :func:`~repro.falcon.scheme.sign_batch` in this process,
     so each tenant's signatures equal its own ``sign_many`` over its
     lanes in arrival order; an exception there fails the whole round.
     Returns one ``Signature`` or exception per lane.
     """
-    signers: dict = {}
+    keys: dict = {}
     failed: dict = {}
     for tenant in dict.fromkeys(tenants):
         try:
-            signers[tenant] = checkout(tenant)
+            keys[tenant] = checkout(tenant)
         except Exception as error:  # isolate the tenant, not the round
             failed[tenant] = error
-    signed = iter(sign_batch(
-        [(signers[tenant], message)
-         for tenant, message in zip(tenants, messages)
-         if tenant in signers]))
+    lanes = [(keys[tenant], message)
+             for tenant, message in zip(tenants, messages)
+             if tenant in keys]
+    signed = iter(sign(lanes) if lanes else ())
     return [failed[tenant] if tenant in failed else next(signed)
             for tenant in tenants]
 
@@ -134,12 +141,15 @@ class ShardedKeyStore:
     (every keyword flows through to the per-shard stores); with a
     ``directory``, each shard persists under ``directory/shard-NN``.
 
-    Per-tenant signer checkout: :meth:`signer_on` checks a dedicated
-    key out of a shard on a tenant's first use there and caches it —
-    the serving plane's one signer cache — so every tenant signs under
-    its own key while sharing the shard's batched pipeline;
-    :meth:`signer` is its home-shard call.  :meth:`public_key` serves
-    verify rounds from a checkout-free cache.
+    Key custody: a tenant's key is one rotation-fenced checkout of its
+    home shard (:meth:`signer`).  :meth:`signer_on` — the serving
+    plane's one signer cache — gives every shard a tenant's rounds run
+    on its own load of that key (on the home shard, the custody key
+    itself), and :meth:`encoded_secret_key` is the key's canonical
+    encoding, from which fallback shards and pool workers load it.  So
+    a tenant signs under its one published key wherever its round
+    runs, while sharing that shard's batched pipeline.
+    :meth:`public_key` serves verify rounds from a checkout-free cache.
     """
 
     def __init__(self, directory: str | Path | None = None, *,
@@ -160,6 +170,9 @@ class ShardedKeyStore:
         self._signer_guards: dict[tuple[str, int, int],
                                   threading.Lock] = {}
         self._signer_lock = threading.Lock()
+        # Custody encodings: (tenant, n) -> (custody key, its encoding).
+        self._encodings: dict[tuple[str, int],
+                              tuple[SecretKey, bytes]] = {}
         # Verify-plane cache: (tenant, n) -> PublicKey.  Shard-
         # agnostic on purpose — a verify round needs no secret key,
         # no slot claim and no cohort fence, so once populated it
@@ -199,13 +212,14 @@ class ShardedKeyStore:
 
     def rotate(self, n: int, regenerate: int | None = None) -> int:
         """Rotate the degree-``n`` cohort on every shard; cached
-        per-tenant signers of that degree are dropped so the next
-        checkout serves the fresh generation."""
+        per-tenant signers and encodings of that degree are dropped so
+        the next checkout serves the fresh generation."""
         retired = sum(store.rotate(n, regenerate=regenerate)
                       for store in self.stores)
         with self._signer_lock:
-            for key in [key for key in self._signers if key[1] == n]:
-                del self._signers[key]
+            for cache in (self._signers, self._encodings):
+                for key in [key for key in cache if key[1] == n]:
+                    del cache[key]
         with self._pk_lock:
             for key in [key for key in self._public_keys
                         if key[1] == n]:
@@ -225,29 +239,32 @@ class ShardedKeyStore:
     # -- serving -----------------------------------------------------------
 
     def signer(self, tenant: str | bytes, n: int) -> SecretKey:
-        """The tenant's dedicated signing key on its home shard (see
+        """The tenant's custody key: its home shard's load (see
         :meth:`signer_on`)."""
         return self.signer_on(self.shard_for(tenant), tenant, n)
 
     def signer_on(self, shard: int, tenant: str | bytes,
                   n: int) -> SecretKey:
-        """The tenant's signing key on ``shard``: checked out of that
-        shard on first use, cached thereafter.
+        """The tenant's signing key on ``shard``: loaded on first use,
+        cached per ``(tenant, n, shard)`` thereafter.
 
-        Failover routing (a circuit breaker shedding a tenant off its
-        home shard) checks a key out of the fallback shard the first
-        time the tenant lands there; the cache is keyed per shard so a
-        recovered home shard serves the tenant's original key again.
+        On the home shard the load is the custody key, checked out of
+        the home shard's store.  On any other shard (a circuit breaker
+        shed the tenant there) it is a separate load of the same key,
+        decoded from :meth:`encoded_secret_key` with its own signing
+        stream: a shed tenant signs under its published key, and two
+        shards' round threads never share a sampler.
 
-        Cold-cache checkouts are serialized per ``(tenant, n, shard)``
-        — concurrent first requests wait for one checkout instead of
-        each burning a slot — and rotation-fenced: a checkout that a
+        Cold-cache loads are serialized per ``(tenant, n, shard)`` —
+        concurrent first requests wait for one checkout instead of
+        each burning a slot — and rotation-fenced: a load that a
         concurrent :meth:`rotate` retired mid-flight (its generation
-        no longer current) is discarded and retried, so a freshly
-        rotated tenant can never be re-pinned to a retired cohort.
+        no longer current, or its custody key dropped) is discarded
+        and retried, so a freshly rotated tenant can never be
+        re-pinned to a retired cohort.
         """
         key = (_tenant_bytes(tenant).decode("latin-1"), n, shard)
-        store = self.stores[shard]
+        home = self.shard_for(tenant)
         with self._signer_lock:
             guard = self._signer_guards.setdefault(key, threading.Lock())
         with guard:
@@ -256,19 +273,43 @@ class ShardedKeyStore:
                     signer = self._signers.get(key)
                 if signer is not None:
                     break
-                acquired, generation = store.checkout_current(n)
+                if shard == home:
+                    store = self.stores[shard]
+                    acquired, generation = store.checkout_current(n)
+                    current = lambda: store.generation(n) == generation
+                else:
+                    custody = self.signer(tenant, n)
+                    acquired = serialize.decode_secret_key(
+                        self.encoded_secret_key(tenant, n),
+                        prng=self.stores[shard].prng)
+                    current = lambda: self._signers.get(
+                        (key[0], n, home)) is custody
                 with self._signer_lock:
-                    if store.generation(n) == generation:
+                    if current():
                         signer = self._signers.setdefault(key, acquired)
                         break
-        if shard == self.shard_for(tenant):
-            # Sign traffic warms the verify plane: the home shard's
-            # key is the tenant's canonical identity, so its public
-            # half feeds the checkout-free verify cache.
+        if shard == home:
+            # Sign traffic warms the verify plane: the custody key is
+            # the tenant's identity, so its public half feeds the
+            # checkout-free verify cache.
             with self._pk_lock:
                 self._public_keys.setdefault((key[0], n),
                                              signer.public_key)
         return signer
+
+    def encoded_secret_key(self, tenant: str | bytes, n: int) -> bytes:
+        """The canonical encoding of the tenant's custody key, which
+        fallback shards and pool workers load the key from; encoded
+        once per key, on first use, and dropped by :meth:`rotate`."""
+        custody = self.signer(tenant, n)
+        cache_key = (_tenant_bytes(tenant).decode("latin-1"), n)
+        with self._signer_lock:
+            cached = self._encodings.get(cache_key)
+        if cached is None or cached[0] is not custody:
+            cached = (custody, serialize.encode_secret_key(custody))
+            with self._signer_lock:
+                self._encodings[cache_key] = cached
+        return cached[1]
 
     def public_key(self, tenant: str | bytes, n: int) -> PublicKey:
         """The tenant's verification key, without keystore contention.

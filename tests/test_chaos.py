@@ -5,8 +5,11 @@ plan injects the same faults in every run — and every test asserts
 the *recovery* invariants the ISSUE pins:
 
 * a SIGKILL'd shard worker fails only the in-flight round; the pool
-  respawns it (bounded budget, warm replay) and post-respawn
-  signatures are byte-identical to a direct ``sign_many``;
+  respawns it (bounded budget) and the new worker signs under the
+  key the store publishes, from a fresh stream (no salt repeats);
+* wherever a tenant's round runs — its home shard, a fallback shard
+  its breaker shed it to, a respawned worker, after a rotation — it
+  signs under the one key the store currently publishes for it;
 * no client call outlives its deadline — queued, in-round, or on the
   wire;
 * a response lost or truncated on the wire is recovered by retry with
@@ -24,6 +27,7 @@ Pure stdlib asyncio + pytest, like the rest of the serving suites.
 """
 
 import asyncio
+import copy
 import json
 import os
 import pickle
@@ -115,32 +119,47 @@ def test_retry_policy_delay_is_deterministic_and_bounded():
 
 # -- worker supervision ------------------------------------------------------
 
+def _kill_plan(shard: int, at_round: int) -> FaultPlan:
+    """A seeded plan whose one worker kill lands on ``shard``'s round
+    number ``at_round`` (counting from 0)."""
+    expected = [False] * at_round + [True]
+    for seed in range(1000):
+        plan = FaultPlan(seed=seed, kill_worker=0.5,
+                         kill_worker_shards=(shard,), max_per_site=1)
+        injector = plan.injector()
+        if [injector.kill_worker(shard) for _ in expected] == expected:
+            return plan
+    raise AssertionError(f"no seed kills round {at_round} first")
+
+
 def test_worker_sigkill_fails_only_that_round_then_respawns():
-    """The satellite: SIGKILL a shard worker mid-round.  Exactly that
-    round's awaiters fail (with a ``ServingUnavailable``-compatible
-    error), the pool respawns the worker within its budget, and the
-    signatures signed after the respawn are byte-identical to a
-    direct ``sign_many`` over the same deployment seed."""
-    plan = FaultPlan(seed=1, kill_worker=1.0, max_per_site=1)
-    messages = [b"chaos-%d" % i for i in range(3)]
+    """SIGKILL a shard worker mid-round, after it has signed one
+    round.  Exactly that round's awaiters fail (with a
+    ``ServingUnavailable``-compatible error), the pool respawns the
+    worker within its budget, and the new worker signs under the key
+    the store publishes, from a fresh stream: no salt its predecessor
+    signed with comes back."""
+    plan = _kill_plan(0, at_round=1)
+    messages = [b"pay alice 10", b"pay bob 99", b"pay carol 7",
+                b"pay dave 1"]
+    store = ShardedKeyStore(shards=1, master_seed=51)
 
     async def drive():
-        store = ShardedKeyStore(shards=1, master_seed=51)
-        with ShardWorkerPool(shards=1, master_seed=51,
-                             fault_plan=plan,
+        with ShardWorkerPool(store, fault_plan=plan,
                              restart_backoff=0.01) as pool:
             async with SigningService(store, n=8, max_batch=8,
                                       max_wait=0.3,
                                       worker_pool=pool) as service:
+                before = await service.sign("tenant-a", messages[0])
                 with pytest.raises(ShardWorkerError):
                     await service.sign("tenant-a", b"doomed")
                 # Only the doomed round failed; the next rounds ride
                 # the respawned worker.
-                signatures = await asyncio.gather(
-                    *[service.sign("tenant-a", m) for m in messages])
+                after = await asyncio.gather(
+                    *[service.sign("tenant-a", m) for m in messages[1:]])
                 metrics = service.metrics.as_dict()
             stats = pool.stats()
-        return signatures, stats, metrics
+        return [before, *after], stats, metrics
 
     signatures, stats, metrics = asyncio.run(drive())
     assert stats["restarts"] == [1]
@@ -148,10 +167,32 @@ def test_worker_sigkill_fails_only_that_round_then_respawns():
     assert stats["alive"] == [True]
     assert metrics["failed_rounds"] == 1
     assert metrics["signed"] == len(messages)
-    direct = ShardedKeyStore(shards=1, master_seed=51) \
-        .signer("tenant-a", 8).sign_many(messages)
-    assert [(s.salt, s.compressed) for s in signatures] == \
-        [(s.salt, s.compressed) for s in direct]
+    assert store.public_key("tenant-a", 8).verify_many(
+        messages, signatures) == [True] * len(messages)
+    assert len({s.salt for s in signatures}) == len(messages)
+
+
+def test_pool_signs_under_the_rotated_key():
+    """After ``ShardedKeyStore.rotate`` a pool-backed service's next
+    signature verifies under the tenant's fresh key and not under the
+    retired one: the round ships the new key, and the worker replaces
+    its load."""
+    store = ShardedKeyStore(shards=1, master_seed=59)
+
+    async def drive():
+        with ShardWorkerPool(store) as pool:
+            async with SigningService(store, n=8, max_wait=0.0,
+                                      worker_pool=pool) as service:
+                first = await service.sign("tenant-a", b"before")
+                retired = store.public_key("tenant-a", 8)
+                store.rotate(8)
+                second = await service.sign("tenant-a", b"after")
+        return first, retired, second
+
+    first, retired, second = asyncio.run(drive())
+    assert retired.verify(b"before", first)
+    assert store.public_key("tenant-a", 8).verify(b"after", second)
+    assert not retired.verify(b"after", second)
 
 
 def test_worker_kill_error_is_serving_unavailable():
@@ -164,8 +205,8 @@ def test_restart_budget_exhaustion_fails_fast():
     """A shard that keeps dying exhausts its restart budget; after
     that, rounds fail immediately instead of respawn-looping."""
     plan = FaultPlan(seed=2, kill_worker=1.0)  # every round dies
-    with ShardWorkerPool(shards=1, master_seed=52, fault_plan=plan,
-                         max_restarts=1,
+    with ShardWorkerPool(ShardedKeyStore(shards=1, master_seed=52),
+                         fault_plan=plan, max_restarts=1,
                          restart_backoff=0.01) as pool:
         with pytest.raises(ShardWorkerError):
             pool.run_round(0, ["tenant-a"], "sign", 8, [b"one"])
@@ -268,12 +309,16 @@ def test_pending_requests_fail_when_server_dies_mid_request():
 WIRE_REQUEST_TIMEOUT = 1.0
 
 
-def _wire(body, *, master_seed, fault_plan=None, **client_kwargs):
+def _wire(body, *, master_seed=None, store=None, fault_plan=None,
+          **client_kwargs):
     """Run ``body(client, service, server)`` against a full loopback
-    stack (sharded store → coalescer → framed socket server)."""
+    stack (sharded store → coalescer → framed socket server), over
+    ``store`` or a fresh one-shard store from ``master_seed``."""
 
     async def drive():
-        store = ShardedKeyStore(shards=1, master_seed=master_seed)
+        nonlocal store
+        if store is None:
+            store = ShardedKeyStore(shards=1, master_seed=master_seed)
         # Warm the tenant's signer so first-checkout keygen latency
         # cannot outlast the short request timeouts these tests use.
         store.signer("tenant-a", 8)
@@ -298,8 +343,11 @@ def test_dropped_response_recovered_by_retry_and_dedup():
     """The wire eats exactly one response frame.  The client retries
     with the SAME req_id; the server answers from its dedup cache —
     the message was signed once, and the recovered signature is
-    byte-identical to a direct ``sign_many``."""
+    byte-identical to a direct ``sign_many`` by a copy of the served
+    key taken before serving."""
     plan = FaultPlan(seed=3, drop_frame=1.0, max_per_site=1)
+    store = ShardedKeyStore(shards=1, master_seed=53)
+    twin = copy.deepcopy(store.signer("tenant-a", 8))
 
     async def body(client, service, server):
         signature = await client.sign("tenant-a", b"dropped-once")
@@ -307,13 +355,12 @@ def test_dropped_response_recovered_by_retry_and_dedup():
             server.metrics.deduped
 
     signature, signed, deduped = _wire(
-        body, master_seed=53, fault_plan=plan,
+        body, store=store, fault_plan=plan,
         request_timeout=WIRE_REQUEST_TIMEOUT,
         retry=RetryPolicy(attempts=3, backoff=0.02))
     assert signed == 1   # exactly-once effect over a lossy wire
     assert deduped == 1  # the retry was answered from the cache
-    direct = ShardedKeyStore(shards=1, master_seed=53) \
-        .signer("tenant-a", 8).sign_many([b"dropped-once"])[0]
+    direct = twin.sign_many([b"dropped-once"])[0]
     assert (signature.salt, signature.compressed) == \
         (direct.salt, direct.compressed)
 
@@ -368,40 +415,98 @@ def test_circuit_breaker_state_machine_on_injected_clock():
 
 
 def test_breaker_sheds_tenant_to_ring_neighbour():
-    """A home shard that keeps failing trips its breaker; the next
-    request routes to the tenant's next ring shard and succeeds there
-    (recorded as a shed)."""
+    """A home shard whose worker keeps dying trips its breaker; the
+    next request routes to the tenant's next ring shard and succeeds
+    there (recorded as a shed), signed under the tenant's own
+    published key — a client that verifies later gets True."""
+    store = ShardedKeyStore(shards=2, master_seed=55)
+    home = store.shard_for("tenant-a")
+    plan = FaultPlan(seed=5, kill_worker=1.0, kill_worker_shards=(home,),
+                     max_per_site=1)
 
     async def drive():
-        store = ShardedKeyStore(shards=2, master_seed=55)
-        home = store.shard_for("tenant-a")
-        real_signer_on = store.signer_on
+        with ShardWorkerPool(store, fault_plan=plan,
+                             restart_backoff=0.01) as pool:
+            async with SigningService(store, n=8, max_wait=0.0,
+                                      breaker_failures=1,
+                                      breaker_reset=30.0,
+                                      worker_pool=pool) as service:
+                with pytest.raises(ShardWorkerError):
+                    await service.sign("tenant-a", b"fails-home")
+                signature = await service.sign("tenant-a", b"sheds")
+                state = service.breakers[home].state
+                shed = service.metrics.shed_requests
+        return signature, state, shed
 
-        def broken_home_signer_on(shard, tenant, n):
-            if shard == home:
-                raise RuntimeError("injected home-shard checkout failure")
-            return real_signer_on(shard, tenant, n)
-
-        store.signer_on = broken_home_signer_on
-        async with SigningService(store, n=8, max_wait=0.0,
-                                  breaker_failures=1,
-                                  breaker_reset=30.0) as service:
-            with pytest.raises(RuntimeError):
-                await service.sign("tenant-a", b"fails-home")
-            signature = await service.sign("tenant-a", b"sheds")
-            fallback = next(s for s in
-                            store.shard_preference("tenant-a")
-                            if s != home)
-            verdict = real_signer_on(fallback, "tenant-a", 8) \
-                .public_key.verify(b"sheds", signature)
-            state = service.breakers[home].state
-            shed = service.metrics.shed_requests
-        return verdict, state, shed
-
-    verdict, state, shed = asyncio.run(drive())
-    assert verdict is True  # signed under the fallback shard's key
+    signature, state, shed = asyncio.run(drive())
+    assert store.public_key("tenant-a", 8).verify(b"sheds", signature)
     assert state == "open"
     assert shed >= 1
+
+
+@pytest.mark.parametrize("backend", ["in-process", "pool"])
+def test_custody_every_signature_under_the_current_published_key(
+        tmp_path, backend):
+    """sign → rotate → sign → kill and respawn (pool) → sign → shed →
+    sign, over a directory-backed store: every signature verifies
+    under the key the store published for its tenant when it was made
+    and under no retired key, and no (public key, salt) pair repeats
+    across the run."""
+    store = ShardedKeyStore(tmp_path, shards=2, master_seed=60)
+    target = "tenant-a"
+    home = store.shard_for(target)
+    other = next(tenant for tenant in (f"tenant-{i}" for i in range(64))
+                 if store.shard_for(tenant) != home)
+    # One record per signature: (published key, the keys retired by
+    # then, message, signature).
+    records = []
+    retired = []
+
+    async def sign(service, tenant, message):
+        signature = await service.sign(tenant, message)
+        records.append((store.public_key(tenant, 8), tuple(retired),
+                        message, signature))
+
+    async def step(service, label):
+        # One tenant at a time: one round each, so the home shard's
+        # round count (and the kill plan's aim) is deterministic.
+        for tenant in (target, other):
+            await sign(service, tenant, label + b" " + tenant.encode())
+
+    async def drive(pool):
+        async with SigningService(store, n=8, max_wait=0.0,
+                                  breaker_reset=30.0,
+                                  worker_pool=pool) as service:
+            await step(service, b"start")
+            retired.extend(store.public_key(t, 8) for t in (target, other))
+            store.rotate(8)
+            await step(service, b"rotated")
+            if pool is not None:  # the home shard's third round dies
+                with pytest.raises(ShardWorkerError):
+                    await service.sign(target, b"doomed")
+                await step(service, b"respawned")
+            breaker = service.breakers[home]
+            for _ in range(breaker.failure_threshold):
+                breaker.record_failure()
+            await step(service, b"shed")
+            await step(service, b"shed again")
+            return service.metrics.shed_requests
+
+    if backend == "pool":
+        with ShardWorkerPool(store, fault_plan=_kill_plan(home, 2),
+                             restart_backoff=0.01) as pool:
+            shed = asyncio.run(drive(pool))
+            assert pool.stats()["restarts"][home] == 1
+    else:
+        shed = asyncio.run(drive(None))
+    assert shed == 2
+    for published, retired_then, message, signature in records:
+        assert published.verify(message, signature)
+        assert not any(key.verify(message, signature)
+                       for key in retired_then)
+    pairs = {(tuple(published.h), signature.salt)
+             for published, _, _, signature in records}
+    assert len(pairs) == len(records)
 
 
 def test_every_breaker_open_fails_fast():

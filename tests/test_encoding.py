@@ -13,14 +13,24 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.falcon import (
+    HAVE_NUMPY,
     CompressError,
     DecompressError,
     SecretKey,
     compress,
     decompress,
 )
-from repro.falcon.encoding import _chunk_length, max_coefficient
+from repro.falcon.encoding import (
+    _chunk_length,
+    decompress_rows,
+    max_coefficient,
+)
 from repro.falcon.params import falcon_params
+
+#: The batched row decoder runs on NumPy; the scalar decoder's tests
+#: above it run in both CI legs.
+needs_numpy = pytest.mark.skipif(not HAVE_NUMPY,
+                                 reason="the row decoder needs NumPy")
 
 
 def _bits_to_bytes(bits: str) -> bytes:
@@ -159,10 +169,6 @@ def test_overlong_unary_rejected():
 
 # -- the batched row decoder ----------------------------------------------
 
-numpy = pytest.importorskip("numpy")
-
-from repro.falcon.encoding import decompress_rows  # noqa: E402
-
 
 def _rows_verdict(blob: bytes, n: int):
     """(accepted, coefficients-or-None) through the batched decoder."""
@@ -171,6 +177,7 @@ def _rows_verdict(blob: bytes, n: int):
             None if failed[0] else coefficients[0].tolist())
 
 
+@needs_numpy
 @settings(max_examples=40, deadline=None)
 @given(st.sampled_from([4, 8, 16, 64]), st.data())
 def test_rows_match_scalar_on_round_trips(n, data):
@@ -187,6 +194,7 @@ def test_rows_match_scalar_on_round_trips(n, data):
         assert row.tolist() == coeffs
 
 
+@needs_numpy
 @settings(max_examples=60, deadline=None)
 @given(st.binary(min_size=8, max_size=64))
 def test_rows_accept_reject_matches_scalar_on_garbage(blob):
@@ -202,6 +210,7 @@ def test_rows_accept_reject_matches_scalar_on_garbage(blob):
         assert accepted and row == reference
 
 
+@needs_numpy
 def test_rows_reject_each_noncanonical_form():
     n = 4
     beyond = ((max_coefficient(n) >> 7) + 1) << 7
@@ -221,6 +230,7 @@ def test_rows_reject_each_noncanonical_form():
             decompress(blob, n)
 
 
+@needs_numpy
 def test_rows_isolate_failures_per_lane():
     """One bad lane never disturbs its neighbours' coefficients."""
     n = 8
@@ -238,6 +248,7 @@ def test_rows_isolate_failures_per_lane():
         assert row.tolist() == decompress(blob, n)
 
 
+@needs_numpy
 def test_rows_require_equal_widths():
     blobs = [compress([0] * 4, payload_bits=64),
              compress([0] * 4, payload_bits=72)]
@@ -300,6 +311,7 @@ def _assert_rows_match_scalar(blobs: list[bytes], n: int) -> int:
     return rejects
 
 
+@needs_numpy
 @pytest.mark.parametrize("n", [512, 1024])
 def test_rows_match_scalar_on_mutated_real_signatures(n):
     """Mixed batches of 1-32 lanes of honest and corrupted Falcon-n
@@ -321,6 +333,7 @@ def test_rows_match_scalar_on_mutated_real_signatures(n):
     assert 0 < rejects < lanes
 
 
+@needs_numpy
 @pytest.mark.parametrize("n", [512, 1024])
 def test_rows_find_terminators_at_every_chunk_boundary_offset(n):
     """For each chunk boundary of an ``n``-degree blob and each of the

@@ -1,6 +1,9 @@
 """Tests for Falcon key/signature serialization."""
 
+import json
 import random
+from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -20,6 +23,7 @@ from repro.falcon import (
     encode_secret_key,
     encode_signature,
 )
+from repro.falcon.ntrugen import NtruKeys
 from repro.falcon.ntt import Q
 from repro.falcon.serialize import _fg_width, _FieldReader
 
@@ -390,3 +394,119 @@ def test_key_decoders_match_bit_reference(n):
     restored = decode_secret_key(canonical)
     assert [restored.keys.f, restored.keys.g, restored.keys.F] \
         == _reference_secret_fields(canonical)
+
+
+# -- the field writer against the bit-by-bit reference ----------------------
+
+class _BitPacker:
+    """The key encoders' former writer, one bit per step: the reference
+    the field writer must match."""
+
+    def __init__(self) -> None:
+        self._bits: list[int] = []
+
+    def put(self, value: int, width: int) -> None:
+        if not 0 <= value < (1 << width):
+            raise SerializeError(
+                f"value {value} out of range for {width} bits")
+        for position in range(width - 1, -1, -1):
+            self._bits.append((value >> position) & 1)
+
+    def put_signed(self, value: int, width: int) -> None:
+        low = -(1 << (width - 1))
+        high = (1 << (width - 1)) - 1
+        if not low <= value <= high:
+            raise SerializeError(
+                f"signed value {value} out of range for {width} bits")
+        self.put(value & ((1 << width) - 1), width)
+
+    def to_bytes(self) -> bytes:
+        padded = self._bits + [0] * (-len(self._bits) % 8)
+        out = bytearray()
+        for start in range(0, len(padded), 8):
+            byte = 0
+            for bit in padded[start:start + 8]:
+                byte = (byte << 1) | bit
+            out.append(byte)
+        return bytes(out)
+
+
+def _reference_public_encoding(n: int, h: list[int]) -> bytes:
+    packer = _BitPacker()
+    packer.put(n.bit_length() - 1, 8)
+    for coefficient in h:
+        if not 0 <= coefficient < Q:
+            raise SerializeError("public coefficient out of range")
+        packer.put(coefficient, 14)
+    return packer.to_bytes()
+
+
+def _reference_secret_encoding(n: int, keys) -> bytes:
+    packer = _BitPacker()
+    packer.put(0x50 | (n.bit_length() - 1), 8)
+    width = _fg_width(n)
+    f_width = max(9, max(abs(c) for c in keys.F).bit_length() + 1)
+    if f_width > 24:
+        raise SerializeError("F coefficients unexpectedly large")
+    packer.put(f_width, 8)
+    for coefficient in keys.f + keys.g:
+        packer.put_signed(coefficient, width)
+    for coefficient in keys.F:
+        packer.put_signed(coefficient, f_width)
+    return packer.to_bytes()
+
+
+def _assert_encoders_match_reference(n: int, keys) -> None:
+    """Both key encoders give the reference's bytes, or both refuse."""
+    public = _outcome(lambda: encode_public_key(PublicKey(n, keys.h)))
+    expected = _outcome(lambda: _reference_public_encoding(n, keys.h))
+    assert public[0] == expected[0]
+    if expected[0] == "ok":
+        assert public == expected
+    secret = SimpleNamespace(n=n, keys=keys)
+    got = _outcome(lambda: encode_secret_key(secret))
+    expected = _outcome(lambda: _reference_secret_encoding(n, keys))
+    assert got[0] == expected[0]
+    if expected[0] == "ok":
+        assert got == expected
+
+
+KAT_DIR = Path(__file__).parent / "kats"
+
+
+@pytest.mark.parametrize("path", sorted(KAT_DIR.glob("keygen_*.json")),
+                         ids=lambda path: path.stem)
+def test_key_encoders_match_bit_reference_on_kat_keys(path):
+    """Every committed keygen KAT key (n = 8 to 1024) encodes to the
+    bit-by-bit reference's bytes, public and secret half, and decodes
+    back to itself."""
+    kat = json.loads(path.read_text(encoding="utf-8"))
+    keys = NtruKeys(f=kat["f"], g=kat["g"], F=kat["F"], G=kat["G"],
+                    h=kat["h"])
+    _assert_encoders_match_reference(kat["n"], keys)
+    assert decode_public_key(
+        encode_public_key(PublicKey(kat["n"], kat["h"]))).h == kat["h"]
+
+
+@pytest.mark.parametrize("n", [4, 8, 16, 32, 64, 128, 256, 512, 1024])
+def test_key_encoders_match_bit_reference_on_random_fields(n):
+    """Random in-range fields at every degree (F at every stored width
+    from 9 to 24 bits), and fields one past a bound, which both
+    encoders refuse."""
+    rng = random.Random(n)
+    half = 1 << (_fg_width(n) - 1)
+    for f_width in (9, 12, 17, 24):
+        high = 1 << (f_width - 1)
+        keys = SimpleNamespace(
+            f=[rng.randrange(-half, half) for _ in range(n)],
+            g=[rng.randrange(-half, half) for _ in range(n)],
+            F=[rng.randrange(-high + 1, high) for _ in range(n)],
+            h=[rng.randrange(Q) for _ in range(n)])
+        keys.F[rng.randrange(n)] = -high + 1  # the width's extreme
+        _assert_encoders_match_reference(n, keys)
+    for field, value in (("h", Q), ("h", -1), ("f", half), ("g", -half - 1),
+                         ("F", 1 << 23)):
+        broken = SimpleNamespace(**vars(keys))
+        setattr(broken, field, list(getattr(keys, field)))
+        getattr(broken, field)[rng.randrange(n)] = value
+        _assert_encoders_match_reference(n, broken)

@@ -5,6 +5,7 @@ drives its own ``asyncio.run``.
 """
 
 import asyncio
+import copy
 import sys
 import threading
 
@@ -83,9 +84,10 @@ def test_per_tenant_signers_are_cached_and_distinct():
 
 
 def test_served_signers_sign_from_private_key_derived_streams():
-    """Every served key signs from its own stream, seeded by its key
-    material — never from the library's public all-zero default — and
-    the store's ``prng`` reaches signing, not just keygen."""
+    """Every served key signs from its own stream, seeded by fresh
+    entropy and its key material — never from the library's public
+    all-zero default — and the store's ``prng`` reaches signing, not
+    just keygen."""
     from repro.falcon import decode_secret_key, encode_secret_key
     from repro.rng import ChaChaSource, ShakeSource
 
@@ -98,10 +100,11 @@ def test_served_signers_sign_from_private_key_derived_streams():
     for signer in signers:
         assert signer.base_sampler.source is signer.source
 
-    # Deterministic: decoding the same key twice yields the same
-    # stream (coalesced == direct and warm replay rely on this).
+    # Every decode is a new load with a stream of its own: two loads
+    # of one key (two shards, a respawned worker, a restarted
+    # process) never sign with the same salt.
     encoded = encode_secret_key(signers[0])
-    assert decode_secret_key(encoded).source.read_bytes(64) == \
+    assert decode_secret_key(encoded).source.read_bytes(64) != \
         decode_secret_key(encoded).source.read_bytes(64)
 
     shake = KeyStore(master_seed=6, prng="shake256")
@@ -122,6 +125,32 @@ def test_signers_refill_in_fused_passes_on_the_auto_engine():
         inner = signer.base_sampler.inner
         assert inner.prefetch_batches > 1
         assert inner.engine.name == "bigint"
+
+
+def test_shed_load_signs_under_the_tenant_key_from_its_own_stream():
+    """Off its home shard a tenant signs with a separate load of its
+    one key: the same key pair, published by ``public_key``, but its
+    own stream, so the two loads never repeat a salt.  A rotation
+    drops both loads."""
+    store = ShardedKeyStore(shards=2, master_seed=21)
+    home = store.shard_for("tenant-s")
+    other = 1 - home
+    custody = store.signer("tenant-s", 8)
+    shed = store.signer_on(other, "tenant-s", 8)
+    assert shed is not custody
+    assert store.signer_on(other, "tenant-s", 8) is shed  # cached
+    assert shed.keys.f == custody.keys.f
+    message = b"pay alice 10"
+    signatures = [custody.sign(message), shed.sign(message)]
+    assert signatures[0].salt != signatures[1].salt
+    published = store.public_key("tenant-s", 8)
+    assert published.verify_many([message] * 2, signatures) == [True] * 2
+    assert store.stats()["totals"]["served"] == 1  # the custody only
+
+    store.rotate(8)
+    fresh = store.signer_on(other, "tenant-s", 8).sign(message)
+    assert store.public_key("tenant-s", 8).verify(message, fresh)
+    assert not published.verify(message, fresh)
 
 
 def test_no_duplicate_key_material_across_shards():
@@ -363,22 +392,25 @@ def test_cross_tenant_merged_verify_keeps_per_tenant_verdicts():
 
 def test_coalesced_signatures_byte_identical_to_direct_sign_many():
     """The acceptance criterion: one coalesced round == one direct
-    ``sign_many`` call, byte for byte, for the same key and order."""
+    ``sign_many`` call, byte for byte, by a copy of the served key
+    taken before serving, in the same order."""
     messages = [b"identity-%d" % i for i in range(6)]
     store = ShardedKeyStore(shards=2, master_seed=11)
+    twin = copy.deepcopy(store.signer("tenant-a", 8))
     coalesced = _sign_all(dict(n=8, max_batch=8, max_wait=0.2),
                           store, messages)
-    direct_store = ShardedKeyStore(shards=2, master_seed=11)
-    direct = direct_store.signer("tenant-a", 8).sign_many(messages)
+    direct = twin.sign_many(messages)
     assert [(s.salt, s.compressed) for s in coalesced] == \
         [(s.salt, s.compressed) for s in direct]
 
 
 def test_multi_round_coalescing_matches_chunked_direct_calls():
     """Rounds split at max_batch: replaying the *same* chunking
-    through direct ``sign_many`` calls reproduces the exact bytes."""
+    through direct ``sign_many`` calls on a copy of the served key
+    reproduces the exact bytes."""
     messages = [b"chunk-%d" % i for i in range(7)]
     store = ShardedKeyStore(shards=1, master_seed=12)
+    signer = copy.deepcopy(store.signer("tenant-a", 8))
 
     async def drive():
         service = SigningService(store, n=8, max_batch=3,
@@ -391,8 +423,6 @@ def test_multi_round_coalescing_matches_chunked_direct_calls():
     coalesced, round_sizes = asyncio.run(drive())
     assert sum(round_sizes) == len(messages)
     assert max(round_sizes) <= 3
-    direct_store = ShardedKeyStore(shards=1, master_seed=12)
-    signer = direct_store.signer("tenant-a", 8)
     direct = []
     consumed = 0
     for size in round_sizes:
@@ -406,13 +436,15 @@ def test_multi_round_coalescing_matches_chunked_direct_calls():
 def test_merged_sign_round_matches_direct_sign_many_per_tenant():
     """Sign lanes of three tenants on one shard share one round, and
     each tenant's signatures equal a direct ``sign_many`` over its own
-    messages in arrival order (signers checked out in the round's
-    first-arrival order)."""
+    messages in arrival order, by a copy of its key taken before
+    serving."""
     tenants = [f"tenant-{i % 3}" for i in range(8)]
     messages = [b"merged-%d" % i for i in range(8)]
+    store = ShardedKeyStore(shards=1, master_seed=20)
+    twins = {tenant: copy.deepcopy(store.signer(tenant, 8))
+             for tenant in dict.fromkeys(tenants)}
 
     async def drive():
-        store = ShardedKeyStore(shards=1, master_seed=20)
         service = SigningService(store, n=8, max_batch=16, max_wait=0.2,
                                  record_rounds=True)
         async with service:
@@ -422,11 +454,9 @@ def test_merged_sign_round_matches_direct_sign_many_per_tenant():
 
     signatures, round_log = asyncio.run(drive())
     assert round_log == [(0, "sign", 8)]
-    direct_store = ShardedKeyStore(shards=1, master_seed=20)
-    for tenant in dict.fromkeys(tenants):
+    for tenant, twin in twins.items():
         lanes = [i for i, t in enumerate(tenants) if t == tenant]
-        direct = direct_store.signer(tenant, 8).sign_many(
-            [messages[i] for i in lanes])
+        direct = twin.sign_many([messages[i] for i in lanes])
         assert [(signatures[i].salt, signatures[i].compressed)
                 for i in lanes] == [(s.salt, s.compressed) for s in direct]
 

@@ -9,6 +9,7 @@ happened.
 """
 
 import asyncio
+import copy
 import struct
 
 import pytest
@@ -110,14 +111,17 @@ def test_server_refuses_an_empty_token():
 
 # -- loopback helpers --------------------------------------------------------
 
-def _serve(test_body, *, master_seed=21, n=8, tokens=None,
+def _serve(test_body, *, master_seed=21, store=None, n=8, tokens=None,
            rate_limit=None, clock=None, worker_pool=None,
            max_batch=8, max_wait=0.01):
     """Run ``await test_body(service, server)`` against a live
-    loopback server, then drain everything."""
+    loopback server over ``store`` (default: a fresh 2-shard store
+    from ``master_seed``), then drain everything."""
 
     async def drive():
-        store = ShardedKeyStore(shards=2, master_seed=master_seed)
+        nonlocal store
+        if store is None:
+            store = ShardedKeyStore(shards=2, master_seed=master_seed)
         service = SigningService(store, n=n, max_batch=max_batch,
                                  max_wait=max_wait,
                                  worker_pool=worker_pool)
@@ -164,12 +168,14 @@ def _error_code(frame: bytes) -> int:
 
 def test_loopback_round_trip_and_byte_identity():
     """The tentpole acceptance criterion: signatures that travelled
-    the wire are byte-identical to a direct ``sign_many`` over the
-    same deployment seed.  Signatures are chunking-faithful (a round
-    of six is not six rounds of one), so the frames are pipelined and
-    the batch window held open until all six coalesce into one round
-    — the direct call's exact shape."""
+    the wire are byte-identical to a direct ``sign_many`` by a copy of
+    the served key taken before serving.  Signatures are
+    chunking-faithful (a round of six is not six rounds of one), so
+    the frames are pipelined and the batch window held open until all
+    six coalesce into one round — the direct call's exact shape."""
     messages = [b"wire-%d" % i for i in range(6)]
+    store = ShardedKeyStore(shards=2, master_seed=22)
+    twin = copy.deepcopy(store.signer("tenant-a", 8))
 
     async def body(service, server):
         async with await NetClient.connect(
@@ -181,11 +187,9 @@ def test_loopback_round_trip_and_byte_identity():
                   for m, s in zip(messages, signatures)])
         return signatures, verdicts
 
-    signatures, verdicts = _serve(body, master_seed=22,
-                                  max_wait=0.3)
+    signatures, verdicts = _serve(body, store=store, max_wait=0.3)
     assert verdicts == [True] * len(messages)
-    direct = ShardedKeyStore(shards=2, master_seed=22) \
-        .signer("tenant-a", 8).sign_many(messages)
+    direct = twin.sign_many(messages)
     assert [(s.salt, s.compressed) for s in signatures] == \
         [(s.salt, s.compressed) for s in direct]
 
@@ -563,30 +567,34 @@ def test_client_close_fails_pending_cleanly():
 
 # -- multi-process shard workers ---------------------------------------------
 
-def test_worker_pool_signatures_byte_identical_to_direct():
-    """Two real worker processes; the bytes coming back across the
-    process boundary match a direct in-process ``sign_many`` over the
-    same deployment seed."""
+@pytest.mark.parametrize("backing", ["memory", "directory"])
+def test_worker_pool_signs_under_the_published_key(tmp_path, backing):
+    """Two real worker processes sign with the keys the parent's store
+    ships: over a memory-only or a directory-backed store, the
+    signatures coming back across the process boundary verify under
+    the key the store publishes, in the worker and in the parent, and
+    no two share a salt."""
     messages = [b"mp-%d" % i for i in range(4)]
-    with ShardWorkerPool(shards=2, master_seed=31) as pool:
-        store = ShardedKeyStore(shards=2, master_seed=31)
-        shard = store.shard_for("tenant-a")
-        lanes = ["tenant-a"] * len(messages)
+    store = ShardedKeyStore(tmp_path if backing == "directory" else None,
+                            shards=2, master_seed=31)
+    shard = store.shard_for("tenant-a")
+    lanes = ["tenant-a"] * len(messages)
+    with ShardWorkerPool(store) as pool:
         outcome = pool.run_round(shard, lanes, "sign", 8, messages)
         verdicts = pool.run_round(shard, lanes, "verify", 8, messages,
                                   signatures=outcome)
     assert verdicts == [True] * len(messages)
-    direct = ShardedKeyStore(shards=2, master_seed=31) \
-        .signer("tenant-a", 8).sign_many(messages)
-    assert [(s.salt, s.compressed) for s in outcome] == \
-        [(s.salt, s.compressed) for s in direct]
+    assert store.public_key("tenant-a", 8).verify_many(
+        messages, outcome) == [True] * len(messages)
+    assert len({s.salt for s in outcome}) == len(messages)
 
 
 def test_worker_pool_runs_merged_cross_tenant_verify_round():
     """A merged verify round crosses the process boundary with its
     per-lane tenant list; each lane checks against its own tenant's
     key inside the worker."""
-    with ShardWorkerPool(shards=1, master_seed=34) as pool:
+    with ShardWorkerPool(ShardedKeyStore(shards=1,
+                                         master_seed=34)) as pool:
         sig_a, sig_b = pool.run_round(0, ["tenant-a", "tenant-b"],
                                       "sign", 8, [b"a", b"b"])
         verdicts = pool.run_round(
@@ -594,7 +602,8 @@ def test_worker_pool_runs_merged_cross_tenant_verify_round():
             [b"a", b"b", b"a"],
             signatures=[sig_a, sig_b, sig_a])
     assert verdicts == [True, True, False]
-    with ShardWorkerPool(shards=1, master_seed=32) as pool:
+    with ShardWorkerPool(ShardedKeyStore(shards=1,
+                                         master_seed=32)) as pool:
         # No key exists at n=7: the checkout fails that lane.
         failed = pool.run_round(0, ["tenant-a"], "sign", 7, [b"bad-n"])
         assert isinstance(failed[0], ValueError)
@@ -604,77 +613,147 @@ def test_worker_pool_runs_merged_cross_tenant_verify_round():
         assert pool.running
 
 
-def _bytes(signatures):
-    return [(s.salt, s.compressed) for s in signatures]
-
-
-def test_worker_pool_merged_sign_round_matches_direct_per_key():
+def test_worker_pool_merged_sign_round_signs_each_lane_under_its_key():
     """A merged sign round crosses the process boundary with its
-    per-lane tenant list: each tenant's lanes equal a direct
-    ``sign_many`` over them on a fresh store, checked out in the
-    round's first-arrival order."""
+    per-lane tenant list: each tenant's lanes verify under that
+    tenant's published key and under no other tenant's, and no two
+    lanes share a salt."""
     tenants = ["tenant-a", "tenant-b", "tenant-a", "tenant-c",
                "tenant-b", "tenant-a"]
     messages = [b"merged-mp-%d" % i for i in range(len(tenants))]
-    with ShardWorkerPool(shards=1, master_seed=36) as pool:
-        signed = pool.run_round(0, tenants, "sign", 8, messages)
     store = ShardedKeyStore(shards=1, master_seed=36)
+    with ShardWorkerPool(store) as pool:
+        signed = pool.run_round(0, tenants, "sign", 8, messages)
+    assert len({s.salt for s in signed}) == len(tenants)
     for tenant in dict.fromkeys(tenants):
-        lanes = [i for i, t in enumerate(tenants) if t == tenant]
-        direct = store.signer(tenant, 8).sign_many(
-            [messages[i] for i in lanes])
-        assert _bytes(signed[i] for i in lanes) == _bytes(direct)
+        public_key = store.public_key(tenant, 8)
+        assert [public_key.verify(m, s)
+                for m, s in zip(messages, signed)] == \
+            [t == tenant for t in tenants]
 
 
 def test_worker_pool_poisoned_tenant_fails_only_its_own_lanes():
-    """The worker's first keystore claim fails (the plan arms the
-    worker's store), so the tenant checked out first in a merged round
-    gets the error on exactly its lanes; the other tenant's lanes sign
-    as a direct store under the same plan would sign them, and the
+    """The store's first keystore claim fails (the plan arms the
+    parent's store, where keys are checked out), so the tenant checked
+    out first in a merged round gets the error on exactly its lanes;
+    the other tenant's lanes sign under its published key, and the
     worker keeps serving."""
     plan = FaultPlan(seed=3, fail_claim=1.0, max_per_site=1)
     tenants = ["tenant-poison", "tenant-a", "tenant-poison", "tenant-a"]
     messages = [b"poison-mp-%d" % i for i in range(len(tenants))]
-    with ShardWorkerPool(shards=1, master_seed=38,
-                         fault_plan=plan) as pool:
+    store = ShardedKeyStore(shards=1, master_seed=38, fault_plan=plan)
+    with ShardWorkerPool(store, fault_plan=plan) as pool:
         results = pool.run_round(0, tenants, "sign", 8, messages)
         retry = pool.run_round(0, ["tenant-poison"], "sign", 8,
                                [b"retry"])
         assert pool.running
     assert [type(r) for r in results[::2]] == [InjectedFault] * 2
-    store = ShardedKeyStore(shards=1, master_seed=38, fault_plan=plan)
-    with pytest.raises(InjectedFault):
-        store.signer("tenant-poison", 8)
-    direct = store.signer("tenant-a", 8).sign_many(messages[1::2])
-    assert _bytes(results[1::2]) == _bytes(direct)
-    assert _bytes(retry) == _bytes(
-        store.signer("tenant-poison", 8).sign_many([b"retry"]))
+    assert store.public_key("tenant-a", 8).verify_many(
+        messages[1::2], results[1::2]) == [True, True]
+    assert store.public_key("tenant-poison", 8).verify(b"retry",
+                                                       retry[0])
 
 
 def test_worker_pool_lifecycle_guards():
-    pool = ShardWorkerPool(shards=1, master_seed=33)
+    store = ShardedKeyStore(shards=1, master_seed=33)
+    pool = ShardWorkerPool(store)
+    assert pool.shards == store.shards
     with pytest.raises(ShardWorkerError):
         pool.run_round(0, ["tenant-a"], "sign", 8, [b"not-started"])
     pool.start()
     try:
         with pytest.raises(ValueError):
             pool.run_round(5, ["tenant-a"], "sign", 8, [b"no-shard"])
+        # A service routes with its own store, so a pool must ship
+        # that store's keys: a pool over another store is refused.
+        with pytest.raises(ValueError, match="store"):
+            SigningService(ShardedKeyStore(shards=1, master_seed=33),
+                           worker_pool=pool)
     finally:
         pool.stop()
     assert not pool.running
     pool.stop()  # idempotent
 
 
+class _ScriptedPipe:
+    """A worker's end of the pipe, fed a fixed list of tasks."""
+
+    def __init__(self, tasks):
+        self._tasks = [*tasks, None]  # then the orderly-drain sentinel
+        self.replies = []
+
+    def recv(self):
+        return self._tasks.pop(0)
+
+    def send(self, reply):
+        self.replies.append(reply)
+
+    def close(self):
+        pass
+
+
+def test_worker_keeps_one_load_per_tenant_until_its_key_changes(
+        monkeypatch):
+    """Run in-process on a scripted pipe, a worker decodes a tenant's
+    secret key once and builds its public key once while rounds ship
+    equal keys (equal bytes and coefficients, not the same objects, as
+    unpickling makes them), and replaces the load when a round ships a
+    different key, as after a rotation."""
+    from repro.falcon import scheme, serialize
+    from repro.falcon.serving.workers import _worker_main
+
+    store = ShardedKeyStore(shards=1, master_seed=37)
+    retired = store.encoded_secret_key("tenant-a", 8)
+    old_key = store.public_key("tenant-a", 8)
+    store.rotate(8)
+    fresh = store.encoded_secret_key("tenant-a", 8)
+    decoded, built = [], []
+    real_decode = serialize.decode_secret_key
+
+    def counting_decode(data, **kwargs):
+        decoded.append(data)
+        return real_decode(data, **kwargs)
+
+    class CountingPublicKey(scheme.PublicKey):
+        def __init__(self, n, h):
+            built.append(h)
+            super().__init__(n, h)
+
+    monkeypatch.setattr(serialize, "decode_secret_key", counting_decode)
+    monkeypatch.setattr(scheme, "PublicKey", CountingPublicKey)
+    messages = [b"load-%d" % i for i in range(4)]
+    pipe = _ScriptedPipe(
+        ("sign", 8, {"tenant-a": bytes(bytearray(blob))}, ["tenant-a"],
+         [message], None)
+        for blob, message in zip([retired, retired, fresh, fresh],
+                                 messages))
+    _worker_main(pipe, "chacha20")
+    assert decoded == [retired, fresh]
+    signatures = [Signature(salt=salt, compressed=compressed)
+                  for status, [(salt, compressed)] in pipe.replies]
+    assert old_key.verify_many(messages[:2], signatures[:2]) == [True] * 2
+    assert store.public_key("tenant-a", 8).verify_many(
+        messages[2:], signatures[2:]) == [True] * 2
+
+    h = store.public_key("tenant-a", 8).h
+    pipe = _ScriptedPipe(
+        ("verify", 8, {"tenant-a": list(h)}, ["tenant-a"], [message],
+         [(signature.salt, signature.compressed)])
+        for message, signature in zip(messages[2:], signatures[2:]))
+    _worker_main(pipe, "chacha20")
+    assert pipe.replies == [("ok", [True])] * 2
+    assert built == [h]
+
+
 def test_service_over_worker_pool_end_to_end():
     """SigningService → ShardWorkerPool → worker processes: coalesced
-    rounds run out-of-process and still verify in-process.  One round
-    of five (window held open, max_batch above the count) replays the
-    direct call's chunking, so the bytes must match exactly."""
+    rounds run out-of-process, with the keys the service's store
+    ships, and verify in-process under the keys it publishes."""
     messages = [b"svc-mp-%d" % i for i in range(5)]
+    store = ShardedKeyStore(shards=2, master_seed=34)
 
     async def drive():
-        store = ShardedKeyStore(shards=2, master_seed=34)
-        with ShardWorkerPool(shards=2, master_seed=34) as pool:
+        with ShardWorkerPool(store) as pool:
             async with SigningService(store, n=8, max_batch=8,
                                       max_wait=0.3,
                                       worker_pool=pool) as service:
@@ -687,10 +766,9 @@ def test_service_over_worker_pool_end_to_end():
 
     signatures, verdicts = asyncio.run(drive())
     assert verdicts == [True] * len(messages)
-    direct = ShardedKeyStore(shards=2, master_seed=34) \
-        .signer("tenant-a", 8).sign_many(messages)
-    assert [(s.salt, s.compressed) for s in signatures] == \
-        [(s.salt, s.compressed) for s in direct]
+    assert store.public_key("tenant-a", 8).verify_many(
+        messages, signatures) == [True] * len(messages)
+    assert len({s.salt for s in signatures}) == len(messages)
 
 
 def test_wire_over_worker_pool_full_stack():
@@ -704,5 +782,6 @@ def test_wire_over_worker_pool_full_stack():
             assert await client.verify("tenant-a", b"full-stack",
                                        signature)
 
-    with ShardWorkerPool(shards=2, master_seed=35) as pool:
-        _serve(body, master_seed=35, worker_pool=pool)
+    store = ShardedKeyStore(shards=2, master_seed=35)
+    with ShardWorkerPool(store) as pool:
+        _serve(body, store=store, worker_pool=pool)
