@@ -26,6 +26,11 @@ single-core container serializes the workers).  The scalar and numpy
 spines generate byte-identical keys for the same seeds (the spine
 contract, pinned by the KAT suite); only the clock differs.
 
+A **key-load** row per degree times what every shed load, pool-worker
+load and restart pays: the median ms of ``decode_secret_key`` alone,
+and of a decode plus the loaded key's first signature (which builds
+its ffLDL* tree), on each spine.
+
 Results go to the text report and to
 ``benchmarks/reports/BENCH_keygen.json``.  Runs standalone
 (``PYTHONPATH=src python benchmarks/bench_keygen.py --quick``) or
@@ -41,6 +46,7 @@ import platform
 import sys
 import time
 from contextlib import nullcontext
+from statistics import median
 
 import pytest
 
@@ -50,7 +56,10 @@ from repro.falcon import (
     NtruKeys,
     NtruSolveError,
     Q,
+    SecretKey,
+    decode_secret_key,
     div_ntt,
+    encode_secret_key,
     generate_keys,
     gram_schmidt_norm_sq,
     is_invertible,
@@ -81,6 +90,9 @@ SKIP_SEED_PIPELINE_FROM = 1024
 
 #: Process-pool width for the pooled serving row.
 POOL_WORKERS = 4
+
+#: Timed loads per spine in the key-load row (it reports the median).
+LOAD_RUNS = 9
 
 
 def _spine(name: str):
@@ -154,6 +166,26 @@ def _pooled_rate(n: int, keys: int, workers: int) -> float:
         store.close()
 
 
+def _key_load_ms(n: int, seed: int, spine: str) -> dict:
+    """Median ms of ``decode_secret_key`` alone and of a decode plus
+    the loaded key's first signature, on ``spine`` (after one untimed
+    load that warms the per-degree tables)."""
+    encoded = encode_secret_key(SecretKey.generate(n=n, seed=seed))
+    decode, first_sign = [], []
+    with _spine(spine):
+        decode_secret_key(encoded).sign(b"warm-up")
+        for run in range(LOAD_RUNS):
+            started = time.perf_counter()
+            key = decode_secret_key(encoded)
+            decoded = time.perf_counter()
+            key.sign(b"key-load-%d" % run)
+            signed = time.perf_counter()
+            decode.append(decoded - started)
+            first_sign.append(signed - started)
+    return {"decode": round(1000 * median(decode), 2),
+            "decode_first_sign": round(1000 * median(first_sign), 2)}
+
+
 def run_sweep(degrees=DEGREES, keys: int = 8, seed_base: int = 1,
               quick: bool = False, workers: int = POOL_WORKERS) -> dict:
     if quick:
@@ -187,6 +219,9 @@ def run_sweep(degrees=DEGREES, keys: int = 8, seed_base: int = 1,
         levels[n] = {
             "keys_per_sec": {name: round(rate, 2)
                              for name, rate in rows.items()},
+            "key_load_ms": {spine: _key_load_ms(n, seed_base, spine)
+                            for spine in ["scalar"]
+                            + (["numpy"] if HAVE_NUMPY else [])},
             "vectorized_speedup_vs_scalar":
                 round(vectorized / rows["scalar"], 2)
                 if vectorized else None,
@@ -206,6 +241,7 @@ def run_sweep(degrees=DEGREES, keys: int = 8, seed_base: int = 1,
         "cpu_count": os.cpu_count(),
         "keys_per_row": keys,
         "pool_workers": workers,
+        "key_load_runs": LOAD_RUNS,
         "levels": levels,
     }
 
@@ -220,7 +256,16 @@ def render_report(payload: dict) -> str:
         title="Falcon key-generation throughput "
               f"({payload['keys_per_row']} keys per row; the scalar "
               "and numpy spines emit identical keys per seed)")
-    lines = [table, ""]
+    load_rows = [[f"n={n}", spine, f"{load['decode']:,.2f}",
+                  f"{load['decode_first_sign']:,.2f}"]
+                 for n, level in payload["levels"].items()
+                 for spine, load in level["key_load_ms"].items()]
+    load_table = format_table(
+        ["degree", "spine", "decode ms", "decode + first sign ms"],
+        load_rows,
+        title="Key load: decode_secret_key, then the loaded key's first "
+              f"signature (median of {payload['key_load_runs']})")
+    lines = [table, "", load_table, ""]
     for n, level in payload["levels"].items():
         if level["vectorized_speedup_vs_scalar"]:
             seed_part = (

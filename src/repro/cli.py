@@ -476,9 +476,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
     store = ShardedKeyStore(
         args.keystore, shards=args.shards, master_seed=args.seed,
-        prng=args.prng, low_watermark=args.watermark,
-        refill_target=(2 * args.watermark if args.watermark else None),
-        fault_plan=chaos)
+        prng=args.prng, low_watermark=args.watermark, fault_plan=chaos)
     if args.provision:
         print(f"provisioning {args.provision} Falcon-{args.n} keys "
               f"per shard ...")

@@ -245,7 +245,8 @@ def ffsampling_traces(n: int = 64, rounds: int = 4, lanes: int = 4,
         def sample_lanes(self, centers, sigma):
             return [self.sample(center, sigma) for center in centers]
 
-    f_fft, big_f_fft = sk._key_target_ffts()
+    f_fft, big_f_fft = (fft([float(c) for c in poly])
+                        for poly in (sk.keys.f, sk.keys.F))
     for round_index in range(rounds):
         hashed = [hash_to_point(b"leak-probe-%d-%d"
                                 % (round_index, lane),

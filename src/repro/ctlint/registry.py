@@ -64,8 +64,6 @@ class LintRegistry:
             "sign_batch",
             "_attempt_lanes_scalar",
             "_attempt_lanes_numpy",
-            "_key_target_ffts",
-            "_key_rows",
             # key material
             "generate_keys",
             "load_secret_key",

@@ -33,7 +33,6 @@ from .fft import (
     merge_fft,
     merge_fft_array,
     mul_fft,
-    mul_fft_array,
     neg_fft,
     round_ifft,
     round_ifft_array,
@@ -186,7 +185,6 @@ __all__ = [
     "merge_fft",
     "merge_fft_array",
     "mul_fft",
-    "mul_fft_array",
     "mul_ntt",
     "mul_ntt_array",
     "mul_ntt_rows_array",
@@ -212,16 +210,20 @@ __all__ = [
 def _scalar_spine():
     """Run the scalar spine on a NumPy host within a ``with`` block.
 
-    Hides NumPy from the four modules that pick a spine — signing,
-    batch verification, keygen and the CDT block sampler — and restores
-    it on exit.  Both spines give identical bytes; this exists so
-    tests and benchmarks can force the route the platform would not
-    take.
+    Hides NumPy from the five modules that pick a spine — signing and
+    key loading, batch verification, keygen, the NTT products and the
+    CDT block sampler — and restores it on exit.  Both spines give
+    identical bytes; this exists so tests and benchmarks can force the
+    route the platform would not take.
     """
+    from importlib import import_module
+
     from ..baselines import cdt
     from . import batchverify, ntrugen, scheme
 
-    modules = (scheme, batchverify, ntrugen, cdt)
+    # The package attribute ``ntt`` is the function, not the module.
+    ntt = import_module(".ntt", __name__)
+    modules = (scheme, batchverify, ntrugen, ntt, cdt)
     saved = [module._np for module in modules]
     for module in modules:
         module._np = None

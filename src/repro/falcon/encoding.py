@@ -59,64 +59,13 @@ class DecompressError(Exception):
     """Malformed or non-canonical compressed signature."""
 
 
-class _BitWriter:
-    def __init__(self) -> None:
-        self.bits: list[int] = []
-
-    def write(self, bit: int) -> None:
-        self.bits.append(bit)
-
-    def write_int(self, value: int, width: int) -> None:
-        for position in range(width - 1, -1, -1):
-            self.bits.append((value >> position) & 1)
-
-    def to_bytes(self, total_bits: int) -> bytes:
-        if len(self.bits) > total_bits:
-            raise CompressError(
-                f"needs {len(self.bits)} bits > budget {total_bits}")
-        padded = self.bits + [0] * (total_bits - len(self.bits))
-        out = bytearray()
-        for start in range(0, len(padded), 8):
-            byte = 0
-            for bit in padded[start:start + 8]:
-                byte = (byte << 1) | bit
-            out.append(byte)
-        return bytes(out)
-
-
-class _BitReader:
-    def __init__(self, data: bytes) -> None:
-        self.data = data
-        self.position = 0
-
-    def read(self) -> int:
-        byte_index, bit_index = divmod(self.position, 8)
-        if byte_index >= len(self.data):
-            raise DecompressError("compressed signature truncated")
-        self.position += 1
-        return (self.data[byte_index] >> (7 - bit_index)) & 1
-
-    def read_int(self, width: int) -> int:
-        value = 0
-        for _ in range(width):
-            value = (value << 1) | self.read()
-        return value
-
-    def remaining_all_zero(self) -> bool:
-        total = len(self.data) * 8
-        while self.position < total:
-            if self.read():
-                return False
-        return True
-
-
 def compress(coefficients: list[int], payload_bits: int) -> bytes:
     """Compress ``s2`` into exactly ``ceil(payload_bits / 8)`` bytes.
 
     The bit stream is accumulated in one Python bigint (a sentinel top
     bit preserves leading zeros) instead of a per-bit list — the signer
-    compresses every signature, so this path is hot.  The emitted bytes
-    are identical to the straightforward :class:`_BitWriter` form.
+    compresses every signature, so this path is hot.  The bytes are the
+    records written MSB first, one after another, then zero padding.
     """
     acc = 1  # sentinel: keeps leading zero bits in the integer
     bits = 0

@@ -25,8 +25,9 @@ Array kernels
 -------------
 When NumPy is installed, every transform also exists in an array form
 (:func:`fft_array`, :func:`ifft_array`, :func:`split_fft_array`,
-:func:`merge_fft_array`, and the pointwise ``*_array`` helpers) working
-on ``complex128`` arrays of shape ``(..., n)`` — leading axes are
+:func:`merge_fft_array`; pointwise products and quotients are
+:func:`cmul` and :func:`cdiv`, the adjoint is ``np.conj``) working on
+``complex128`` arrays of shape ``(..., n)`` — leading axes are
 independent lanes, which is how the batch signing path runs one kernel
 pass over a whole batch of messages.
 
@@ -427,28 +428,10 @@ def fft_of_int_rows(rows):
     round-to-nearest int-to-float conversion as the scalar
     ``float(c)`` cast, so each output row is bit-identical to
     ``fft_of_int_poly`` of that row (the keygen pipeline's batched
-    Gram–Schmidt filter relies on this).
+    Gram–Schmidt filter and a NumPy-leg key's basis rely on this).
     """
     _require_numpy()
     return fft_array(_np.asarray(rows, dtype=_np.float64))
-
-
-def mul_fft_array(a, b):
-    """Pointwise product (array form of :func:`mul_fft`)."""
-    _require_numpy()
-    return cmul(_as_complex_array(a), _as_complex_array(b))
-
-
-def div_fft_array(a, b):
-    """Pointwise quotient (array form of :func:`div_fft`)."""
-    _require_numpy()
-    return cdiv(_as_complex_array(a), _as_complex_array(b))
-
-
-def adj_fft_array(a):
-    """Adjoint (array form of :func:`adj_fft`)."""
-    _require_numpy()
-    return _np.conj(_as_complex_array(a))
 
 
 def round_ifft_array(values):

@@ -31,7 +31,7 @@ path.  :class:`KeyStore` is that layer:
   regenerates a fresh cohort;
 * **watermark refill**: with ``low_watermark`` set, every checkout
   that leaves the pool below the watermark triggers a refill up to
-  ``refill_target`` on a background thread, so the serving path never
+  ``2 * low_watermark`` on a background thread, so the serving path never
   blocks on key generation (the dry-``acquire`` inline fallback
   remains as a last resort);
 * **metrics**: :meth:`stats` snapshots pool depth, checkout counts,
@@ -250,8 +250,8 @@ class KeyStore:
 
     ``low_watermark > 0`` arms watermark refill: a checkout leaving
     fewer than ``low_watermark`` pooled keys schedules a refill up to
-    ``refill_target`` (default ``2 * low_watermark``) on a daemon
-    thread; :meth:`join_refills` waits for it.
+    ``2 * low_watermark`` on a daemon thread; :meth:`join_refills`
+    waits for it.
     """
 
     def __init__(self, directory: str | Path | None = None, *,
@@ -259,15 +259,12 @@ class KeyStore:
                  prng: str = "chacha20",
                  workers: int = 1,
                  low_watermark: int = 0,
-                 refill_target: int | None = None,
                  stale_claim_seconds: float = _STALE_CLAIM_SECONDS,
                  fault_plan=None) -> None:
         if workers < 1:
             raise ValueError("workers must be at least 1")
         if low_watermark < 0:
             raise ValueError("low_watermark must be non-negative")
-        if refill_target is not None and refill_target < low_watermark:
-            raise ValueError("refill_target must be >= low_watermark")
         if stale_claim_seconds <= 0:
             raise ValueError("stale_claim_seconds must be positive")
         self.directory = Path(directory) if directory is not None else None
@@ -275,8 +272,6 @@ class KeyStore:
         self.prng = prng
         self.workers = workers
         self.low_watermark = low_watermark
-        self.refill_target = (refill_target if refill_target is not None
-                              else 2 * low_watermark)
         self.stale_claim_seconds = stale_claim_seconds
         # Fault injection (duck-typed: anything with an ``injector()``
         # returning claim_action/refill_should_fail/refill_stall/error
@@ -744,7 +739,7 @@ class KeyStore:
                     if self._faults.refill_should_fail():
                         raise self._faults.error(
                             "injected refill failure")
-                deficit = self.refill_target - self.available(n)
+                deficit = 2 * self.low_watermark - self.available(n)
                 if deficit > 0:
                     started = time.perf_counter()
                     self.generate_ahead(n, deficit)
@@ -807,8 +802,8 @@ class KeyStore:
         fresh-generation key.  Retired slots are burned — the monotone
         index sequence guarantees their seeds are never derived again.
         Returns the number of retired pool entries; with
-        ``regenerate`` (or a configured ``refill_target``) a fresh
-        cohort is generated immediately.
+        ``regenerate`` (or an armed watermark, ``2 * low_watermark``
+        keys) a fresh cohort is generated immediately.
         """
         with self._manifest_lock():
             self._reload_state()
@@ -825,7 +820,7 @@ class KeyStore:
             pool.clear()
             self._stats.retired += retired
         count = (regenerate if regenerate is not None
-                 else self.refill_target)
+                 else 2 * self.low_watermark)
         if count > 0:
             self.generate_ahead(n, count)
         return retired

@@ -19,7 +19,8 @@ bound grows by at most ``q`` per forward stage and doubles per inverse
 stage — at ``n = 2048`` everything stays far below 2^64), and a single
 reduction lands at the end.  All arithmetic is exact, so the array
 path returns the same integers as the scalar one — batch verification
-leans on that.
+leans on that, and :func:`mul_ntt` and :func:`div_ntt` run on the array
+kernels whenever NumPy imports.
 """
 
 from __future__ import annotations
@@ -121,19 +122,31 @@ def intt(values: Sequence[int]) -> list[int]:
 
 
 def mul_ntt(a: Sequence[int], b: Sequence[int]) -> list[int]:
-    """Product in ``Z_q[x]/(x^n + 1)`` via NTT."""
+    """Product in ``Z_q[x]/(x^n + 1)`` via NTT (the array kernels when
+    NumPy imports; the integers are the same)."""
+    if _np is not None:
+        return mul_ntt_array(a, b).tolist()
     fa = ntt(a)
     fb = ntt(b)
     return intt([x * y % Q for x, y in zip(fa, fb)])
 
 
 def div_ntt(a: Sequence[int], b: Sequence[int]) -> list[int]:
-    """Quotient ``a / b``; raises ZeroDivisionError if b not invertible."""
-    fa = ntt(a)
-    fb = ntt(b)
+    """Quotient ``a / b``; raises ZeroDivisionError if b not invertible.
+
+    Like :func:`mul_ntt`, it transforms with the array kernels when
+    NumPy imports.
+    """
+    if _np is not None:
+        fa, fb = ntt_array(_np.array([a, b], dtype=_np.int64)).tolist()
+    else:
+        fa, fb = ntt(a), ntt(b)
     if any(x == 0 for x in fb):
         raise ZeroDivisionError("divisor not invertible mod q")
-    return intt([x * pow(y, -1, Q) % Q for x, y in zip(fa, fb)])
+    quotient = [x * pow(y, -1, Q) % Q for x, y in zip(fa, fb)]
+    if _np is not None:
+        return intt_array(quotient).tolist()
+    return intt(quotient)
 
 
 def is_invertible(a: Sequence[int]) -> bool:

@@ -54,6 +54,7 @@ from .fft import (
     cmul,
     fft_array,
     fft_of_int_poly,
+    fft_of_int_rows,
     mul_fft,
     neg_fft,
     round_ifft,
@@ -192,25 +193,28 @@ class PublicKey:
         self.h = h
         self.params: FalconParams = falcon_params(n)
         self._h_ntt: list[int] | None = None
-        self._h_ntt_row = None  # NumPy uint64 mirror of the above
+        self._h_ntt_row = None  # the same values, from the array NTT
 
     @property
     def h_ntt(self) -> list[int]:
-        """NTT of ``h``, computed once — every verification reuses it."""
+        """NTT of ``h`` as a list, computed once by the scalar NTT —
+        every scalar-spine verification reuses it."""
         if self._h_ntt is None:
             self._h_ntt = ntt(self.h)
         return self._h_ntt
 
     @property
     def h_ntt_row(self):
-        """Cached ``uint64`` NumPy mirror of :attr:`h_ntt` — the row
-        the cross-key batch engine stacks into its ``(batch, n)``
-        matrix.  Requires NumPy."""
+        """NTT of ``h`` as a read-only ``uint64`` row, computed once by
+        the array NTT — the row the cross-key batch engine stacks into
+        its ``(batch, n)`` matrix.  Requires NumPy."""
         if self._h_ntt_row is None:
             if _np is None:
                 raise RuntimeError(
                     "NumPy is required for h_ntt_row; use h_ntt")
-            self._h_ntt_row = _np.array(self.h_ntt, dtype=_np.uint64)
+            row = ntt_array(self.h)
+            row.setflags(write=False)
+            self._h_ntt_row = row
         return self._h_ntt_row
 
     def _mul_h(self, s2: list[int]) -> list[int]:
@@ -273,7 +277,13 @@ class PublicKey:
 
 class SecretKey:
     """Signing key: the NTRU trapdoor, its basis and Gram matrix in FFT
-    form, and (built on first use) the ffLDL* tree."""
+    form, and (built on first use) the ffLDL* tree.
+
+    The basis and Gram rows follow the platform: read-only
+    ``complex128`` arrays from one batched FFT and the array kernels
+    when NumPy imports, lists from the list kernels otherwise.  Both
+    hold the same values slot for slot.
+    """
 
     def __init__(self, keys: NtruKeys,
                  source: RandomSource | None = None,
@@ -283,27 +293,29 @@ class SecretKey:
         self.params = falcon_params(self.n)
         self.source = source if source is not None else default_source()
 
-        # Basis in FFT form: B = [[g, -f], [G, -F]].
-        self._b00 = fft_of_int_poly(keys.g)
-        self._b01 = neg_fft(fft_of_int_poly(keys.f))
-        self._b10 = fft_of_int_poly(keys.G)
-        self._b11 = neg_fft(fft_of_int_poly(keys.F))
+        # Basis B = [[g, -f], [G, -F]] as (b00, b01, b10, b11) and
+        # Gram = B B^dagger (the ffLDL* tree's input) in FFT form.
+        if _np is not None:
+            rows = fft_of_int_rows([keys.g, keys.f, keys.G, keys.F])
+            _np.negative(rows[1::2], out=rows[1::2])
+            mul, adj, add = cmul, _np.conj, _np.add
+        else:
+            rows = [fft_of_int_poly(keys.g),
+                    neg_fft(fft_of_int_poly(keys.f)),
+                    fft_of_int_poly(keys.G),
+                    neg_fft(fft_of_int_poly(keys.F))]
+            mul, adj, add = mul_fft, adj_fft, add_fft
+        b00, b01, b10, b11 = self._basis = tuple(rows)
+        self._gram = (add(mul(b00, adj(b00)), mul(b01, adj(b01))),
+                      add(mul(b00, adj(b10)), mul(b01, adj(b11))),
+                      add(mul(b10, adj(b10)), mul(b11, adj(b11))))
+        if _np is not None:
+            # A one-key round hands these rows to the kernels uncopied.
+            for row in (*self._basis, *self._gram):
+                row.setflags(write=False)
 
-        # Gram = B B^dagger, the input of the ffLDL* tree.
-        g00 = add_fft(mul_fft(self._b00, adj_fft(self._b00)),
-                      mul_fft(self._b01, adj_fft(self._b01)))
-        g01 = add_fft(mul_fft(self._b00, adj_fft(self._b10)),
-                      mul_fft(self._b01, adj_fft(self._b11)))
-        g11 = add_fft(mul_fft(self._b10, adj_fft(self._b10)),
-                      mul_fft(self._b11, adj_fft(self._b11)))
-        self._gram = (g00, g01, g11)
-
-        # Signing caches, all derived deterministically from the key:
-        # built on first use.
+        # Built on first use, then cached.
         self._flat_tree: FlatLdlTree | None = None
-        self._target_ffts: tuple[list[complex], list[complex]] | None \
-            = None
-        self._numpy_rows: dict[str, object] | None = None
         self._public_key: PublicKey | None = None
 
         self.signing_attempts = 0
@@ -387,29 +399,6 @@ class SecretKey:
         # The repository benchmark's config line reads the spine here.
         return _spine_name()
 
-    def _key_target_ffts(self) -> tuple[list[complex], list[complex]]:
-        """FFTs of (f, F) used to build signing targets (cached)."""
-        # ct: allow(secret-branch): memoization presence check — whether the cache is warm is public, its contents are not
-        if self._target_ffts is None:
-            self._target_ffts = (fft_of_int_poly(self.keys.f),
-                                 fft_of_int_poly(self.keys.F))
-        return self._target_ffts
-
-    def _key_rows(self) -> dict:
-        """NumPy mirrors of the key transforms (exact copies, cached)."""
-        # ct: allow(secret-branch): memoization presence check, as in _key_target_ffts
-        if self._numpy_rows is None:
-            f_fft, big_f_fft = self._key_target_ffts()
-            self._numpy_rows = {
-                "f": _np.array(f_fft, dtype=_np.complex128),
-                "F": _np.array(big_f_fft, dtype=_np.complex128),
-                "b00": _np.array(self._b00, dtype=_np.complex128),
-                "b01": _np.array(self._b01, dtype=_np.complex128),
-                "b10": _np.array(self._b10, dtype=_np.complex128),
-                "b11": _np.array(self._b11, dtype=_np.complex128),
-            }
-        return self._numpy_rows
-
     def _prefetch_keystream(self, lanes: int) -> None:
         """Pre-generate one round's worth of keystream in bulk.
 
@@ -445,10 +434,6 @@ class SecretKey:
 
 # -- cross-key batch signing ---------------------------------------------------
 
-#: The per-key NumPy rows (``SecretKey._key_rows``) a signing round uses.
-_ROW_NAMES = ("f", "F", "b00", "b01", "b10", "b11")
-
-
 def _per_lane(items: list, counts: list[int]) -> list:
     """``items[k]`` repeated ``counts[k]`` times: one entry per lane."""
     return [items[k] for k, count in enumerate(counts) for _ in range(count)]
@@ -475,17 +460,19 @@ def _attempt_lanes_numpy(keys: list[SecretKey], counts: list[int],
     Returns per-lane ``s2`` coefficient lists (``None`` where the lane
     failed its key's norm bound).
     """
-    tables = [key._key_rows() for key in keys]
-    rows = {name: _lane_rows([table[name] for table in tables], counts)
-            for name in _ROW_NAMES}
+    # A key built inside the scalar-spine switch holds lists.
+    b00, b01, b10, b11 = (
+        _lane_rows([_np.asarray(row) for row in rows], counts)
+        for rows in zip(*(key._basis for key in keys)))
     c_fft = fft_array(_np.asarray(hashed, dtype=_np.float64))
-    t0 = _div_real(-cmul(c_fft, rows["F"]), Q)
-    t1 = _div_real(cmul(c_fft, rows["f"]), Q)
+    # Targets (c F, -c f) / q, read off b11 = -F and b01 = -f.
+    t0 = _div_real(cmul(c_fft, b11), Q)
+    t1 = _div_real(-cmul(c_fft, b01), Q)
     z0, z1 = ff_sampling_batch(t0, t1, groups=_key_groups(keys, counts))
     d0 = t0 - z0
     d1 = t1 - z1
-    s1 = round_ifft_array(cmul(d0, rows["b00"]) + cmul(d1, rows["b10"]))
-    s2 = round_ifft_array(cmul(d0, rows["b01"]) + cmul(d1, rows["b11"]))
+    s1 = round_ifft_array(cmul(d0, b00) + cmul(d1, b10))
+    s2 = round_ifft_array(cmul(d0, b01) + cmul(d1, b11))
     norms = ((s1 * s1).sum(axis=1) + (s2 * s2).sum(axis=1)).tolist()
     bounds = [key.params.sig_bound for key in _per_lane(keys, counts)]
     # ct: allow(secret-ternary): norm-bound restart selection — the public rejection event, batched
@@ -502,23 +489,25 @@ def _attempt_lanes_scalar(keys: list[SecretKey], counts: list[int],
     spine, so both produce identical signatures for a fixed seed.
     """
     lane_keys = _per_lane(keys, counts)
+    # Lists even for a key built outside the switch: CPython's complex
+    # product, never NumPy scalars' (which may round differently).
+    lane_bases = _per_lane(
+        [[row if isinstance(row, list) else row.tolist()
+          for row in key._basis] for key in keys], counts)
     t0s, t1s = [], []
-    for key, point in zip(lane_keys, hashed):
-        f_fft, big_f_fft = key._key_target_ffts()
+    for (_, b01, _, b11), point in zip(lane_bases, hashed):
         c_fft = fft_of_int_poly(point)
-        t0s.append([-(x * y) / Q
-                    for x, y in zip(c_fft, big_f_fft)])
-        t1s.append([(x * y) / Q for x, y in zip(c_fft, f_fft)])
+        t0s.append([(x * y) / Q for x, y in zip(c_fft, b11)])
+        t1s.append([-(x * y) / Q for x, y in zip(c_fft, b01)])
     z0s, z1s = ff_sampling_batch(t0s, t1s,
                                  groups=_key_groups(keys, counts))
     out = []
-    for key, t0, t1, z0, z1 in zip(lane_keys, t0s, t1s, z0s, z1s):
+    for key, (b00, b01, b10, b11), t0, t1, z0, z1 in zip(
+            lane_keys, lane_bases, t0s, t1s, z0s, z1s):
         d0 = sub_fft(t0, z0)
         d1 = sub_fft(t1, z1)
-        s1 = round_ifft(add_fft(mul_fft(d0, key._b00),
-                                mul_fft(d1, key._b10)))
-        s2 = round_ifft(add_fft(mul_fft(d0, key._b01),
-                                mul_fft(d1, key._b11)))
+        s1 = round_ifft(add_fft(mul_fft(d0, b00), mul_fft(d1, b10)))
+        s2 = round_ifft(add_fft(mul_fft(d0, b01), mul_fft(d1, b11)))
         norm_sq = sum(c * c for c in s1) + sum(c * c for c in s2)
         # ct: allow(secret-ternary): norm-bound restart selection — the public rejection event, batched
         out.append(s2 if norm_sq <= key.params.sig_bound else None)

@@ -35,7 +35,7 @@ from typing import Sequence
 
 from ..rng.source import make_source
 from .ntrugen import NtruKeys
-from .ntt import Q, div_ntt
+from .ntt import Q, center_mod_q, div_ntt, mul_ntt
 from .params import SALT_BYTES, falcon_params
 from .scheme import PublicKey, SecretKey, Signature
 
@@ -194,9 +194,10 @@ def decode_secret_key(data: bytes,
     ``G = (q + g F) / f`` over the rationals would need exact division;
     instead we solve it mod q and lift, exactly as the reference
     implementation's key-loading path: G is the unique integer solution
-    of ``f G - g F = q`` once (f, g, F) are fixed, and it equals the
-    NTT-domain quotient lifted to the centered range (its coefficients
-    are far below q/2 for valid keys).
+    of ``f G - g F = q`` once (f, g, F) are fixed, and mod q it is
+    ``g F / f = h F`` (q vanishes), so it equals ``h F`` lifted to the
+    centered range (its coefficients are far below q/2 for valid keys).
+    The NTT products run on the array kernels when NumPy imports.
 
     Every decode is a new load of the key with its own signing stream
     (salts and sampler coins): a ``prng`` source seeded by
@@ -226,18 +227,12 @@ def decode_secret_key(data: bytes,
     big_f = reader.take_signed(f_width, n)
     reader.expect_zero_padding()
 
-    from .ntt import center_mod_q, mul_ntt
-    from . import poly as poly_ops
-
-    gf_product = mul_ntt(g, big_f)
-    # ct: allow(secret-ternary): selects on the public coefficient position (index 0 holds the ring constant q), not on key values
-    numerator = [(Q if index == 0 else 0) + value
-                 for index, value in enumerate(gf_product)]
     try:
-        big_g = [center_mod_q(c) for c in div_ntt(numerator, f)]
+        h = div_ntt(g, f)
     except ZeroDivisionError as error:
         raise SerializeError("f is not invertible mod q") from error
-    keys = NtruKeys(f=f, g=g, F=big_f, G=big_g, h=div_ntt(g, f))
+    big_g = [center_mod_q(c) for c in mul_ntt(h, big_f)]
+    keys = NtruKeys(f=f, g=g, F=big_f, G=big_g, h=h)
     # ct: allow(secret-early-exit): decode integrity check — a corrupted key file failing canonically is a public event
     if not keys.verify_ntru_equation():
         raise SerializeError("decoded key fails the NTRU equation")

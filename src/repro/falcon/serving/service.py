@@ -180,7 +180,7 @@ class ServiceMetrics:
     #: Requests whose deadline passed before a result existed.
     deadline_expired: int = 0
     #: Per-round shape log ``(shard, kind, size)`` — populated only
-    #: with ``record_rounds=True`` (the CT harness reads this).
+    #: with ``record_rounds=True``, for tests that check round shapes.
     round_log: list[tuple[int, str, int]] = field(default_factory=list)
 
     @property

@@ -117,7 +117,9 @@ def flatten_ldl_tree(tree: LdlNode | LdlLeaf) -> FlatLdlTree:
 
 
 def reference_tree(secret_key) -> LdlNode | LdlLeaf:
-    """``secret_key``'s ffLDL* tree, built and normalized recursively."""
-    tree = build_ldl_tree(*secret_key._gram)
+    """``secret_key``'s ffLDL* tree, built and normalized recursively
+    over Python lists (a NumPy-leg key holds its Gram rows as arrays)."""
+    tree = build_ldl_tree(*(row if isinstance(row, list) else row.tolist()
+                            for row in secret_key._gram))
     normalize_tree(tree, secret_key.params.sigma)
     return tree

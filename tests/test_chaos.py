@@ -581,8 +581,7 @@ def test_refill_failure_recorded_and_trigger_rearmed():
     re-arms the watermark trigger — the next below-watermark checkout
     refills for real and clears the error."""
     plan = FaultPlan(seed=5, fail_refill=1.0, max_per_site=1)
-    store = KeyStore(master_seed=59, low_watermark=2, refill_target=3,
-                     fault_plan=plan)
+    store = KeyStore(master_seed=59, low_watermark=2, fault_plan=plan)
     store.generate_ahead(8, 1)
     store.acquire(8)  # empties the pool → refill fires and dies
     store.join_refills()

@@ -174,7 +174,7 @@ def test_ffsampling_vectorized_opcount_ct():
     attempt count of the rejection wrapper is public and independent of
     the accepted value, so it contributes variance but no separation.
     """
-    from repro.falcon import SecretKey, ff_sampling_batch, hash_to_point
+    from repro.falcon import SecretKey, ff_sampling_batch, fft, hash_to_point
     from repro.falcon.ntt import Q
 
     try:
@@ -200,7 +200,8 @@ def test_ffsampling_vectorized_opcount_ct():
         def sample_lanes(self, centers, sigma):
             return [self.sample(center, sigma) for center in centers]
 
-    f_fft, big_f_fft = sk._key_target_ffts()
+    f_fft, big_f_fft = (fft([float(c) for c in poly])
+                        for poly in (sk.keys.f, sk.keys.F))
     lanes = 4
     for round_index in range(12):
         hashed = [hash_to_point(b"ct-probe-%d-%d" % (round_index, lane),

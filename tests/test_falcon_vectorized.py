@@ -86,12 +86,11 @@ def test_fft_kernels_bit_identical(n):
             == fft_mod.merge_fft(even_s, odd_s)
 
         other = fft_mod.fft([rng.uniform(-10, 10) for _ in range(n)])
-        assert list(fft_mod.mul_fft_array(vector, np.array(other))) \
+        assert list(fft_mod.cmul(vector, np.array(other))) \
             == fft_mod.mul_fft(scalar, other)
-        assert list(fft_mod.div_fft_array(vector, np.array(other))) \
+        assert list(fft_mod.cdiv(vector, np.array(other))) \
             == fft_mod.div_fft(scalar, other)
-        assert list(fft_mod.adj_fft_array(vector)) \
-            == fft_mod.adj_fft(scalar)
+        assert list(np.conj(vector)) == fft_mod.adj_fft(scalar)
 
 
 @numpy_only
@@ -172,7 +171,8 @@ def test_vectorized_tree_build_bit_identical(served_key):
                SecretKey.generate(n=64, seed=22), served_key):
         _assert_trees_identical(
             build_flat_ldl_tree(*sk._gram, sk.params.sigma),
-            _build_flat_ldl_tree_lists(*sk._gram, sk.params.sigma))
+            _build_flat_ldl_tree_lists(*(row.tolist() for row in sk._gram),
+                                       sk.params.sigma))
 
 
 def test_batched_walk_matches_legacy_recursion():
@@ -231,7 +231,8 @@ def _leaf_sampler(seed, backend="bitsliced"):
 @pytest.mark.parametrize("lanes", SERVED_LANES)
 def test_batched_walk_kernels_agree_at_served_shape(served_key, lanes):
     """The NumPy walk and the list walk, real samplers, n = 512."""
-    f_fft, big_f_fft = served_key._key_target_ffts()
+    f_fft, big_f_fft = (fft_mod.fft_of_int_poly(poly)
+                        for poly in (served_key.keys.f, served_key.keys.F))
     t0, t1 = [], []
     for lane in range(lanes):
         point = fft_mod.fft_of_int_poly(
@@ -430,6 +431,49 @@ def test_sign_batch_follows_platform(spine, monkeypatch):
     signatures = sign_batch([(key, message) for message in messages])
     assert all(key.public_key.verify(message, signature)
                for message, signature in zip(messages, signatures))
+
+
+@numpy_only
+def test_key_basis_and_gram_identical_across_spines(scalar_spine):
+    """A key's basis and Gram rows: the NumPy leg's read-only arrays
+    equal the list kernels' lists slot for slot."""
+    keys = _fresh(64, 91).keys
+    with scalar_spine():
+        lists = SecretKey(keys)
+    arrays = SecretKey(keys)
+    for array_rows, list_rows in ((arrays._basis, lists._basis),
+                                  (arrays._gram, lists._gram)):
+        assert [row.tolist() for row in array_rows] == list(list_rows)
+
+
+@numpy_only
+def test_key_load_and_use_follow_platform(monkeypatch):
+    """On the NumPy leg a loaded key, its first signature and both
+    verifiers never call the list FFT or the scalar NTT.  The key is
+    generated before the patch: keygen's basis reduction still runs
+    the list FFT."""
+    from repro.falcon import (batchverify, decode_secret_key,
+                              encode_secret_key, verify_batch)
+
+    encoded = encode_secret_key(_fresh(64, 90))
+
+    def fail(*args):
+        raise AssertionError("a list kernel ran on the NumPy leg")
+
+    for module, name in ((fft_mod, "fft"), (ntt_mod, "ntt"),
+                         (ntt_mod, "intt"), (scheme, "ntt"),
+                         (scheme, "intt"), (batchverify, "ntt"),
+                         (batchverify, "intt")):
+        monkeypatch.setattr(module, name, fail)
+    key = decode_secret_key(encoded)
+    assert all(isinstance(row, np.ndarray) and not row.flags.writeable
+               for row in (*key._basis, *key._gram))
+    signature = key.sign(b"follows")
+    public_key = key.public_key
+    assert public_key.verify(b"follows", signature)
+    assert verify_batch([(public_key, b"follows", signature),
+                         (public_key, b"other", signature)]) \
+        == [True, False]
 
 
 # -- cross-key batch signing -----------------------------------------------

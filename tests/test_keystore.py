@@ -160,8 +160,6 @@ def test_workers_validation():
         KeyStore(workers=0)
     with pytest.raises(ValueError):
         KeyStore(low_watermark=-1)
-    with pytest.raises(ValueError):
-        KeyStore(low_watermark=3, refill_target=2)
 
 
 def test_concurrent_store_instances_claim_disjoint_slots(tmp_path):
@@ -294,11 +292,11 @@ def test_close_is_idempotent_and_store_survives_it():
 
 
 def test_watermark_refill_inline():
-    store = KeyStore(master_seed=41, low_watermark=2, refill_target=3)
+    store = KeyStore(master_seed=41, low_watermark=2)
     store.generate_ahead(8, 2)
-    store.acquire(8)  # leaves 1 < watermark: refills to 3
+    store.acquire(8)  # leaves 1 < watermark: refills to 2 * 2
     store.join_refills()  # waited out, the refill counts exactly once
-    assert store.available(8) == 3
+    assert store.available(8) == 4
     stats = store.stats()
     assert stats.watermark_triggers == 1
     assert stats.refills == 1
@@ -307,7 +305,7 @@ def test_watermark_refill_inline():
 
 
 def test_watermark_refill_background():
-    store = KeyStore(master_seed=42, low_watermark=1, refill_target=2)
+    store = KeyStore(master_seed=42, low_watermark=1)
     store.acquire(8)  # dry acquire, then pool is 0 < watermark
     store.join_refills()
     assert store.available(8) >= 1

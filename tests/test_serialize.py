@@ -479,13 +479,16 @@ KAT_DIR = Path(__file__).parent / "kats"
 def test_key_encoders_match_bit_reference_on_kat_keys(path):
     """Every committed keygen KAT key (n = 8 to 1024) encodes to the
     bit-by-bit reference's bytes, public and secret half, and decodes
-    back to itself."""
+    back to itself: the secret decode recomputes the same h and G."""
     kat = json.loads(path.read_text(encoding="utf-8"))
     keys = NtruKeys(f=kat["f"], g=kat["g"], F=kat["F"], G=kat["G"],
                     h=kat["h"])
     _assert_encoders_match_reference(kat["n"], keys)
     assert decode_public_key(
         encode_public_key(PublicKey(kat["n"], kat["h"]))).h == kat["h"]
+    restored = decode_secret_key(encode_secret_key(
+        SimpleNamespace(n=kat["n"], keys=keys))).keys
+    assert restored == keys
 
 
 @pytest.mark.parametrize("n", [4, 8, 16, 32, 64, 128, 256, 512, 1024])

@@ -611,7 +611,7 @@ def test_concurrency_stress_many_clients_many_tenants():
 
     async def drive():
         store = ShardedKeyStore(shards=2, master_seed=17,
-                                low_watermark=1, refill_target=2)
+                                low_watermark=1)
         service = SigningService(store, n=8, max_batch=8,
                                  max_wait=0.005, queue_depth=8)
         outcomes: list[tuple[str, bytes, object]] = []
@@ -646,7 +646,7 @@ def test_concurrency_stress_many_clients_many_tenants():
 def test_stress_concurrent_acquires_threaded_store():
     """Direct store-level issuance race: concurrent threads draining
     one watermark-refilled store must never receive the same key."""
-    store = KeyStore(master_seed=18, low_watermark=2, refill_target=4)
+    store = KeyStore(master_seed=18, low_watermark=2)
     issued: list[tuple] = []
     lock = threading.Lock()
 
