@@ -30,7 +30,9 @@ the coalescing front buys.  Rows per configuration:
   coalesced verify rounds (no signer checkout on the hot path —
   verify rounds run off the public-key cache and merge across
   tenants into maximal cross-key batches), in-process and over the
-  wire;
+  wire; **verify_t64 …** verifies one record per tenant of the
+  fan-out row's 64 warm tenants, so both shards' verify rounds run
+  at once (on the NumPy spine, on the event loop);
 * **ledger …** — the signed-ledger pipeline over the same keys:
   pre-signed records through the bounded mempool into batch-verified,
   hash-chained committed blocks; its p50/p99 column is per-*commit*
@@ -489,6 +491,12 @@ def run_sweep(n: int = 256, signs: int = 64, tenants: int = TENANTS,
     record(f"verify_{verify_label}",
            _verify_rate(store, n, messages, tenants,
                         verify_concurrency, verify_window))
+    # The fan-out store's 64 warm tenants spread over both shards, so
+    # both shards' verify rounds run at once, merging lanes across
+    # tenants.
+    record(f"verify_t{FANOUT_TENANTS}_{verify_label}",
+           _verify_rate(fanout_store, n, messages, FANOUT_TENANTS,
+                        verify_concurrency, verify_window))
     if net:
         record(f"net_verify_{verify_label}",
                _net_verify_rate(store, n, messages, tenants,
@@ -598,7 +606,7 @@ def render_report(payload: dict) -> str:
         title=f"Falcon-{payload['n']} serving throughput "
               f"({payload['signs']} requests, {payload['tenants']} "
               f"tenants, {payload['shards']} shards, c = concurrent "
-              "clients, w = batch window, fanout_t64 = 64 tenants, "
+              "clients, w = batch window, t64 = 64 tenants, "
               "mp = process shard workers, "
               "net = loopback wire protocol, chaos = seeded fault "
               "plan, verify = coalesced cross-tenant verify plane, "

@@ -134,19 +134,19 @@ def mul_ntt(a: Sequence[int], b: Sequence[int]) -> list[int]:
 def div_ntt(a: Sequence[int], b: Sequence[int]) -> list[int]:
     """Quotient ``a / b``; raises ZeroDivisionError if b not invertible.
 
-    Like :func:`mul_ntt`, it transforms with the array kernels when
-    NumPy imports.
+    Like :func:`mul_ntt`, it runs on the array kernels when NumPy
+    imports; there the divisor's NTT slots are inverted together by
+    :func:`_inverse_mod_q` instead of one ``pow`` per slot.
     """
     if _np is not None:
-        fa, fb = ntt_array(_np.array([a, b], dtype=_np.int64)).tolist()
-    else:
-        fa, fb = ntt(a), ntt(b)
+        fa, fb = ntt_array(_np.array([a, b], dtype=_np.int64))
+        if not fb.all():
+            raise ZeroDivisionError("divisor not invertible mod q")
+        return intt_array(fa * _inverse_mod_q(fb)).tolist()
+    fa, fb = ntt(a), ntt(b)
     if any(x == 0 for x in fb):
         raise ZeroDivisionError("divisor not invertible mod q")
-    quotient = [x * pow(y, -1, Q) % Q for x, y in zip(fa, fb)]
-    if _np is not None:
-        return intt_array(quotient).tolist()
-    return intt(quotient)
+    return intt([x * pow(y, -1, Q) % Q for x, y in zip(fa, fb)])
 
 
 def is_invertible(a: Sequence[int]) -> bool:
@@ -167,6 +167,40 @@ def _require_numpy() -> None:
         raise RuntimeError(
             "NumPy is required for the array NTT kernels; "
             "use the scalar functions instead")
+
+
+def _mod_q(values):
+    """``values % q`` for a ``uint64`` array, computed as
+    ``x - (x // q) * q``: exact for unsigned integers, and NumPy runs
+    unsigned floor division by a scalar through libdivide, which is
+    nearly twice as fast as its ``%``."""
+    q = _np.uint64(Q)
+    return values - (values // q) * q
+
+
+def _residues(values):
+    """Canonical residues mod q of an integer array, as a fresh
+    ``uint64`` array the transforms may overwrite.  ``uint64`` input
+    (e.g. a pointwise product of residues) takes :func:`_mod_q`; any
+    other goes through ``int64`` so negative coefficients reduce
+    correctly."""
+    a = _np.asarray(values)
+    if a.dtype == _np.uint64:
+        return _mod_q(a)
+    return (a.astype(_np.int64) % Q).astype(_np.uint64)
+
+
+def _inverse_mod_q(values):
+    """Slotwise inverse mod q of a ``uint64`` array of nonzero
+    residues: Fermat's ``y^(q-2)`` by left-to-right square-and-multiply.
+    The exponent is public, so the sequence of array operations is
+    the same whatever the values."""
+    result = values
+    for bit in bin(Q - 2)[3:]:
+        result = _mod_q(result * result)
+        if bit == "1":
+            result = _mod_q(result * values)
+    return result
 
 
 @lru_cache(maxsize=None)
@@ -191,11 +225,10 @@ def ntt_array(coefficients):
     ceiling).  One final reduction restores canonical residues.
     """
     _require_numpy()
-    a = _np.asarray(coefficients)
+    a = _residues(coefficients)
     n = a.shape[-1]
     forward, _, _ = _tables_array(n)
     q = _np.uint64(Q)
-    a = (a.astype(_np.int64) % Q).astype(_np.uint64)
     lead = a.shape[:-1]
     t = n
     m = 1
@@ -204,23 +237,21 @@ def ntt_array(coefficients):
         view = a.reshape(*lead, m, 2 * t)
         s = forward[m:2 * m]
         u = view[..., :t]
-        v = (view[..., t:] * s[:, None]) % q
+        v = _mod_q(view[..., t:] * s[:, None])
         lo = u + v
         hi = (u + q) - v
         view[..., :t] = lo
         view[..., t:] = hi
         m *= 2
-    return a % q
+    return _mod_q(a)
 
 
 def intt_array(values):
     """Batched inverse negacyclic NTT over the last axis."""
     _require_numpy()
-    a = _np.asarray(values)
+    a = _residues(values)
     n = a.shape[-1]
     _, inverse, n_inv = _tables_array(n)
-    q = _np.uint64(Q)
-    a = (a.astype(_np.int64) % Q).astype(_np.uint64)
     lead = a.shape[:-1]
     # Unreduced values at most double per stage; ``pad`` (a multiple of
     # q at least the current bound) keeps ``u - v`` non-negative in
@@ -236,21 +267,19 @@ def intt_array(values):
         v = view[..., t:]
         pad = _np.uint64(Q * (-(-bound // Q)))
         lo = u + v
-        hi = (((u + pad) - v) * s[:, None]) % q
+        hi = _mod_q(((u + pad) - v) * s[:, None])
         view[..., :t] = lo
         view[..., t:] = hi
         bound = 2 * bound
         t *= 2
         m = half
-    return (a % q) * _np.uint64(n_inv) % q
+    return _mod_q(_mod_q(a) * _np.uint64(n_inv))
 
 
 def mul_ntt_array(a, b):
     """Batched product in ``Z_q[x]/(x^n + 1)`` (array :func:`mul_ntt`)."""
     _require_numpy()
-    fa = ntt_array(a)
-    fb = ntt_array(b)
-    return intt_array(fa * fb % _np.uint64(Q))
+    return intt_array(ntt_array(a) * ntt_array(b))
 
 
 def mul_ntt_rows_array(rows, ntt_rows):
@@ -265,9 +294,8 @@ def mul_ntt_rows_array(rows, ntt_rows):
     single vectorized pass.
     """
     _require_numpy()
-    fa = ntt_array(rows)
-    return intt_array(fa * _np.asarray(ntt_rows, dtype=_np.uint64)
-                      % _np.uint64(Q))
+    return intt_array(ntt_array(rows)
+                      * _np.asarray(ntt_rows, dtype=_np.uint64))
 
 
 def center_mod_q_array(values):

@@ -15,9 +15,20 @@ calls that must *become* rounds to ride the batched spine.  :class:`SigningServi
   — one list of lanes per request kind, whatever tenants they belong
   to — and each round runs one cross-key
   :func:`~repro.falcon.scheme.sign_batch` or
-  :func:`~repro.falcon.batchverify.verify_batch` call on the shard's
-  one round thread, so the event loop stays responsive while the
-  CPU-bound spine runs.
+  :func:`~repro.falcon.batchverify.verify_batch` call;
+* sign rounds run on the shard's one round thread, so the event loop
+  stays responsive while the sampling spine runs, and so do verify
+  rounds on the scalar spine, rounds with a tenant whose public key is
+  not cached yet (learning it checks a key out) and every round of a
+  worker pool;
+* a verify round on the NumPy spine whose public keys are all cached
+  runs directly on the event loop.  It reads only public data —
+  messages, signatures, cached public keys — so where it runs opens no
+  timing channel on secrets, and on a round thread the round threads
+  and the loop would trade the interpreter lock on every NumPy call.
+  Falcon's verify is one NTT product and a norm check, so the stall it
+  costs the loop is one round: a full 32-lane round measured 5-10 ms
+  at n=512 and 10-15 ms at n=1024 on a 2-core host.
 
 **Byte identity**: each tenant's key signs from its own stream, so a
 tenant's signatures from a merged round equal what a copy of its key,
@@ -177,7 +188,8 @@ class ServiceMetrics:
     failed_rounds: int = 0
     #: Requests routed off their home shard by an open breaker.
     shed_requests: int = 0
-    #: Requests whose deadline passed before a result existed.
+    #: Requests whose deadline passed before their result was handed
+    #: over.
     deadline_expired: int = 0
     #: Per-round shape log ``(shard, kind, size)`` — populated only
     #: with ``record_rounds=True``, for tests that check round shapes.
@@ -233,11 +245,17 @@ class SigningService:
     window (seconds the first request of a round waits for company; 0
     drains only what is already queued), ``queue_depth`` bounds each
     shard queue — a full queue suspends callers (back-pressure)
-    instead of buffering without limit.  Each round runs on its
+    instead of buffering without limit.  Sign rounds run on their
     shard's round thread so the event loop stays responsive while the
-    CPU-bound spine runs: one thread per shard, so a shard's rounds,
+    sampling spine runs: one thread per shard, so a shard's rounds,
     which run one at a time anyway, never spread over threads (each
-    with its own allocator arena).
+    with its own allocator arena).  A verify round on the NumPy spine
+    whose tenants' public keys are all cached runs on the event loop
+    instead (the module docstring gives why, and the stall it costs);
+    verify rounds on the scalar spine (26-49 ms for 16 lanes at n=512)
+    and rounds with a cold tenant, whose key must be checked out, stay
+    on the round thread.  A request whose deadline passes while its
+    round runs gets :class:`DeadlineExceeded`, never a late result.
 
     ``worker_pool`` escapes the GIL entirely: rounds are submitted to
     a :class:`~repro.falcon.serving.ShardWorkerPool` built over
@@ -251,7 +269,8 @@ class SigningService:
     :func:`plan_rounds`): one ffSampling walk serves a sign round,
     each lane on its own tenant's key, and one cross-key engine pass
     checks a verify round, each lane against its own tenant's cached
-    public key — verify rounds never check a signer out.
+    public key — a verify round checks a signer out only to learn a
+    cold tenant's key, on the round thread.
 
     Failure isolation in a sign round: each tenant's signer is checked
     out separately, through :meth:`ShardedKeyStore.signer_on` on the
@@ -267,7 +286,8 @@ class SigningService:
     for ``breaker_reset`` seconds.
     """
 
-    #: Rounds always run off the loop, and verify lanes always merge
+    #: Sign rounds always run off the loop (warm NumPy-spine verify
+    #: rounds run on it, see above), and verify lanes always merge
     #: across tenants; constants the repository benchmark's config
     #: line reports.
     offload = True
@@ -415,6 +435,8 @@ class SigningService:
             # fan-out (which checks future.done()) skips it cleanly.
             return await asyncio.wait_for(
                 request.future, request.deadline - loop.time())
+        except DeadlineExceeded:
+            raise  # the round fan-out expired it and counted it
         except asyncio.TimeoutError:
             self.metrics.deadline_expired += 1
             raise DeadlineExceeded(
@@ -527,6 +549,19 @@ class SigningService:
                     (shard, plan.kind, len(requests)))
             await self._run_one_round(shard, plan, requests)
 
+    def _loop_public_keys(self, kind: str,
+                          tenants: list[str]) -> list | None:
+        """The lanes' public keys if the round runs on the event loop:
+        a verify round, no worker pool, the NumPy spine, and every
+        tenant's key already cached.  None sends the round to the
+        shard's round thread."""
+        if (kind != KIND_VERIFY or self.worker_pool is not None
+                or _spine_name() != "numpy"):
+            return None
+        keys = [self.store.cached_public_key(tenant, self.n)
+                for tenant in tenants]
+        return None if any(key is None for key in keys) else keys
+
     async def _run_one_round(self, shard: int, plan: RoundPlan,
                              requests: list[_Request]) -> None:
         """Execute one round with full failure isolation.
@@ -538,7 +573,9 @@ class SigningService:
         draining and the shard worker keeps serving (regression-tested
         with one poisoned round among healthy ones).  Within a sign
         round a failed checkout fails only its tenant's lanes: the
-        round returns that exception as those lanes' results.
+        round returns that exception as those lanes' results.  A
+        request whose deadline passed by the time the round finished
+        gets :class:`DeadlineExceeded` instead of its result.
         """
         tenants = [r.tenant for r in requests]
         messages = [r.message for r in requests]
@@ -554,11 +591,11 @@ class SigningService:
                     signatures=([r.signature for r in requests]
                                 if plan.kind == KIND_VERIFY else None))
             if plan.kind == KIND_VERIFY:
-                # Verify rounds never touch the keystore: each lane's
-                # public key comes from the store's verify-plane cache
-                # (no checkout, no cohort fence — sign load cannot be
-                # contended by verify load), and the whole round —
-                # every tenant's lanes — rides one cross-key engine
+                # A scalar-spine round or one with a cold tenant: each
+                # lane's public key comes from the store's verify-plane
+                # cache, and a cold tenant's costs one home-shard
+                # checkout, here and not on the loop.  The whole round
+                # — every tenant's lanes — rides one cross-key engine
                 # pass.
                 return verify_batch(
                     [(self.store.public_key(r.tenant, self.n),
@@ -574,10 +611,19 @@ class SigningService:
                                                     self.n),
                 tenants, messages)
 
+        loop = asyncio.get_running_loop()
         breaker = self.breakers[shard]
         try:
-            results = await asyncio.get_running_loop().run_in_executor(
-                self._executors[shard], run_round)
+            public_keys = self._loop_public_keys(plan.kind, tenants)
+            if public_keys is not None:
+                # Public data only, so the round runs here, on the
+                # loop (see the module docstring).
+                results = verify_batch(
+                    [(public_key, r.message, r.signature)
+                     for public_key, r in zip(public_keys, requests)])
+            else:
+                results = await loop.run_in_executor(
+                    self._executors[shard], run_round)
             if len(results) != len(requests):  # a broken backend
                 raise RuntimeError(
                     f"round returned {len(results)} results for "
@@ -597,10 +643,18 @@ class SigningService:
                 self.metrics.verified += done
             if failed:
                 self.metrics.failed_rounds += 1
+            now = loop.time()
             for request, result in zip(requests, results):
                 if request.future.done():
                     continue
-                if isinstance(result, Exception):
+                if request.deadline is not None and request.deadline <= now:
+                    # wait_for's timer has not run yet: the round held
+                    # the loop past the deadline, or the timer is due in
+                    # this very loop iteration.  Never deliver late.
+                    self.metrics.deadline_expired += 1
+                    request.future.set_exception(DeadlineExceeded(
+                        "deadline passed while its round ran"))
+                elif isinstance(result, Exception):
                     request.future.set_exception(result)
                 else:
                     request.future.set_result(result)

@@ -149,7 +149,8 @@ class ShardedKeyStore:
     encoding, from which fallback shards and pool workers load it.  So
     a tenant signs under its one published key wherever its round
     runs, while sharing that shard's batched pipeline.
-    :meth:`public_key` serves verify rounds from a checkout-free cache.
+    :meth:`public_key` serves verify rounds from a checkout-free cache;
+    :meth:`cached_public_key` reads that cache alone.
     """
 
     def __init__(self, directory: str | Path | None = None, *,
@@ -311,6 +312,15 @@ class ShardedKeyStore:
                 self._encodings[cache_key] = cached
         return cached[1]
 
+    def cached_public_key(self, tenant: str | bytes,
+                          n: int) -> PublicKey | None:
+        """The tenant's verification key if the verify-plane cache
+        holds it, else None.  Never checks a key out, so it is safe to
+        call from the event loop."""
+        cache_key = (_tenant_bytes(tenant).decode("latin-1"), n)
+        with self._pk_lock:
+            return self._public_keys.get(cache_key)
+
     def public_key(self, tenant: str | bytes, n: int) -> PublicKey:
         """The tenant's verification key, without keystore contention.
 
@@ -321,9 +331,7 @@ class ShardedKeyStore:
         verify reuses the cached public half and its precomputed
         ``ntt(h)`` row.
         """
-        cache_key = (_tenant_bytes(tenant).decode("latin-1"), n)
-        with self._pk_lock:
-            public_key = self._public_keys.get(cache_key)
+        public_key = self.cached_public_key(tenant, n)
         if public_key is not None:
             return public_key
         return self.signer(tenant, n).public_key

@@ -31,6 +31,7 @@ import copy
 import json
 import os
 import pickle
+import threading
 import time
 
 import pytest
@@ -557,6 +558,44 @@ def test_service_deadline_is_never_outlived():
     elapsed, expired = asyncio.run(drive())
     assert expired >= 1
     assert elapsed < 0.35  # did not wait out the 0.4 s round
+
+
+def test_verify_deadline_passing_in_its_round_never_gets_a_verdict(
+        monkeypatch, spine):
+    """A verify round that outlasts a request's deadline hands that
+    request ``DeadlineExceeded``, counted once, never its verdict.  On
+    the NumPy spine the warm round runs on the event loop, so the
+    deadline's timer cannot fire before the round ends: the result
+    fan-out itself must refuse the late verdict."""
+    from repro.falcon.serving import service as service_module
+
+    store = ShardedKeyStore(shards=1, master_seed=60)
+    message = b"slow verify"
+    signature = store.signer("tenant-a", 8).sign(message)
+    real_verify_batch = service_module.verify_batch
+    ran_on: list = []
+
+    def slow_verify_batch(items):
+        ran_on.append(threading.get_ident())
+        time.sleep(0.3)
+        return real_verify_batch(items)
+
+    monkeypatch.setattr(service_module, "verify_batch", slow_verify_batch)
+
+    async def drive():
+        async with SigningService(store, n=8, max_wait=0.0) as service:
+            loop = asyncio.get_running_loop()
+            with pytest.raises(DeadlineExceeded):
+                await service.verify("tenant-a", message, signature,
+                                     deadline=loop.time() + 0.1)
+            in_time = await service.verify("tenant-a", message, signature,
+                                           deadline=loop.time() + 5.0)
+        return threading.get_ident(), in_time, service.metrics
+
+    loop_thread, in_time, metrics = asyncio.run(drive())
+    assert in_time is True
+    assert metrics.deadline_expired == 1
+    assert (ran_on[0] == loop_thread) == (spine == "numpy")
 
 
 def test_service_deadline_already_passed_is_refused_up_front():

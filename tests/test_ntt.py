@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.falcon import (
+    HAVE_NUMPY,
     Q,
     center_mod_q,
     div_ntt,
@@ -84,6 +85,30 @@ def test_div_rejects_non_invertible():
     zero = [0] * n
     with pytest.raises(ZeroDivisionError):
         div_ntt([1] + [0] * (n - 1), zero)
+
+
+def test_div_rejects_a_divisor_with_one_zero_slot(spine):
+    """One zero NTT slot makes the divisor a non-unit, on each leg."""
+    rng = random.Random(11)
+    n = 64
+    slots = [rng.randrange(1, Q) for _ in range(n)]
+    slots[17] = 0
+    with pytest.raises(ZeroDivisionError):
+        div_ntt([1] + [0] * (n - 1), intt(slots))
+
+
+@pytest.mark.skipif(not HAVE_NUMPY, reason="the array inverse needs NumPy")
+def test_array_inverse_equals_pow_on_every_nonzero_residue():
+    """div_ntt's NumPy leg inverts the divisor's NTT row with one
+    Fermat power ``y^(q-2)``: it must equal ``pow(y, -1, q)`` for
+    every y in 1..q-1."""
+    import numpy as np
+
+    from repro.falcon.ntt import _inverse_mod_q
+
+    residues = np.arange(1, Q, dtype=np.uint64)
+    assert _inverse_mod_q(residues).tolist() == \
+        [pow(y, -1, Q) for y in range(1, Q)]
 
 
 def test_is_invertible_detects_zero_divisors():

@@ -12,14 +12,16 @@ import threading
 import pytest
 
 from repro.ct import T_THRESHOLD, audit_coalescing, round_shape_trace
-from repro.falcon import KeyStore
+from repro.falcon import HAVE_NUMPY, KeyStore
 from repro.falcon.serving import (
     ConsistentHashRing,
     ShardedKeyStore,
+    ShardWorkerPool,
     SigningService,
     derive_shard_seed,
     plan_rounds,
 )
+from repro.falcon.serving import service as service_module
 
 
 # -- consistent hashing ------------------------------------------------------
@@ -462,10 +464,10 @@ def test_merged_sign_round_matches_direct_sign_many_per_tenant():
 
 
 def test_each_shard_runs_its_rounds_on_one_thread():
-    """Concurrent rounds on a 2-shard service: every round of a shard
-    runs on that shard's one round thread.  A shared pool would hand a
-    round submitted before the last one's thread was idle again to a
-    second thread, with its own allocator arena."""
+    """Concurrent rounds on a 2-shard service: every sign round of a
+    shard runs on that shard's one round thread.  A shared pool would
+    hand a round submitted before the last one's thread was idle again
+    to a second thread, with its own allocator arena."""
     store = ShardedKeyStore(shards=2, master_seed=13)
     names = [f"tenant-{i}" for i in range(32)]
     tenants = ([t for t in names if store.shard_for(t) == 0][:2]
@@ -490,6 +492,135 @@ def test_each_shard_runs_its_rounds_on_one_thread():
     asyncio.run(drive())
     assert all(len(threads) == 1 for threads in ran_on.values())
     assert ran_on[0] != ran_on[1]
+
+
+# -- where verify rounds run -------------------------------------------------
+
+def _record_verify_threads(monkeypatch) -> list:
+    """Patch the service module's ``verify_batch`` to record the thread
+    of every verify round this process runs."""
+    threads: list = []
+    real = service_module.verify_batch
+
+    def recording(items):
+        threads.append(threading.get_ident())
+        return real(items)
+
+    monkeypatch.setattr(service_module, "verify_batch", recording)
+    return threads
+
+
+@pytest.mark.skipif(not HAVE_NUMPY,
+                    reason="only NumPy-spine verify rounds run on the loop")
+def test_warm_verify_rounds_run_on_the_event_loop(monkeypatch):
+    """A NumPy-spine verify round whose public keys are all cached runs
+    on the event loop's own thread, on both shards, with the verdicts
+    of the threaded path (a tampered lane still fails)."""
+    store = ShardedKeyStore(shards=2, master_seed=17)
+    tenants = [f"tenant-{i}" for i in range(6)]
+    assert {store.shard_for(t) for t in tenants} == {0, 1}
+    lanes = []
+    for tenant in tenants:  # signing warms each tenant's public key
+        message = b"on-loop " + tenant.encode()
+        lanes.append((tenant, message,
+                      store.signer(tenant, 8).sign(message)))
+    lanes.append((tenants[0], b"tampered", lanes[0][2]))
+    threads = _record_verify_threads(monkeypatch)
+
+    async def drive():
+        async with SigningService(store, n=8, max_batch=32,
+                                  max_wait=0.05) as service:
+            verdicts = await asyncio.gather(
+                *[service.verify(*lane) for lane in lanes])
+        return threading.get_ident(), verdicts, service.metrics
+
+    loop_thread, verdicts, metrics = asyncio.run(drive())
+    assert verdicts == [True] * len(tenants) + [False]
+    assert metrics.verified == len(lanes)
+    assert threads and set(threads) == {loop_thread}
+
+
+def test_cold_tenant_verify_checks_its_key_out_off_the_loop(spine):
+    """A tenant whose public key is not cached yet: its first verify
+    learns the key with one home-shard checkout on the round thread,
+    never on the event loop, and gets the right verdicts."""
+    message = b"cold start"
+    twin = ShardedKeyStore(shards=2, master_seed=18)
+    signature = twin.signer("tenant-cold", 8).sign(message)
+    store = ShardedKeyStore(shards=2, master_seed=18)  # same keys, cold
+    assert store.cached_public_key("tenant-cold", 8) is None
+    checkout_threads: list = []
+    checkout = store.signer_on
+
+    def recording_checkout(shard, tenant, n):
+        checkout_threads.append(threading.get_ident())
+        return checkout(shard, tenant, n)
+
+    store.signer_on = recording_checkout
+
+    async def drive():
+        async with SigningService(store, n=8, max_wait=0.0) as service:
+            first = await service.verify("tenant-cold", message,
+                                         signature)
+            forged = await service.verify("tenant-cold", b"forged",
+                                          signature)
+        return threading.get_ident(), first, forged
+
+    loop_thread, first, forged = asyncio.run(drive())
+    assert (first, forged) == (True, False)
+    assert checkout_threads and loop_thread not in checkout_threads
+    assert store.cached_public_key("tenant-cold", 8) is not None
+
+
+def test_scalar_spine_verify_rounds_stay_off_the_loop(monkeypatch,
+                                                      scalar_spine):
+    """Scalar-spine verify rounds are too slow for the loop (a 16-lane
+    n=512 round takes tens of milliseconds): warm ones still run on
+    the round thread."""
+    store = ShardedKeyStore(shards=1, master_seed=19)
+    message = b"scalar"
+    signature = store.signer("tenant-s", 8).sign(message)
+    threads = _record_verify_threads(monkeypatch)
+
+    async def drive():
+        async with SigningService(store, n=8, max_wait=0.0) as service:
+            verdict = await service.verify("tenant-s", message, signature)
+        return threading.get_ident(), verdict
+
+    with scalar_spine():
+        loop_thread, verdict = asyncio.run(drive())
+    assert verdict
+    assert threads and loop_thread not in threads
+
+
+def test_worker_pool_verify_rounds_stay_off_the_loop(monkeypatch):
+    """With a worker pool every round, verify too, is one IPC call
+    from the shard's round thread; this process runs no verify."""
+    store = ShardedKeyStore(shards=1, master_seed=21)
+    message = b"pooled"
+    signature = store.signer("tenant-p", 8).sign(message)
+    threads = _record_verify_threads(monkeypatch)
+    pool_threads: list = []
+
+    async def drive():
+        with ShardWorkerPool(store) as pool:
+            run_round = pool.run_round
+
+            def recording_run_round(*args, **kwargs):
+                pool_threads.append(threading.get_ident())
+                return run_round(*args, **kwargs)
+
+            pool.run_round = recording_run_round
+            async with SigningService(store, n=8, max_wait=0.0,
+                                      worker_pool=pool) as service:
+                verdict = await service.verify("tenant-p", message,
+                                               signature)
+        return threading.get_ident(), verdict
+
+    loop_thread, verdict = asyncio.run(drive())
+    assert verdict
+    assert threads == []
+    assert pool_threads and loop_thread not in pool_threads
 
 
 def test_back_pressure_bounded_queue():
