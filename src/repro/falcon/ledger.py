@@ -18,20 +18,22 @@ Blocks persist as one JSON line each, appended with flush + fsync, so
 a crash can tear at most the final line; :class:`Ledger` detects the
 torn tail on load, truncates it, and resumes from the last durable
 block (the crash-recovery round-trip tests pin this).
-:meth:`Ledger.verify_chain` audits the chain by re-running the same
-engine pass over every committed block.
+:meth:`Ledger.verify_chain` audits the chain by re-running the commit's
+record pass over every committed block.
 """
 
 from __future__ import annotations
 
 import json
 import os
+import weakref
 from dataclasses import dataclass, field
+from functools import cached_property
 from hashlib import sha256
 from pathlib import Path
 from typing import Sequence
 
-from .batchverify import BatchVerifyReport, verify_batch_report
+from .batchverify import verify_batch_report
 from .scheme import PublicKey, Signature
 from .serialize import (
     SerializeError,
@@ -87,7 +89,7 @@ class SignedRecord:
                    signature_bytes=encode_signature(signature,
                                                     public_key.n))
 
-    @property
+    @cached_property
     def record_id(self) -> str:
         return _record_id(self.public_key_bytes, self.message,
                           self.signature_bytes)
@@ -101,10 +103,10 @@ class SignedRecord:
         is decoded by the verification engine, which rejects a
         non-canonical one with reason ``decompress``.
 
-        ``public_keys`` maps key encodings to keys already decoded (a
-        commit or an audit passes one per call, so each distinct key
-        is decoded, and its ``ntt(h)`` computed, once); a key decoded
-        here is added to it."""
+        ``public_keys`` maps key encodings to keys already decoded (the
+        record pass shares one across a commit or an audit, so each
+        distinct key is decoded, and its ``ntt(h)`` computed, once); a
+        key decoded here is added to it."""
         keys = {} if public_keys is None else public_keys
         try:
             public_key = keys.get(self.public_key_bytes)
@@ -249,6 +251,47 @@ class Block:
         return cls(header=header, records=records)
 
 
+def _check_records(records: Sequence[SignedRecord],
+                   public_keys: dict[bytes, PublicKey]
+                   ) -> list[str | None]:
+    """The record pass of a commit and of an audit: decode each record
+    (each distinct key once, through ``public_keys``), verify the
+    decoded lanes in one cross-key engine pass, and give each record
+    ``None`` or why it fails: ``decode: <why>`` or the engine's reason
+    with its detail."""
+    reasons: list[str | None] = [None] * len(records)
+    lanes, positions = [], []
+    for position, record in enumerate(records):
+        try:
+            public_key, signature, _ = record.decode(public_keys)
+        except RecordError as error:
+            reasons[position] = f"decode: {error}"
+            continue
+        lanes.append((public_key, record.message, signature))
+        positions.append(position)
+    for position, verdict in zip(positions,
+                                 verify_batch_report(lanes).lanes):
+        if not verdict.ok:
+            reasons[position] = (f"{verdict.reason}: {verdict.detail}"
+                                 if verdict.detail else verdict.reason)
+    return reasons
+
+
+def _header_problem(block: Block, index: int,
+                    prev_hash: str) -> str | None:
+    """Why ``block`` cannot sit at ``index`` after a block hashing to
+    ``prev_hash``, or None."""
+    header = block.header
+    if header.index != index:
+        return f"block index {header.index}, expected {index}"
+    if header.prev_hash != prev_hash:
+        return f"block {header.index}: prev_hash does not match chain tip"
+    root = _records_root([record.record_id for record in block.records])
+    if header.records_root != root:
+        return f"block {header.index}: records_root does not match records"
+    return None
+
+
 @dataclass
 class CommitResult:
     """What one :meth:`Ledger.commit` round did."""
@@ -256,7 +299,6 @@ class CommitResult:
     block: Block | None
     accepted: list[str]
     rejected: list[tuple[str, str]]  # (record_id, reason)
-    report: BatchVerifyReport | None = None
 
 
 @dataclass
@@ -291,6 +333,10 @@ class Ledger:
         self.recovered_bytes = 0  # torn tail truncated on load
         self.rejected_total: dict[str, int] = {}
         self._committed: set[str] = set()
+        # Key encodings by key object (identity), held weakly so a
+        # caller that builds a key object per record grows nothing.
+        self._key_bytes: weakref.WeakKeyDictionary[PublicKey, bytes] = \
+            weakref.WeakKeyDictionary()
         if directory is not None:
             directory = Path(directory)
             directory.mkdir(parents=True, exist_ok=True)
@@ -326,7 +372,10 @@ class Ledger:
                 raise LedgerError(
                     f"corrupt block at byte {offset}: {error}") \
                     from error
-            self._check_linkage(block)
+            problem = _header_problem(block, len(self.blocks),
+                                      self.tip_hash)
+            if problem is not None:
+                raise LedgerError(problem)
             self.blocks.append(block)
             self._committed.update(record.record_id
                                    for record in block.records)
@@ -338,24 +387,6 @@ class Ledger:
                 handle.truncate(valid)
                 handle.flush()
                 os.fsync(handle.fileno())
-
-    def _check_linkage(self, block: Block) -> None:
-        expected_prev = self.tip_hash
-        expected_index = len(self.blocks)
-        if block.header.index != expected_index:
-            raise LedgerError(
-                f"block index {block.header.index}, expected "
-                f"{expected_index}")
-        if block.header.prev_hash != expected_prev:
-            raise LedgerError(
-                f"block {block.header.index}: prev_hash does not "
-                f"match chain tip")
-        root = _records_root([record.record_id
-                              for record in block.records])
-        if block.header.records_root != root:
-            raise LedgerError(
-                f"block {block.header.index}: records_root does not "
-                f"match records")
 
     def _append_to_disk(self, block: Block) -> None:
         if self.path is None:
@@ -395,65 +426,51 @@ class Ledger:
     def submit_signed(self, public_key: PublicKey, message: bytes,
                       signature: Signature) -> SignedRecord:
         """Encode + queue in one step; returns the record either way
-        (check :attr:`Mempool.dropped_duplicates` for dedup stats)."""
-        record = SignedRecord.make(public_key, message, signature)
+        (check :attr:`Mempool.dropped_duplicates` for dedup stats).
+        Each key object is encoded once per ledger and its records
+        share those bytes."""
+        key_bytes = self._key_bytes.get(public_key)
+        if key_bytes is None:
+            key_bytes = self._key_bytes[public_key] = \
+                encode_public_key(public_key)
+        record = SignedRecord(
+            public_key_bytes=key_bytes, message=bytes(message),
+            signature_bytes=encode_signature(signature, public_key.n))
         self.submit(record)
         return record
 
     # -- commit ------------------------------------------------------------
 
-    def commit(self, max_records: int | None = None, *,
-               timestamp_us: int = 0) -> CommitResult:
+    def commit(self, *, timestamp_us: int = 0) -> CommitResult:
         """Drain the mempool and commit one batch-verified block.
 
         The entire drained batch — arbitrary mixed keys and degrees —
-        rides one cross-key engine pass; lanes that fail are returned
-        in ``rejected`` with the engine's per-lane reason
-        (``salt-length``, ``decompress`` or ``norm-bound``, plus
-        detail) and never block their batch.  Records rejected before
-        the pass read ``duplicate`` or ``decode: <why>`` (see
-        :meth:`SignedRecord.decode`).  No block is written when
-        nothing verifies.
+        rides one record pass (one cross-key engine pass); records
+        that fail are returned in ``rejected`` with their reason
+        (``duplicate`` for a record already on the chain, else what
+        the pass found: ``decode: <why>`` or the engine's
+        ``salt-length``, ``decompress`` or ``norm-bound`` plus detail)
+        and never block their batch.  No block is written when nothing
+        verifies.
         """
-        limit = self.max_block_records
-        if max_records is not None:
-            limit = min(limit, max_records)
-        drained = self.mempool.drain(limit)
-        rejected: list[tuple[str, str]] = []
-        lanes: list[tuple[SignedRecord, PublicKey, Signature]] = []
-        public_keys: dict[bytes, PublicKey] = {}
-        for record in drained:
-            record_id = record.record_id
-            if record_id in self._committed:
-                rejected.append((record_id, "duplicate"))
-                continue
-            try:
-                public_key, signature, _ = record.decode(public_keys)
-            except RecordError as error:
-                rejected.append((record_id, f"decode: {error}"))
-                continue
-            lanes.append((record, public_key, signature))
-        report = None
+        drained = self.mempool.drain(self.max_block_records)
+        rejected = [(record.record_id, "duplicate") for record in drained
+                    if record.record_id in self._committed]
+        fresh = [record for record in drained
+                 if record.record_id not in self._committed]
         accepted: list[SignedRecord] = []
-        if lanes:
-            report = verify_batch_report(
-                [(public_key, record.message, signature)
-                 for record, public_key, signature in lanes])
-            for (record, _, _), verdict in zip(lanes, report.lanes):
-                if verdict.ok:
-                    accepted.append(record)
-                else:
-                    reason = verdict.reason
-                    if verdict.detail:
-                        reason = f"{reason}: {verdict.detail}"
-                    rejected.append((record.record_id, reason))
+        for record, reason in zip(fresh, _check_records(fresh, {})):
+            if reason is None:
+                accepted.append(record)
+            else:
+                rejected.append((record.record_id, reason))
         for _, reason in rejected:
             label = reason.split(":", 1)[0]
             self.rejected_total[label] = \
                 self.rejected_total.get(label, 0) + 1
         if not accepted:
             return CommitResult(block=None, accepted=[],
-                                rejected=rejected, report=report)
+                                rejected=rejected)
         header = BlockHeader(
             index=len(self.blocks), prev_hash=self.tip_hash,
             records_root=_records_root([record.record_id
@@ -467,15 +484,16 @@ class Ledger:
         return CommitResult(block=block,
                             accepted=[record.record_id
                                       for record in accepted],
-                            rejected=rejected, report=report)
+                            rejected=rejected)
 
     # -- audit -------------------------------------------------------------
 
     def verify_chain(self, mode: str = "full") -> ChainAudit:
         """Re-verify the whole chain: linkage, roots, every signature.
 
-        Each block's records re-run the cross-key engine pass that
-        committed them.  ``mode`` accepts only ``"full"``.
+        Each block whose header checks out re-runs the commit's record
+        pass; one that does not is reported with the reason a load
+        gives.  ``mode`` accepts only ``"full"``.
         """
         if mode != "full":
             raise ValueError(f"unknown audit mode {mode!r}; "
@@ -484,40 +502,16 @@ class Ledger:
         public_keys: dict[bytes, PublicKey] = {}
         prev_hash = GENESIS_HASH
         for index, block in enumerate(self.blocks):
-            header = block.header
-            if (header.index != index
-                    or header.prev_hash != prev_hash):
-                audit.failures.append((index, None, "broken chain "
-                                       "linkage"))
-                prev_hash = header.hash
+            problem = _header_problem(block, index, prev_hash)
+            prev_hash = block.header.hash
+            if problem is not None:
+                audit.failures.append((index, None, problem))
                 continue
-            root = _records_root([record.record_id
-                                  for record in block.records])
-            if header.records_root != root:
-                audit.failures.append((index, None,
-                                       "records_root mismatch"))
-                prev_hash = header.hash
-                continue
-            prev_hash = header.hash
-            lanes = []
-            lane_records = []
-            for record in block.records:
-                try:
-                    public_key, signature, _ = record.decode(public_keys)
-                except RecordError as error:
-                    audit.failures.append(
-                        (index, record.record_id, f"decode: {error}"))
-                    continue
-                lanes.append((public_key, record.message, signature))
-                lane_records.append(record)
             audit.records += len(block.records)
-            if not lanes:
-                continue
-            report = verify_batch_report(lanes)
-            for record, verdict in zip(lane_records, report.lanes):
-                if not verdict.ok:
-                    audit.failures.append(
-                        (index, record.record_id, verdict.reason))
+            reasons = _check_records(block.records, public_keys)
+            for record, reason in zip(block.records, reasons):
+                if reason is not None:
+                    audit.failures.append((index, record.record_id, reason))
         audit.ok = not audit.failures
         return audit
 

@@ -251,28 +251,15 @@ class PublicKey:
         With NumPy the whole batch runs through one vectorized NTT /
         pointwise-multiply / inverse-NTT pass against the cached
         ``ntt(h)`` (all arithmetic exact, so verdicts match
-        :meth:`verify` bit for bit); without NumPy it falls back to a
-        plain loop.
-        """
-        return self.verify_many_report(messages, signatures).verdicts
-
-    def verify_many_report(self, messages: Sequence[bytes],
-                           signatures: Sequence[Signature]):
-        """:meth:`verify_many` with per-lane failure reasons.
-
-        Delegates to the cross-key engine (one vectorized pass with
-        every lane under this key), so a decompress-failed lane is
-        *reported* — reason ``"decompress"`` plus the decoder's detail
-        — instead of silently dropped.  Returns a
-        :class:`~repro.falcon.batchverify.BatchVerifyReport`; its
-        ``verdicts`` are what :meth:`verify_many` always returned.
+        :meth:`verify` bit for bit); without NumPy the cross-key
+        engine runs its pure-Python pass.
         """
         if len(messages) != len(signatures):
             raise ValueError("messages and signatures differ in length")
-        from .batchverify import verify_batch_report
-        return verify_batch_report(
-            [(self, message, signature)
-             for message, signature in zip(messages, signatures)])
+        from .batchverify import verify_batch
+        return verify_batch([(self, message, signature)
+                             for message, signature
+                             in zip(messages, signatures)])
 
 
 class SecretKey:

@@ -123,10 +123,6 @@ class FaultStats:
     def as_dict(self) -> Dict[str, Dict[str, int]]:
         return {"evaluated": dict(self.evaluated), "fired": dict(self.fired)}
 
-    @property
-    def total_fired(self) -> int:
-        return sum(self.fired.values())
-
 
 class FaultInjector:
     """Stateful evaluator of a :class:`FaultPlan`.

@@ -52,7 +52,7 @@ from __future__ import annotations
 import asyncio
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 from ..batchverify import verify_batch
@@ -191,9 +191,6 @@ class ServiceMetrics:
     #: Requests whose deadline passed before their result was handed
     #: over.
     deadline_expired: int = 0
-    #: Per-round shape log ``(shard, kind, size)`` — populated only
-    #: with ``record_rounds=True``, for tests that check round shapes.
-    round_log: list[tuple[int, str, int]] = field(default_factory=list)
 
     @property
     def coalesced_avg(self) -> float:
@@ -299,7 +296,6 @@ class SigningService:
                  max_wait: float = 0.002,
                  queue_depth: int = 256,
                  worker_pool=None,
-                 record_rounds: bool = False,
                  breaker_failures: int = 5,
                  breaker_reset: float = 1.0) -> None:
         if max_batch < 1:
@@ -318,7 +314,6 @@ class SigningService:
         self.queue_depth = queue_depth
         self.worker_pool = worker_pool
         self.metrics = ServiceMetrics()
-        self._record_rounds = record_rounds
         self.breakers = [CircuitBreaker(breaker_failures, breaker_reset)
                          for _ in range(store.shards)]
         self._queues: list[asyncio.Queue] = []
@@ -544,9 +539,6 @@ class SigningService:
             self.metrics.rounds += 1
             self.metrics.coalesced_max = max(
                 self.metrics.coalesced_max, len(requests))
-            if self._record_rounds:
-                self.metrics.round_log.append(
-                    (shard, plan.kind, len(requests)))
             await self._run_one_round(shard, plan, requests)
 
     def _loop_public_keys(self, kind: str,

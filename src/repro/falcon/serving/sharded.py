@@ -195,9 +195,6 @@ class ShardedKeyStore:
         """Failover order for ``tenant`` (home shard first)."""
         return self.ring.preference(tenant)
 
-    def store_for(self, tenant: str | bytes) -> KeyStore:
-        return self.stores[self.shard_for(tenant)]
-
     # -- provisioning ------------------------------------------------------
 
     def generate_ahead(self, n: int, count_per_shard: int) -> int:

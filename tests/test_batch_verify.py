@@ -257,8 +257,9 @@ def test_verify_many_report_returns_reasons():
     signatures = [sk.sign(m) for m in messages]
     broken = Signature(salt=signatures[1].salt,
                        compressed=signatures[1].compressed[:2])
-    report = sk.public_key.verify_many_report(
-        messages, [signatures[0], broken, signatures[2]])
+    report = verify_batch_report(
+        [(sk.public_key, message, signature) for message, signature
+         in zip(messages, [signatures[0], broken, signatures[2]])])
     assert report.verdicts == [True, False, True]
     assert report.lanes[1].reason == REASON_DECOMPRESS
     assert report.lanes[1].detail

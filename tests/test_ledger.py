@@ -1,20 +1,36 @@
 """Ledger tests: mempool bounds, batch-verified commits, hash-chained
-persistence, crash recovery, and the chain audit."""
+persistence, crash recovery, the chain audit, and a model-based state
+machine over all of them."""
 
+import gc
 import json
+import tempfile
+import weakref
 
 import pytest
+from hypothesis import settings
+from hypothesis import strategies as st
+from hypothesis.stateful import (
+    Bundle,
+    RuleBasedStateMachine,
+    invariant,
+    multiple,
+    precondition,
+    rule,
+)
 
 from repro.falcon import (
     Ledger,
     LedgerError,
     Mempool,
     MempoolFull,
+    PublicKey,
     RecordError,
     SecretKey,
     Signature,
     SignedRecord,
 )
+from repro.falcon import ledger as ledger_module
 from repro.falcon.ledger import GENESIS_HASH
 
 # Session-scope keys: keygen dominates these tests otherwise.
@@ -208,6 +224,68 @@ def test_commit_and_audit_decode_each_distinct_key_once(monkeypatch):
     assert len(decoded) == 16
 
 
+def test_submit_signed_encodes_each_key_once_per_ledger(monkeypatch,
+                                                        tmp_path):
+    """64 records over 16 keys encode 16 keys, and the 4 records of one
+    key share one bytes object; record ids and file bytes are those of
+    records made one by one with ``SignedRecord.make``."""
+    lanes = [_record(1 + i % 16, i) for i in range(64)]
+    reference = Ledger(tmp_path / "make", max_block_records=64)
+    for lane in lanes:
+        reference.submit(SignedRecord.make(*lane))
+    reference.commit(timestamp_us=5)
+    encoded = []
+    encode = ledger_module.encode_public_key
+
+    def counted(public_key):
+        encoded.append(public_key)
+        return encode(public_key)
+
+    monkeypatch.setattr(ledger_module, "encode_public_key", counted)
+    ledger = Ledger(tmp_path / "signed", max_block_records=64)
+    records = [ledger.submit_signed(*lane) for lane in lanes]
+    assert len(encoded) == 16
+    assert len({id(records[i].public_key_bytes)
+                for i in (0, 16, 32, 48)}) == 1
+    ledger.commit(timestamp_us=5)
+    assert [record.record_id for record in records] == \
+        [record.record_id for record in reference.blocks[0].records]
+    assert ledger.path.read_bytes() == reference.path.read_bytes()
+
+
+def test_ledger_keeps_no_key_object_alive():
+    """Key encodings are held by key object, weakly: a caller that
+    builds a fresh key object per record leaves nothing behind."""
+    ledger = Ledger()
+    pk, message, signature = _record(1, 0)
+    copy = PublicKey(pk.n, list(pk.h))
+    record = ledger.submit_signed(copy, message, signature)
+    assert record.public_key_bytes == SignedRecord.make(
+        pk, message, signature).public_key_bytes
+    alive = weakref.ref(copy)
+    del copy
+    gc.collect()
+    assert alive() is None
+    assert ledger.commit().accepted == [record.record_id]
+
+
+def test_submit_and_commit_hash_each_record_id_once(monkeypatch):
+    lanes = [_record(1 + i % 16, i) for i in range(64)]
+    hashed = []
+    record_id = ledger_module._record_id
+
+    def counted(*parts):
+        hashed.append(parts)
+        return record_id(*parts)
+
+    monkeypatch.setattr(ledger_module, "_record_id", counted)
+    ledger = Ledger(max_block_records=64)
+    for lane in lanes:
+        ledger.submit_signed(*lane)
+    assert len(ledger.commit().accepted) == 64
+    assert len(hashed) == 64
+
+
 # -- audits ----------------------------------------------------------------
 
 def test_full_and_aggregate_audits_agree():
@@ -366,3 +444,128 @@ def test_stats_snapshot():
     assert stats["rejected_total"] == {"norm-bound": 1}
     assert stats["path"] is None
     assert stats["tip_hash"] == ledger.tip_hash
+
+
+# -- model-based: the on-disk ledger against a model -----------------------
+
+class LedgerModel(RuleBasedStateMachine):
+    """An on-disk ledger with blocks of ``BLOCK`` records against a
+    model: the ids committed so far in commit order, the pending ids in
+    arrival order (lost on reopen: the mempool lives in memory) and the
+    ids of forged records."""
+
+    BLOCK = 4
+    records = Bundle("records")
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.directory = tempfile.TemporaryDirectory()
+        self.ledger = Ledger(self.directory.name,
+                             max_block_records=self.BLOCK)
+        self.committed: list[str] = []
+        self.pending: list[str] = []
+        self.forged: set[str] = set()
+        self.messages = 0
+
+    def teardown(self) -> None:
+        self.directory.cleanup()
+
+    def _submit(self, key: int, forged: bool) -> SignedRecord:
+        sk = _secret_key(1 + key)
+        self.messages += 1
+        message = b"model-%d" % self.messages
+        signature = sk.sign(message)
+        if forged:
+            message += b"!"
+        record = self.ledger.submit_signed(sk.public_key, message,
+                                           signature)
+        self.pending.append(record.record_id)
+        if forged:
+            self.forged.add(record.record_id)
+        return record
+
+    @rule(target=records, keys=st.lists(st.integers(0, 2), min_size=1,
+                                        max_size=BLOCK))
+    def submit_honest(self, keys):
+        return multiple(*[self._submit(key, forged=False)
+                          for key in keys])
+
+    @rule(target=records, key=st.integers(0, 2))
+    def submit_forged(self, key):
+        return self._submit(key, forged=True)
+
+    @rule(record=records)
+    def resubmit(self, record):
+        fresh = (record.record_id not in self.committed
+                 and record.record_id not in self.pending)
+        assert self.ledger.submit(record) == fresh
+        if fresh:
+            self.pending.append(record.record_id)
+
+    @rule()
+    def commit(self):
+        drained = self.pending[:self.BLOCK]
+        self.pending = self.pending[self.BLOCK:]
+        honest = [rid for rid in drained if rid not in self.forged]
+        result = self.ledger.commit(timestamp_us=len(self.committed))
+        assert result.accepted == honest
+        assert sorted(rid for rid, _ in result.rejected) == \
+            sorted(rid for rid in drained if rid in self.forged)
+        assert all(reason.startswith("norm-bound")
+                   for _, reason in result.rejected)
+        assert (result.block is None) == (not honest)
+        self.committed += honest
+
+    def _reopen(self, torn: int = 0) -> None:
+        before = (self.ledger.height, self.ledger.tip_hash,
+                  self.ledger.records_committed)
+        self.ledger = Ledger(self.directory.name,
+                             max_block_records=self.BLOCK)
+        self.pending = []
+        assert (self.ledger.height, self.ledger.tip_hash,
+                self.ledger.records_committed) == before
+        assert self.ledger.recovered_bytes == torn
+
+    @rule()
+    def reopen(self):
+        self._reopen()
+
+    @rule(cut=st.integers(0, 1 << 16))
+    def tear_tail(self, cut):
+        """A crash mid-append: part of a block line, no newline."""
+        path = self.ledger.path
+        lines = path.read_bytes().splitlines() if path.exists() else []
+        line = lines[-1] if lines else b'{"header":{"count":1,"index":0'
+        with open(path, "ab") as handle:
+            handle.write(line[:1 + cut % len(line)])
+        self._reopen(torn=1 + cut % len(line))
+
+    @precondition(lambda self: self.ledger.height >= 2)
+    @rule(line=st.integers(0, 1 << 16), offset=st.integers(0, 1 << 16))
+    def corrupt_earlier_line(self, line, offset):
+        """One flipped bit in a line before the last refuses the load;
+        the file is then restored."""
+        path = self.ledger.path
+        intact = path.read_bytes()
+        lines = intact.splitlines(keepends=True)
+        index = line % (len(lines) - 1)
+        flipped = bytearray(lines[index])
+        flipped[offset % (len(flipped) - 1)] ^= 1  # never the newline
+        lines[index] = bytes(flipped)
+        path.write_bytes(b"".join(lines))
+        with pytest.raises(LedgerError):
+            Ledger(self.directory.name)
+        path.write_bytes(intact)
+
+    @invariant()
+    def chain_matches_model(self):
+        ids = [record.record_id for block in self.ledger.blocks
+               for record in block.records]
+        assert ids == self.committed
+        assert self.forged.isdisjoint(ids)
+        assert self.ledger.verify_chain("full").ok
+
+
+LedgerModel.TestCase.settings = settings(
+    max_examples=30, stateful_step_count=40, deadline=None)
+TestLedgerModel = LedgerModel.TestCase

@@ -71,10 +71,11 @@ def test_shard_seeds_distinct_from_each_other_and_key_seeds():
 
 def test_tenants_route_to_stable_shards():
     store = ShardedKeyStore(shards=2, master_seed=1)
+    twin = ShardedKeyStore(shards=2, master_seed=1)
     for i in range(20):
         tenant = f"tenant-{i}"
-        shard = store.shard_for(tenant)
-        assert store.store_for(tenant) is store.stores[shard]
+        assert store.shard_for(tenant) == twin.shard_for(tenant) \
+            == store.shard_preference(tenant)[0]
 
 
 def test_per_tenant_signers_are_cached_and_distinct():
@@ -337,6 +338,20 @@ async def _sign_each(service, tenant, messages):
                                   for message in messages])
 
 
+def _record_rounds(service) -> list[tuple[int, str, int]]:
+    """Record each round's ``(shard, kind, lanes)`` as the service runs
+    it, by wrapping the instance's ``_run_one_round``."""
+    rounds = []
+    run_one_round = service._run_one_round
+
+    async def recorded(shard, plan, requests):
+        rounds.append((shard, plan.kind, len(requests)))
+        await run_one_round(shard, plan, requests)
+
+    service._run_one_round = recorded
+    return rounds
+
+
 def _sign_all(service_kwargs, store, messages, tenant="tenant-a"):
     async def drive():
         async with SigningService(store, **service_kwargs) as service:
@@ -370,8 +385,8 @@ def test_cross_tenant_merged_verify_keeps_per_tenant_verdicts():
         # their verify lanes can land in one merged round.
         store = ShardedKeyStore(shards=1, master_seed=14)
         async with SigningService(store, n=8, max_batch=16,
-                                  max_wait=0.2,
-                                  record_rounds=True) as service:
+                                  max_wait=0.2) as service:
+            rounds = _record_rounds(service)
             sig_a = await service.sign("tenant-a", b"from-a")
             sig_b = await service.sign("tenant-b", b"from-b")
             verdicts = await asyncio.gather(
@@ -384,8 +399,7 @@ def test_cross_tenant_merged_verify_keeps_per_tenant_verdicts():
         # The concurrent verify burst rode merged rounds: some round
         # carried lanes from more than one tenant (each tenant only
         # contributed 2 lanes, so any round bigger than that merged).
-        verify_rounds = [size for _, kind, size
-                         in service.metrics.round_log
+        verify_rounds = [size for _, kind, size in rounds
                          if kind == "verify"]
         assert sum(verify_rounds) == 4
         assert max(verify_rounds) > 2
@@ -415,12 +429,11 @@ def test_multi_round_coalescing_matches_chunked_direct_calls():
     signer = copy.deepcopy(store.signer("tenant-a", 8))
 
     async def drive():
-        service = SigningService(store, n=8, max_batch=3,
-                                 max_wait=0.2, record_rounds=True)
+        service = SigningService(store, n=8, max_batch=3, max_wait=0.2)
+        rounds = _record_rounds(service)
         async with service:
             signatures = await _sign_each(service, "tenant-a", messages)
-        return signatures, [size for _, _, size
-                            in service.metrics.round_log]
+        return signatures, [size for _, _, size in rounds]
 
     coalesced, round_sizes = asyncio.run(drive())
     assert sum(round_sizes) == len(messages)
@@ -447,12 +460,12 @@ def test_merged_sign_round_matches_direct_sign_many_per_tenant():
              for tenant in dict.fromkeys(tenants)}
 
     async def drive():
-        service = SigningService(store, n=8, max_batch=16, max_wait=0.2,
-                                 record_rounds=True)
+        service = SigningService(store, n=8, max_batch=16, max_wait=0.2)
+        rounds = _record_rounds(service)
         async with service:
             signatures = await asyncio.gather(
                 *[service.sign(t, m) for t, m in zip(tenants, messages)])
-        return signatures, service.metrics.round_log
+        return signatures, rounds
 
     signatures, round_log = asyncio.run(drive())
     assert round_log == [(0, "sign", 8)]
@@ -823,15 +836,14 @@ def test_live_service_round_shapes_secret_independent():
             for t in range(3):
                 store.signer(f"tenant-{t}", 8)
             service = SigningService(store, n=8, max_batch=4,
-                                     max_wait=0.05,
-                                     record_rounds=True)
+                                     max_wait=0.05)
+            rounds = _record_rounds(service)
             async with service:
                 await asyncio.gather(*[
                     service.sign(f"tenant-{i % 3}",
                                  fill + b"-%d" % i)
                     for i in range(9)])
-            return sorted(size for _, _, size
-                          in service.metrics.round_log)
+            return sorted(size for _, _, size in rounds)
         return asyncio.run(drive())
 
     assert shapes(b"\x00" * 16) == shapes(b"\x7f" * 16)
